@@ -20,9 +20,9 @@ enum class Algorithm {
 
 const char* AlgorithmName(Algorithm alg);
 
-/// Reverse of AlgorithmName (exact, case-sensitive — the wire protocol
-/// of the serve layer uses these names). False when `name` matches no
-/// algorithm.
+/// Reverse of AlgorithmName (case-insensitive, so "vpj" names VPJ; the
+/// wire protocol of the serve layer uses these names). False when
+/// `name` matches no algorithm.
 bool ParseAlgorithm(std::string_view name, Algorithm* out);
 
 /// Access-path properties of a join input, as the optimizer would see

@@ -496,7 +496,6 @@ bool BPTree::RangeScanner::Next(ElementRecord* out, Status* status) {
     if (!res.ok()) return Fail(res.status(), status);
     leaf_ = res.value();
     index_ = LeafLowerBound(leaf_, lo_);
-    MaybePrefetchNextLeaf();
   }
   while (leaf_ != nullptr) {
     if (index_ < NodeCount(leaf_)) {
@@ -513,38 +512,21 @@ bool BPTree::RangeScanner::Next(ElementRecord* out, Status* status) {
     leaf_ = nullptr;
     if (!un.ok()) return Fail(std::move(un), status);
     if (next == kInvalidPageId) {
-      Close();  // cancels any stray readahead
+      Close();
       return false;
     }
-    if (next == ra_next_) ra_next_ = kInvalidPageId;  // consumed by this fetch
     auto res = bm_->FetchPage(next);
     if (!res.ok()) return Fail(res.status(), status);
     leaf_ = res.value();
     index_ = 0;
-    MaybePrefetchNextLeaf();
   }
   return false;
-}
-
-void BPTree::RangeScanner::MaybePrefetchNextLeaf() {
-  if (leaf_ == nullptr || bm_->readahead_pages() == 0) return;
-  // If the range provably ends inside this leaf, the next leaf would be
-  // fetched for nothing — short index probes (INLJN) stay prefetch-free.
-  const uint16_t n = NodeCount(leaf_);
-  if (n > 0 && LeafKey(leaf_, n - 1) > hi_) return;
-  PageId next = LeafNext(leaf_);
-  if (next == kInvalidPageId || next == ra_next_) return;
-  if (bm_->StartPrefetch(next) == PrefetchResult::kStarted) ra_next_ = next;
 }
 
 void BPTree::RangeScanner::Close() {
   if (leaf_ != nullptr) {
     bm_->UnpinPage(leaf_->page_id(), false);
     leaf_ = nullptr;
-  }
-  if (ra_next_ != kInvalidPageId) {
-    bm_->CancelPrefetch(ra_next_);
-    ra_next_ = kInvalidPageId;
   }
 }
 

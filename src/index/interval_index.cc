@@ -151,30 +151,10 @@ Status IntervalIndex::Stab(
     const std::function<void(const ElementRecord&)>& emit) const {
   if (root_ == kInvalidPageId) return Status::OK();
   std::vector<PageId> stack = {root_};
-  // Probe-path readahead: every child pushed on the stack is fetched
-  // later in this walk, so its transfer can start at push time and
-  // overlap with scanning the current node. Ids whose prefetch actually
-  // started are tracked so an error abort can cancel the unconsumed
-  // ones (the StartPrefetch contract).
-  const bool readahead = bm->readahead_pages() > 0;
-  std::vector<PageId> started;
-  auto abort = [&](Status s) {
-    for (PageId id : started) bm->CancelPrefetch(id);
-    return s;
-  };
   while (!stack.empty()) {
     PageId pid = stack.back();
     stack.pop_back();
-    if (!started.empty()) {
-      auto it = std::find(started.begin(), started.end(), pid);
-      if (it != started.end()) {  // consumed by the fetch below
-        *it = started.back();
-        started.pop_back();
-      }
-    }
-    auto fetched = bm->FetchPage(pid);
-    if (!fetched.ok()) return abort(fetched.status());
-    Page* p = fetched.value();
+    PBITREE_ASSIGN_OR_RETURN(Page * p, bm->FetchPage(pid));
     uint16_t n = NodeCount(p);
     if (NodeIsLeaf(p)) {
       for (size_t i = 0; i < n; ++i) {
@@ -188,17 +168,10 @@ Status IntervalIndex::Stab(
       for (size_t i = 0; i < n; ++i) {
         InteriorEntry e = ReadInterior(p, i);
         if (e.min_start > q) break;  // later children start even further right
-        if (e.max_end >= q) {
-          stack.push_back(e.child);
-          if (readahead &&
-              bm->StartPrefetch(e.child) == PrefetchResult::kStarted) {
-            started.push_back(e.child);
-          }
-        }
+        if (e.max_end >= q) stack.push_back(e.child);
       }
     }
-    Status un = bm->UnpinPage(pid, false);
-    if (!un.ok()) return abort(un);
+    PBITREE_RETURN_IF_ERROR(bm->UnpinPage(pid, false));
   }
   return Status::OK();
 }

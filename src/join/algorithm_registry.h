@@ -33,7 +33,7 @@ using AlgorithmRunner = Status (*)(JoinContext* ctx, const ElementSet& a,
 struct AlgorithmInfo {
   Algorithm alg;
   /// Canonical name — the wire protocol of the serve layer and the CLI
-  /// --alg vocabulary (exact, case-sensitive).
+  /// --alg vocabulary. Lookups by name ignore case.
   const char* name;
   AlgorithmRunner run;
   /// Needs Start-sorted inputs; unsorted ones are copied and sorted on

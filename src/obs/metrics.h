@@ -74,11 +74,12 @@ enum class Counter : uint32_t {
   kServeRejected,  // queries refused by admission control (queue full)
   kCatalogLoads,   // Catalog::Load calls — a warm server stays at 1
 
-  // Buffer-pool readahead / write-behind (see storage/buffer_manager.h).
-  kBufPrefetchIssued,  // prefetch transfers started
-  kBufPrefetchHits,    // fetches served by a completed prefetch
-  kBufPrefetchUnused,  // prefetched frames dropped before consumption
-  kBufWriteBehind,     // dirty pages handed to the background flusher
+  // Buffer-pool prefetch. The pool reads synchronously, so both are
+  // always 0; they stay only because the benchmark's
+  // storage.prefetch_hit_ratio reads them, until a benchmark change
+  // drops that metric.
+  kBufPrefetchIssued,
+  kBufPrefetchHits,
 
   // Serve-layer result cache (see serve/result_cache.h).
   kServeCacheHits,       // joins answered from a cached result

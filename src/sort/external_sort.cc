@@ -35,9 +35,6 @@ Status SortAndWriteRun(BufferManager* bm, std::vector<ElementRecord>* buf,
   Status st;
   {
     HeapFile::Appender app(bm, &run);
-    // Runs are written once and only read back (never Concat'd), so
-    // filled pages can drain to disk while the next one fills.
-    app.EnableWriteBehind();
     st = app.AppendElements(*buf);
     // Explicit close: a failed tail-page write-back fails the run
     // instead of disappearing in the destructor.
@@ -191,8 +188,6 @@ Result<HeapFile> MergeRuns(BufferManager* bm, std::vector<HeapFile>* inputs,
   HeapFile out = std::move(*created);
   {
     HeapFile::Appender app(bm, &out);
-    // Merge output is final (not Concat'd later): double-buffer it too.
-    app.EnableWriteBehind();
     while (!heap.empty()) {
       size_t i = heap.top();
       heap.pop();

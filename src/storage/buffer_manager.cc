@@ -2,25 +2,10 @@
 
 #include <cassert>
 #include <cstring>
-#include <vector>
 
-#include "common/env.h"
 #include "obs/metrics.h"
 
 namespace pbitree {
-
-namespace {
-
-/// Workers draining the pool's async queue. More than the expected core
-/// count on purpose: the jobs block on page transfer (or injected
-/// latency), not CPU, so extra workers are extra overlap.
-constexpr size_t kIoWorkers = 4;
-
-/// Frames the prefetch path keeps clear of soft reservations, so
-/// legitimate pins never have to fall back to reclaiming one.
-constexpr size_t kPrefetchHeadroom = 2;
-
-}  // namespace
 
 BufferManager::BufferManager(DiskManager* disk, size_t pool_pages)
     : disk_(disk) {
@@ -30,57 +15,26 @@ BufferManager::BufferManager(DiskManager* disk, size_t pool_pages)
     frames_.push_back(std::make_unique<Page>());
   }
   page_table_.reserve(pool_pages * 2);
-  set_readahead_pages(static_cast<size_t>(
-      EnvInt64Checked("PBITREE_READAHEAD_PAGES", 0, 0, 1 << 20)));
 }
 
-BufferManager::~BufferManager() {
-  DrainAsyncIo();
-  FlushAll();
-}
+BufferManager::~BufferManager() { FlushAll(); }
 
-void BufferManager::set_readahead_pages(size_t n) {
-  // Phase operation: quiesce outstanding jobs before the swap so none
-  // observes the pool change mid-flight.
-  DrainAsyncIo();
-  readahead_pages_ = n;
-  if (n == 0) {
-    pool_.reset();
-  } else if (pool_ == nullptr) {
-    pool_ = std::make_unique<IoWorkerPool>(kIoWorkers);
-  }
-}
-
-void BufferManager::DrainAsyncIo() {
-  if (pool_ != nullptr) pool_->Drain();
-}
-
-Result<size_t> BufferManager::FindVictimLocked(bool allow_reserved) {
+Result<size_t> BufferManager::FindVictimLocked() {
   // Classic clock sweep: skip pinned frames, clear reference bits, take
   // the first unreferenced unpinned frame. Two full sweeps guarantee
   // termination when any frame is unpinned. Frames mid-transfer are
-  // held by io_pending_; softly-reserved (prefetched, unconsumed)
-  // frames are spared in the first pass and reclaimed only when the
-  // caller may take them and nothing else is available.
+  // held by io_pending_.
   const size_t n = frames_.size();
-  const int passes = allow_reserved ? 2 : 1;
-  for (int pass = 0; pass < passes; ++pass) {
-    const bool take_reserved = pass > 0;
-    for (size_t step = 0; step < 2 * n; ++step) {
-      Page* f = frames_[clock_hand_].get();
-      size_t idx = clock_hand_;
-      clock_hand_ = (clock_hand_ + 1) % n;
-      if (f->pin_count_ > 0 || f->io_pending_) continue;
-      if (!take_reserved && f->page_id_ != kInvalidPageId &&
-          prefetched_.count(f->page_id_) != 0) {
-        continue;
-      }
-      if (f->referenced_) {
-        f->referenced_ = false;
-        continue;
-      }
-      return idx;
+  for (size_t step = 0; step < 2 * n; ++step) {
+    Page* f = frames_[clock_hand_].get();
+    size_t idx = clock_hand_;
+    clock_hand_ = (clock_hand_ + 1) % n;
+    if (f->pin_count_ > 0 || f->io_pending_) continue;
+    if (f->referenced_) {
+      f->referenced_ = false;
+      continue;
     }
+    return idx;
   }
   return Status::ResourceExhausted("buffer pool: all frames pinned");
 }
@@ -88,7 +42,7 @@ Result<size_t> BufferManager::FindVictimLocked(bool allow_reserved) {
 Result<size_t> BufferManager::AcquireVictimLocked(
     std::unique_lock<std::mutex>& lk) {
   for (;;) {
-    auto victim = FindVictimLocked(/*allow_reserved=*/true);
+    auto victim = FindVictimLocked();
     if (victim.ok()) return victim;
     bool in_transfer = false;
     for (const auto& frame : frames_) {
@@ -107,14 +61,6 @@ Result<size_t> BufferManager::AcquireVictimLocked(
 PageId BufferManager::DetachFrameLocked(size_t idx) {
   Page* f = frames_[idx].get();
   if (f->page_id_ == kInvalidPageId) return kInvalidPageId;
-  if (prefetched_.erase(f->page_id_) != 0) {
-    // Emergency reclaim of an unconsumed prefetch. Its deferred read
-    // was never counted, so the eventual ordinary fetch re-reads and
-    // counts the page — read counts stay exact, only the prefetch work
-    // is wasted.
-    ++stats_.prefetch_unused;
-    obs::Count(obs::Counter::kBufPrefetchUnused);
-  }
   page_table_.erase(f->page_id_);
   ++stats_.evictions;
   obs::Count(obs::Counter::kBufEvictions);
@@ -122,23 +68,6 @@ PageId BufferManager::DetachFrameLocked(size_t idx) {
   ++stats_.dirty_writes;
   obs::Count(obs::Counter::kBufDirtyWrites);
   return f->page_id_;
-}
-
-bool BufferManager::MaybeAsyncWriteBack(IoWorkerPool* pool, PageId write_back,
-                                        const char* bytes) {
-  if (pool == nullptr) return false;
-  // Copy the victim bytes before returning so the caller may overwrite
-  // the frame immediately; the job owns the copy.
-  auto buf = std::make_shared<std::vector<char>>(bytes, bytes + kPageSize);
-  pool->Submit([this, write_back, buf]() -> Status {
-    Status ws = disk_->WritePage(write_back, buf->data());
-    std::lock_guard<std::mutex> lk(latch_);
-    writebacks_.erase(write_back);
-    if (!ws.ok()) write_errors_[write_back] = ws;
-    io_cv_.notify_all();
-    return ws;
-  });
-  return true;
 }
 
 Result<Page*> BufferManager::FetchPage(PageId page_id) {
@@ -152,18 +81,6 @@ Result<Page*> BufferManager::FetchPage(PageId page_id) {
     auto it = page_table_.find(page_id);
     if (it == page_table_.end()) {
       if (writebacks_.count(page_id) == 0) {
-        auto eit = prefetch_errors_.find(page_id);
-        if (eit != prefetch_errors_.end()) {
-          // A failed prefetch surfaces here, on the consumer — never
-          // silently. The read was attempted, so it counts, exactly
-          // like a synchronous miss whose ReadPage fails.
-          Status st = eit->second;
-          prefetch_errors_.erase(eit);
-          ++stats_.misses;
-          obs::Count(obs::Counter::kBufMisses);
-          disk_->CountDeferredRead();
-          return st;
-        }
         auto victim = AcquireVictimLocked(lk);
         if (!victim.ok()) {
           ++stats_.misses;
@@ -191,32 +108,16 @@ Result<Page*> BufferManager::FetchPage(PageId page_id) {
     }
     Page* f = frames_[it->second].get();
     if (f->io_pending_) {
-      // Another thread (or a prefetch/write-behind job) is transferring
-      // this page; wait for the frame latch to clear, then re-probe
-      // (the transfer may have failed and removed the mapping).
+      // Another thread is transferring this page; wait for the frame
+      // latch to clear, then re-probe (the transfer may have failed and
+      // removed the mapping).
       obs::LatencyTimer io_wait(obs::Latency::kIoWait);
       io_cv_.wait(lk);
       io_wait.Finish();
       continue;
     }
-    if (prefetched_.erase(page_id) != 0) {
-      // Consuming a finished prefetch. Accounting-wise this is the miss
-      // it would have been without readahead — the deferred physical
-      // read is booked here, to this operation — the consumer just
-      // didn't have to wait for the transfer.
-      ++stats_.misses;
-      obs::Count(obs::Counter::kBufMisses);
-      ++stats_.prefetch_hits;
-      obs::Count(obs::Counter::kBufPrefetchHits);
-      disk_->CountDeferredRead();
-      if (f->pin_count_ == 0) ++pinned_count_;
-      ++f->pin_count_;
-      f->referenced_ = true;
-      return f;
-    }
     ++stats_.hits;
     obs::Count(obs::Counter::kBufHits);
-    if (f->pin_count_ == 0) ++pinned_count_;
     ++f->pin_count_;
     f->referenced_ = true;
     return f;
@@ -226,10 +127,8 @@ Result<Page*> BufferManager::FetchPage(PageId page_id) {
   Page* f = frames_[idx].get();
   const PageId write_back = DetachFrameLocked(idx);
   if (write_back != kInvalidPageId) writebacks_.insert(write_back);
-  IoWorkerPool* pool = pool_.get();
   f->page_id_ = page_id;
   f->pin_count_ = 1;
-  ++pinned_count_;
   f->is_dirty_ = false;
   f->referenced_ = true;
   f->io_pending_ = true;
@@ -238,20 +137,14 @@ Result<Page*> BufferManager::FetchPage(PageId page_id) {
 
   // The transfer runs outside the pool latch: the frame is reachable
   // only through the new mapping, which io_pending_ blocks, so other
-  // threads fetch other pages concurrently. A dirty victim's bytes go
-  // to the worker pool when one exists (copied out, so the read below
-  // may start at once); otherwise the frame still holds them and the
-  // write happens here. Either way the victim's id stays in writebacks_
-  // until its write lands.
+  // threads fetch other pages concurrently. A dirty victim's bytes are
+  // still in the frame and are written here, before the read replaces
+  // them; the victim's id stays in writebacks_ until its write lands.
   Status st;
-  bool wb_async = false;
   if (write_back != kInvalidPageId) {
-    wb_async = MaybeAsyncWriteBack(pool, write_back, f->data_);
-    if (!wb_async) {
-      obs::LatencyTimer io_wait(obs::Latency::kIoWait);
-      st = disk_->WritePage(write_back, f->data_);
-      io_wait.Finish();
-    }
+    obs::LatencyTimer io_wait(obs::Latency::kIoWait);
+    st = disk_->WritePage(write_back, f->data_);
+    io_wait.Finish();
   }
   if (st.ok()) {
     obs::LatencyTimer io_wait(obs::Latency::kIoWait);
@@ -261,10 +154,9 @@ Result<Page*> BufferManager::FetchPage(PageId page_id) {
 
   lk.lock();
   f->io_pending_ = false;
-  if (write_back != kInvalidPageId && !wb_async) writebacks_.erase(write_back);
+  if (write_back != kInvalidPageId) writebacks_.erase(write_back);
   if (!st.ok()) {
     page_table_.erase(page_id);
-    --pinned_count_;
     f->Reset();
     io_cv_.notify_all();
     return st;
@@ -280,10 +172,8 @@ Result<Page*> BufferManager::NewPage() {
   Page* f = frames_[idx].get();
   const PageId write_back = DetachFrameLocked(idx);
   if (write_back != kInvalidPageId) writebacks_.insert(write_back);
-  IoWorkerPool* pool = pool_.get();
   f->page_id_ = page_id;
   f->pin_count_ = 1;
-  ++pinned_count_;
   f->is_dirty_ = false;  // set after the frame is cleaned
   f->referenced_ = true;
   f->io_pending_ = true;
@@ -291,23 +181,18 @@ Result<Page*> BufferManager::NewPage() {
   lk.unlock();
 
   Status st;
-  bool wb_async = false;
   if (write_back != kInvalidPageId) {
-    wb_async = MaybeAsyncWriteBack(pool, write_back, f->data_);
-    if (!wb_async) {
-      obs::LatencyTimer io_wait(obs::Latency::kIoWait);
-      st = disk_->WritePage(write_back, f->data_);
-      io_wait.Finish();
-    }
+    obs::LatencyTimer io_wait(obs::Latency::kIoWait);
+    st = disk_->WritePage(write_back, f->data_);
+    io_wait.Finish();
   }
   std::memset(f->data_, 0, kPageSize);
 
   lk.lock();
   f->io_pending_ = false;
-  if (write_back != kInvalidPageId && !wb_async) writebacks_.erase(write_back);
+  if (write_back != kInvalidPageId) writebacks_.erase(write_back);
   if (!st.ok()) {
     page_table_.erase(page_id);
-    --pinned_count_;
     f->Reset();
     (void)disk_->FreePage(page_id);  // don't leak the fresh id
     io_cv_.notify_all();
@@ -331,7 +216,6 @@ Status BufferManager::UnpinPage(PageId page_id, bool dirty) {
                             " not pinned");
   }
   --f->pin_count_;
-  if (f->pin_count_ == 0) --pinned_count_;
   if (dirty) f->is_dirty_ = true;
   return Status::OK();
 }
@@ -356,53 +240,11 @@ Status BufferManager::FlushPage(PageId page_id) {
   return Status::OK();
 }
 
-Status BufferManager::FlushPageAsync(PageId page_id) {
-  std::lock_guard<std::mutex> lk(latch_);
-  IoWorkerPool* pool = pool_.get();
-  if (pool == nullptr) return Status::OK();
-  auto it = page_table_.find(page_id);
-  if (it == page_table_.end()) return Status::OK();
-  Page* f = frames_[it->second].get();
-  // A pinned page may still be written through its pin and a frame in
-  // transfer is already busy; both fall back to the ordinary flush
-  // paths (eviction, FlushPage, FlushAll).
-  if (f->io_pending_ || f->pin_count_ > 0 || !f->is_dirty_) {
-    return Status::OK();
-  }
-  f->io_pending_ = true;
-  ++stats_.write_behinds;
-  obs::Count(obs::Counter::kBufWriteBehind);
-  ++stats_.dirty_writes;
-  obs::Count(obs::Counter::kBufDirtyWrites);
-  pool->Submit([this, f, page_id]() -> Status {
-    // io_pending_ holds the frame down (no pins, no eviction), so the
-    // write reads the frame bytes in place — the draining half of the
-    // appender's double buffer while it fills the next page.
-    Status ws = disk_->WritePage(page_id, f->data_);
-    std::lock_guard<std::mutex> lk2(latch_);
-    f->io_pending_ = false;
-    if (ws.ok()) {
-      f->is_dirty_ = false;
-    } else {
-      write_errors_[page_id] = ws;
-    }
-    io_cv_.notify_all();
-    return ws;
-  });
-  return Status::OK();
-}
-
 Status BufferManager::FlushAll() {
   std::unique_lock<std::mutex> lk(latch_);
-  // Settle asynchronous writes first: write-behind jobs hold
-  // io_pending_ (the per-frame wait below covers them), but eviction
-  // write-backs already left the pool and are only visible here.
-  while (!writebacks_.empty()) {
-    obs::LatencyTimer io_wait(obs::Latency::kIoWait);
-    io_cv_.wait(lk);
-    io_wait.Finish();
-  }
   for (auto& frame : frames_) {
+    // An eviction write-back runs under the io_pending_ of the frame
+    // that took the victim's place, so this wait settles it too.
     Page* f = frame.get();
     while (f->io_pending_) {
       obs::LatencyTimer io_wait(obs::Latency::kIoWait);
@@ -415,12 +257,6 @@ Status BufferManager::FlushAll() {
       obs::Count(obs::Counter::kBufDirtyWrites);
       f->is_dirty_ = false;
     }
-  }
-  if (!write_errors_.empty()) {
-    // A background write failed earlier; the data never reached disk.
-    Status st = write_errors_.begin()->second;
-    write_errors_.clear();
-    return st;
   }
   return Status::OK();
 }
@@ -436,28 +272,20 @@ Status BufferManager::PurgeAll() {
                                      std::to_string(f->page_id_) +
                                      " is pinned");
     }
-    if (prefetched_.erase(f->page_id_) != 0) {
-      ++stats_.prefetch_unused;
-      obs::Count(obs::Counter::kBufPrefetchUnused);
-    }
     page_table_.erase(f->page_id_);
     f->Reset();
   }
-  // A cold-cache reset also forgets failed prefetches: the re-fetch
-  // after the purge should behave like a first read.
-  prefetch_errors_.clear();
   return Status::OK();
 }
 
 void BufferManager::DiscardAll() {
   std::unique_lock<std::mutex> lk(latch_);
-  // Let in-flight transfers land first: their worker jobs hold raw
-  // frame pointers, so the frames must not be reset under them. The
-  // writes they complete count as "reached the device before the
+  // Let in-flight transfers land first: the threads running them hold
+  // raw frame pointers, so the frames must not be reset under them.
+  // The writes they complete count as "reached the device before the
   // crash" — a subset of writes landing is exactly the scenario this
   // simulates.
   auto quiescent = [&] {
-    if (!writebacks_.empty()) return false;
     for (const auto& frame : frames_) {
       if (frame->io_pending_) return false;
     }
@@ -466,101 +294,7 @@ void BufferManager::DiscardAll() {
   while (!quiescent()) io_cv_.wait(lk);
   for (auto& frame : frames_) frame->Reset();
   page_table_.clear();
-  prefetched_.clear();
-  prefetch_errors_.clear();
-  write_errors_.clear();
-  pinned_count_ = 0;
   clock_hand_ = 0;
-}
-
-PrefetchResult BufferManager::StartPrefetch(PageId page_id) {
-  std::unique_lock<std::mutex> lk(latch_);
-  IoWorkerPool* pool = pool_.get();
-  if (pool == nullptr) return PrefetchResult::kDisabled;
-  if (page_table_.count(page_id) != 0 || writebacks_.count(page_id) != 0 ||
-      prefetch_errors_.count(page_id) != 0) {
-    return PrefetchResult::kAlreadyPresent;
-  }
-  // Headroom: reservations are soft, but a prefetch that is immediately
-  // reclaimed for a pin is pure waste — don't issue it.
-  if (pinned_count_ + prefetched_.size() + kPrefetchHeadroom >=
-      frames_.size()) {
-    return PrefetchResult::kNoFrame;
-  }
-  auto victim = FindVictimLocked(/*allow_reserved=*/false);
-  if (!victim.ok()) return PrefetchResult::kNoFrame;
-  size_t idx = *victim;
-  Page* f = frames_[idx].get();
-  const PageId write_back = DetachFrameLocked(idx);
-  if (write_back != kInvalidPageId) writebacks_.insert(write_back);
-  f->page_id_ = page_id;
-  f->pin_count_ = 0;  // soft reservation, not a pin
-  f->is_dirty_ = false;
-  f->referenced_ = false;
-  f->io_pending_ = true;
-  page_table_[page_id] = idx;
-  prefetched_.insert(page_id);
-  ++stats_.prefetch_issued;
-  obs::Count(obs::Counter::kBufPrefetchIssued);
-  lk.unlock();
-  pool->Submit([this, f, page_id, write_back]() -> Status {
-    // Victim write-back and prefetch read share the job: the write must
-    // land before the frame bytes are replaced, and both are off the
-    // consumer's critical path anyway.
-    Status ws;
-    if (write_back != kInvalidPageId) {
-      ws = disk_->WritePage(write_back, f->data_);
-    }
-    Status rs;
-    if (ws.ok()) rs = disk_->ReadPagePrefetch(page_id, f->data_);
-    std::unique_lock<std::mutex> lk2(latch_);
-    f->io_pending_ = false;
-    if (write_back != kInvalidPageId) {
-      writebacks_.erase(write_back);
-      if (!ws.ok()) write_errors_[write_back] = ws;
-    }
-    Status st = ws.ok() ? rs : ws;
-    if (!st.ok()) {
-      // Latch the failure for the consumer's FetchPage — a failed
-      // prefetch must surface there, never silently.
-      page_table_.erase(page_id);
-      prefetched_.erase(page_id);
-      prefetch_errors_[page_id] = st;
-      f->Reset();
-    }
-    io_cv_.notify_all();
-    return st;
-  });
-  return PrefetchResult::kStarted;
-}
-
-void BufferManager::CancelPrefetch(PageId page_id) {
-  std::unique_lock<std::mutex> lk(latch_);
-  for (;;) {
-    auto it = page_table_.find(page_id);
-    if (it == page_table_.end()) break;         // errored out or reclaimed
-    if (prefetched_.count(page_id) == 0) break;  // consumed meanwhile
-    Page* f = frames_[it->second].get();
-    if (f->io_pending_) {
-      // Transfer still in flight; wait it out (it may yet fail and
-      // remove the mapping itself).
-      obs::LatencyTimer io_wait(obs::Latency::kIoWait);
-      io_cv_.wait(lk);
-      io_wait.Finish();
-      continue;
-    }
-    // Evict the unconsumed frame: its deferred read was never counted,
-    // so the page must not linger as a free hit for a later fetch.
-    prefetched_.erase(page_id);
-    page_table_.erase(page_id);
-    f->Reset();
-    ++stats_.prefetch_unused;
-    obs::Count(obs::Counter::kBufPrefetchUnused);
-    break;
-  }
-  // Forget a latched error too: with the prefetch abandoned, the next
-  // fetch should behave like a first read.
-  prefetch_errors_.erase(page_id);
 }
 
 Status BufferManager::DeletePage(PageId page_id) {
@@ -589,18 +323,10 @@ Status BufferManager::DeletePage(PageId page_id) {
       return Status::InvalidArgument("DeletePage: page " +
                                      std::to_string(page_id) + " is pinned");
     }
-    if (prefetched_.erase(page_id) != 0) {
-      ++stats_.prefetch_unused;
-      obs::Count(obs::Counter::kBufPrefetchUnused);
-    }
     page_table_.erase(page_id);
     f->Reset();
     break;
   }
-  // Stale latched errors must not outlive the page: its id may be
-  // recycled for unrelated data.
-  prefetch_errors_.erase(page_id);
-  write_errors_.erase(page_id);
   return disk_->FreePage(page_id);
 }
 

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "storage/async_io.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
 
@@ -23,23 +22,10 @@ struct BufferStats {
   uint64_t misses = 0;       // required a disk read
   uint64_t evictions = 0;    // victim frames reclaimed
   uint64_t dirty_writes = 0; // evictions/flushes that wrote back
-  uint64_t prefetch_issued = 0;  // readahead transfers started
-  uint64_t prefetch_hits = 0;    // fetches served by a finished prefetch
-  uint64_t prefetch_unused = 0;  // prefetched frames dropped unconsumed
-  uint64_t write_behinds = 0;    // pages handed to the background flusher
 
   double HitRate() const {
     return fetches == 0 ? 0.0 : static_cast<double>(hits) / fetches;
   }
-};
-
-/// Outcome of BufferManager::StartPrefetch, so scanners can adapt their
-/// readahead window to pool pressure instead of guessing.
-enum class PrefetchResult {
-  kStarted,         // transfer submitted; pair with CancelPrefetch/FetchPage
-  kAlreadyPresent,  // page resident or in flight — nothing to do
-  kNoFrame,         // pool too pressed to reserve a frame right now
-  kDisabled,        // readahead is off (readahead_pages() == 0)
 };
 
 /// \brief Fixed-size page cache with clock replacement — the Minibase
@@ -67,37 +53,13 @@ enum class PrefetchResult {
 /// victimised, so the data bytes of a returned Page* are only touched
 /// by its pin holders.
 ///
-/// Readahead (PBITREE_READAHEAD_PAGES / set_readahead_pages): when
-/// enabled, the pool owns an IoWorkerPool and sequential scanners call
-/// StartPrefetch to pull upcoming pages into frames while the consumer
-/// works on the current one. A prefetched frame holds a *soft*
-/// reservation: it is not pinned, so a pressed victim search may still
-/// reclaim it (the page is then re-read — and counted — by the eventual
-/// fetch), but the ordinary sweep prefers unreserved frames. The
-/// logical page-read of a prefetched page is deferred until the
-/// consuming FetchPage (DiskManager::CountDeferredRead), and an
-/// unconsumed prefetch is evicted on CancelPrefetch, so page-read
-/// counts are byte-identical with readahead on or off. (That guarantee
-/// assumes the pool holds the working set plus the readahead windows;
-/// under heavier pressure prefetch installs pages earlier than the
-/// synchronous run would and the clock's victim *choices* — not the
-/// per-page accounting — can diverge by a few physical reads. See the
-/// parity envelope discussion in docs/ARCHITECTURE.md.) A failed
-/// prefetch latches its Status and the next FetchPage of that page
-/// returns it — errors surface on the consumer, never silently. The
-/// same worker pool runs eviction write-backs (victim bytes are copied
-/// out so the frame is reusable immediately) and write-behind flushes
-/// (FlushPageAsync) of filled appender pages.
-///
-/// Maintenance operations (FlushPage/FlushAll/PurgeAll/ResetStats,
-/// set_readahead_pages) are phase operations: callers run them while no
-/// worker threads are active (between measured runs), which the
-/// single-threaded seed behaviour already assumed.
+/// Maintenance operations (FlushPage/FlushAll/PurgeAll/ResetStats) are
+/// phase operations: callers run them while no worker threads are
+/// active (between measured runs), which the single-threaded seed
+/// behaviour already assumed.
 class BufferManager {
  public:
-  /// `pool_pages` is the paper's `b` (number of buffer frames). The
-  /// initial readahead window comes from PBITREE_READAHEAD_PAGES
-  /// (default 0: synchronous I/O only, the seed behaviour).
+  /// `pool_pages` is the paper's `b` (number of buffer frames).
   BufferManager(DiskManager* disk, size_t pool_pages);
   ~BufferManager();
 
@@ -116,34 +78,9 @@ class BufferManager {
   /// Writes the page back if dirty (it stays cached).
   Status FlushPage(PageId page_id);
 
-  /// Write-behind: hands a dirty, unpinned page to the background
-  /// flusher and returns immediately; the frame stays cached and is
-  /// fetchable again once the write lands. A no-op (returning OK) when
-  /// readahead is off, the page is pinned, clean, absent or already in
-  /// transfer — the page is then simply flushed by the usual paths. A
-  /// failed background write is latched and surfaced by FlushAll.
-  Status FlushPageAsync(PageId page_id);
-
-  /// Flushes every dirty frame, after waiting out all in-flight
-  /// asynchronous writes; reports any latched background-write error.
+  /// Flushes every dirty frame, after waiting out in-flight eviction
+  /// write-backs of other threads.
   Status FlushAll();
-
-  /// Begins reading `page_id` into a softly-reserved frame on the
-  /// worker pool (see class comment). Every kStarted must be matched by
-  /// a FetchPage of the page or a CancelPrefetch (Scanner::Close does
-  /// this), or the deferred read count would be lost with the frame.
-  PrefetchResult StartPrefetch(PageId page_id);
-
-  /// Drops an unconsumed prefetch: waits out its transfer if still in
-  /// flight, evicts the reserved frame (so the eventual ordinary fetch
-  /// re-reads and counts the page) and clears any latched error. Safe
-  /// to call for pages never prefetched or already consumed.
-  void CancelPrefetch(PageId page_id);
-
-  /// Waits until the worker pool is idle. Operations that hand out
-  /// raw MetricRegistry pointers to async work (via obs::MetricScope)
-  /// must drain before destroying the registry.
-  void DrainAsyncIo();
 
   /// Flushes and then drops every unpinned frame from the pool — a
   /// cold-cache reset. Benchmarks call this before each measured run
@@ -155,7 +92,7 @@ class BufferManager {
   /// disk. The page must not be pinned.
   Status DeletePage(PageId page_id);
 
-  /// Crash simulation (tests only): waits out in-flight async I/O, then
+  /// Crash simulation (tests only): waits out in-flight transfers, then
   /// drops every frame — pinned or not, dirty or not — with NO
   /// write-back, exactly as if the process had died with the pool's
   /// state lost. Whatever the backend already holds is what a reopened
@@ -167,15 +104,6 @@ class BufferManager {
   size_t pool_pages() const { return frames_.size(); }
   DiskManager* disk() const { return disk_; }
 
-  /// Readahead window: how many pages ahead a sequential scanner keeps
-  /// in flight. 0 disables all async machinery (worker pool, prefetch,
-  /// write-behind, async eviction write-back).
-  size_t readahead_pages() const { return readahead_pages_; }
-
-  /// Phase operation: resizes the readahead window, creating or
-  /// draining-and-destroying the worker pool as needed.
-  void set_readahead_pages(size_t n);
-
   const BufferStats& stats() const { return stats_; }
   void ResetStats() { stats_ = BufferStats(); }
 
@@ -184,34 +112,21 @@ class BufferManager {
 
  private:
   /// Finds a victim frame via the clock sweep (latch held). Fails when
-  /// every frame is pinned or mid-transfer. The first sweep skips
-  /// softly-reserved (prefetched, unconsumed) frames; only when
-  /// `allow_reserved` is set does a second sweep reclaim them.
-  Result<size_t> FindVictimLocked(bool allow_reserved);
+  /// every frame is pinned or mid-transfer.
+  Result<size_t> FindVictimLocked();
 
-  /// FindVictimLocked for the pin paths (FetchPage/NewPage), with
-  /// patience: when the sweep fails but frames are merely mid-transfer
-  /// (queued prefetches or background writes far outnumber the I/O
-  /// workers under a deep readahead window), waits on the I/O condition
-  /// variable and retries — those transfers complete without needing
-  /// this latch held, and a finished prefetched frame is reclaimable.
-  /// Fails only when every frame is genuinely pinned.
+  /// FindVictimLocked with patience: when the sweep fails but frames
+  /// are merely mid-transfer (other threads' misses), waits on the I/O
+  /// condition variable and retries — those transfers complete without
+  /// needing this latch held. Fails only when every frame is genuinely
+  /// pinned.
   Result<size_t> AcquireVictimLocked(std::unique_lock<std::mutex>& lk);
 
   /// Detaches frame `idx` from its current page (latch held): removes
-  /// the mapping (and any prefetch reservation) and counts the
-  /// eviction. Returns the write-back the caller must perform outside
-  /// the latch (old page id, or kInvalidPageId when nothing needs
-  /// writing).
+  /// the mapping and counts the eviction. Returns the write-back the
+  /// caller must perform outside the latch (old page id, or
+  /// kInvalidPageId when nothing needs writing).
   PageId DetachFrameLocked(size_t idx);
-
-  /// Hands a victim write-back to the worker pool when one exists,
-  /// copying the frame's bytes so the caller may reuse the frame
-  /// immediately. Returns false (caller writes synchronously and erases
-  /// the writebacks_ entry itself) when async I/O is off. Called with
-  /// the latch released and the frame's io_pending_ set.
-  bool MaybeAsyncWriteBack(IoWorkerPool* pool, PageId write_back,
-                           const char* bytes);
 
   DiskManager* disk_;
   std::vector<std::unique_ptr<Page>> frames_;
@@ -220,22 +135,7 @@ class BufferManager {
   /// (see class comment). A page id appears at most once: the miss path
   /// waits it out before re-caching the page.
   std::unordered_set<PageId> writebacks_;
-  /// Unconsumed prefetched pages (soft frame reservations).
-  std::unordered_set<PageId> prefetched_;
-  /// A failed prefetch latches its Status here; the next FetchPage of
-  /// the page consumes it (counting the deferred read — the synchronous
-  /// path also counts a read that then fails).
-  std::unordered_map<PageId, Status> prefetch_errors_;
-  /// A failed background write (write-behind or async eviction
-  /// write-back) latches here and is surfaced by FlushAll.
-  std::unordered_map<PageId, Status> write_errors_;
   size_t clock_hand_ = 0;
-  /// Frames with pin_count_ > 0 — the victim search's headroom signal,
-  /// maintained on every 0↔1 pin transition.
-  size_t pinned_count_ = 0;
-  size_t readahead_pages_ = 0;
-  /// Present exactly when readahead_pages_ > 0.
-  std::unique_ptr<IoWorkerPool> pool_;
   BufferStats stats_;
 
   /// The pool latch (see class comment). Mutable so that const

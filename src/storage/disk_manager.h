@@ -126,19 +126,6 @@ class DiskManager {
   /// verifies its checksum when one is on record.
   Status ReadPage(PageId page_id, char* out);
 
-  /// Physical read for the buffer pool's readahead: the full
-  /// checksum/retry path of ReadPage, but the *logical* page-read is
-  /// not counted here. The consumer books it via CountDeferredRead when
-  /// the prefetched page is actually fetched, so page-read counts — the
-  /// paper's cost metric — are identical with readahead on or off. A
-  /// prefetched page that is never consumed is evicted uncounted, and
-  /// the eventual ordinary ReadPage counts it exactly once.
-  Status ReadPagePrefetch(PageId page_id, char* out);
-
-  /// Books the logical page read deferred by ReadPagePrefetch, billed
-  /// (via obs::Count) to the calling operation's MetricScope.
-  void CountDeferredRead();
-
   /// Writes kPageSize bytes from `in` to page `page_id` and records the
   /// page's checksum.
   Status WritePage(PageId page_id, const char* in);
@@ -181,11 +168,6 @@ class DiskManager {
   /// Runs `op` (a backend page transfer) under the retry policy.
   Status WithRetry(const char* what, PageId page_id,
                    const std::function<Status()>& op);
-
-  /// Shared body of ReadPage/ReadPagePrefetch: range check, checksum
-  /// verification and bounded retry — everything except the logical
-  /// read count.
-  Status ReadPageVerified(PageId page_id, char* out);
 
   std::unique_ptr<IoBackend> backend_;
   RetryPolicy retry_;

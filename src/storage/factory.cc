@@ -6,16 +6,16 @@
 namespace pbitree {
 
 Status ValidateIoBackendKind(const std::string& kind) {
-  std::string base = kind;
-  while (base.rfind("async-", 0) == 0) base = base.substr(6);
-  if (base == "file" || base == "mem") return Status::OK();
-  return Status::InvalidArgument("unknown backend '" + kind +
-                                 "' (want file|mem|async-file|async-mem)");
+  if (kind == "file" || kind == "mem") return Status::OK();
+  return Status::InvalidArgument("unknown backend '" + kind + "' (want " +
+                                 IoBackendHelp() + ")");
 }
 
 const char* IoBackendHelp() {
-  return "file|mem|async-file|async-mem";
+  return "file|mem";
 }
+
+bool IsFileBackend(const std::string& kind) { return kind == "file"; }
 
 Result<PageCodecKind> ParsePageCodecKind(const std::string& name) {
   if (name == PageCodecName(PageCodecKind::kRaw)) return PageCodecKind::kRaw;

@@ -1,6 +1,5 @@
 #include "storage/heap_file.h"
 
-#include <algorithm>
 
 namespace pbitree {
 
@@ -182,18 +181,6 @@ Status HeapFile::RewriteRecordAt(BufferManager* bm, size_t page_index,
   return bm->UnpinPage(pid, /*dirty=*/true);
 }
 
-Status HeapFile::Appender::RetireTail() {
-  // The full page is final here: its successor link is set and no later
-  // append touches it, so with write-behind on it can start draining to
-  // disk while the fresh tail fills — the double buffer.
-  const PageId filled = tail_->page_id();
-  PBITREE_RETURN_IF_ERROR(bm_->UnpinPage(filled, /*dirty=*/true));
-  if (write_behind_) {
-    PBITREE_RETURN_IF_ERROR(bm_->FlushPageAsync(filled));
-  }
-  return Status::OK();
-}
-
 Status HeapFile::Appender::EncodeTail() {
   const PageCodec* codec = GetPageCodec(file_->codec_);
   PBITREE_RETURN_IF_ERROR(
@@ -227,7 +214,7 @@ Status HeapFile::Appender::AppendCodec(const ElementRecord& rec) {
     SetNext(np, kInvalidPageId);
     SetCount(np, 0);
     SetNext(tail_, np->page_id());
-    PBITREE_RETURN_IF_ERROR(RetireTail());
+    PBITREE_RETURN_IF_ERROR(bm_->UnpinPage(tail_->page_id(), /*dirty=*/true));
     tail_ = np;
     file_->last_page_ = np->page_id();
     file_->pages_.push_back(np->page_id());
@@ -256,7 +243,7 @@ Status HeapFile::Appender::Append(const void* record) {
     SetNext(np, kInvalidPageId);
     SetCount(np, 0);
     SetNext(tail_, np->page_id());
-    PBITREE_RETURN_IF_ERROR(RetireTail());
+    PBITREE_RETURN_IF_ERROR(bm_->UnpinPage(tail_->page_id(), /*dirty=*/true));
     tail_ = np;
     file_->last_page_ = np->page_id();
     file_->pages_.push_back(np->page_id());
@@ -289,7 +276,8 @@ Status HeapFile::Appender::AppendBatch(const void* records, size_t n) {
       SetNext(np, kInvalidPageId);
       SetCount(np, 0);
       SetNext(tail_, np->page_id());
-      PBITREE_RETURN_IF_ERROR(RetireTail());
+      PBITREE_RETURN_IF_ERROR(
+          bm_->UnpinPage(tail_->page_id(), /*dirty=*/true));
       tail_ = np;
       file_->last_page_ = np->page_id();
       file_->pages_.push_back(np->page_id());
@@ -320,33 +308,6 @@ Status HeapFile::Appender::Finish() {
   return status_;
 }
 
-void HeapFile::Scanner::IssueReadahead() {
-  // The page about to be fetched sits at directory index
-  // fetched_pages_; keep the readahead_pages() entries after it in
-  // flight. If the chain disagrees with the snapshot (the file changed
-  // under the scan), stop prefetching rather than pull wrong pages.
-  if (fetched_pages_ >= ra_pages_.size() ||
-      ra_pages_[fetched_pages_] != next_page_) {
-    ra_pages_.clear();
-    return;
-  }
-  const size_t window = bm_->readahead_pages();
-  const size_t limit =
-      std::min(ra_pages_.size(), fetched_pages_ + 1 + window);
-  if (ra_next_ < fetched_pages_ + 1) ra_next_ = fetched_pages_ + 1;
-  while (ra_next_ < limit) {
-    const PageId pid = ra_pages_[ra_next_];
-    const PrefetchResult r = bm_->StartPrefetch(pid);
-    if (r == PrefetchResult::kNoFrame) return;  // pressed; retry next fill
-    if (r == PrefetchResult::kDisabled) {
-      ra_pages_.clear();
-      return;
-    }
-    if (r == PrefetchResult::kStarted) ra_outstanding_.insert(pid);
-    ++ra_next_;  // kStarted or kAlreadyPresent: this page is covered
-  }
-}
-
 size_t HeapFile::Scanner::FillPage() {
   while (true) {
     if (cur_ != nullptr) {
@@ -356,10 +317,7 @@ size_t HeapFile::Scanner::FillPage() {
       cur_ = nullptr;
     }
     if (!status_.ok() || next_page_ == kInvalidPageId) return 0;
-    if (!ra_pages_.empty()) IssueReadahead();
     auto res = bm_->FetchPage(next_page_);
-    ra_outstanding_.erase(next_page_);  // consumed (even on error)
-    ++fetched_pages_;
     if (!res.ok()) {
       status_ = res.status();
       return 0;
@@ -403,11 +361,6 @@ void HeapFile::Scanner::Close() {
     bm_->UnpinPage(cur_->page_id(), false);
     cur_ = nullptr;
   }
-  // An early-exit scan abandons its in-flight prefetches: cancel them
-  // so no reserved frame (or uncounted resident page) outlives the
-  // scan.
-  for (PageId pid : ra_outstanding_) bm_->CancelPrefetch(pid);
-  ra_outstanding_.clear();
   next_page_ = kInvalidPageId;
 }
 

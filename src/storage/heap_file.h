@@ -6,7 +6,6 @@
 #include <memory>
 #include <span>
 #include <type_traits>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -136,20 +135,7 @@ class HeapFile {
     /// it explicitly wherever the error must propagate.
     Status Finish();
 
-    /// Opt-in double-buffering: hand each page to the background
-    /// flusher (BufferManager::FlushPageAsync) the moment it is final —
-    /// chained to its successor and unpinned — so the disk drains it
-    /// while the appender fills the next one. A no-op when readahead is
-    /// off. Only worthwhile for files whose pages are not re-dirtied
-    /// afterwards (sort runs, merge output); a file later passed to
-    /// Concat re-dirties its last page and would write it twice.
-    void EnableWriteBehind() { write_behind_ = true; }
-
    private:
-    /// Unpins a full tail page and, with write-behind on, starts its
-    /// background flush.
-    Status RetireTail();
-
     /// Non-raw append path: stages the tail page's records in memory
     /// (decoding what the page already held on first use) and encodes
     /// on page-full / Finish. Admission is O(1) via FoRDeltaSizer.
@@ -162,7 +148,6 @@ class HeapFile {
     BufferManager* bm_;
     HeapFile* file_;
     Page* tail_ = nullptr;
-    bool write_behind_ = false;
     /// Codec staging state (unused for kRaw files).
     std::vector<ElementRecord> staged_;
     FoRDeltaSizer sizer_;
@@ -174,19 +159,10 @@ class HeapFile {
   /// Holds at most one page pinned at a time. The first I/O error ends
   /// the scan and is latched in status(); every Next* overload also
   /// reports it through the optional `status` out-parameter.
-  ///
-  /// When the pool's readahead is on (BufferManager::readahead_pages()
-  /// > 0) the scanner snapshots the file's page directory and keeps up
-  /// to that many upcoming pages prefetching while the caller consumes
-  /// the current one. Close cancels whatever was issued but not yet
-  /// consumed, so early-exit scans leave no reserved frames (and no
-  /// uncounted resident pages) behind.
   class Scanner {
    public:
     Scanner(BufferManager* bm, const HeapFile& file)
-        : bm_(bm), next_page_(file.first_page_), codec_(file.codec_) {
-      if (bm_->readahead_pages() > 0) ra_pages_ = file.pages_;
-    }
+        : bm_(bm), next_page_(file.first_page_), codec_(file.codec_) {}
     ~Scanner() { Close(); }
 
     Scanner(const Scanner&) = delete;
@@ -254,11 +230,6 @@ class HeapFile {
     /// file or after an error was latched).
     size_t FillPage();
 
-    /// Tops the readahead window up to readahead_pages() pages beyond
-    /// the page about to be fetched. Backs off (without losing its
-    /// place) when the pool reports frame pressure.
-    void IssueReadahead();
-
     BufferManager* bm_;
     PageId next_page_;
     PageCodecKind codec_ = PageCodecKind::kRaw;
@@ -270,15 +241,6 @@ class HeapFile {
     /// long as the scanner, so spans into it obey the same lifetime
     /// rule as spans into the pinned frame.
     std::unique_ptr<ElementRecord[]> decode_buf_;
-    /// Readahead state: the directory snapshot (empty = readahead off),
-    /// the directory index of the next page to prefetch, how many pages
-    /// this scan has fetched (= directory index of the page being
-    /// consumed), and the prefetches issued but not yet consumed —
-    /// Close cancels these.
-    std::vector<PageId> ra_pages_;
-    size_t ra_next_ = 1;
-    size_t fetched_pages_ = 0;
-    std::unordered_set<PageId> ra_outstanding_;
     Status status_;
   };
 

@@ -47,8 +47,8 @@ class SegmentStore {
   static constexpr int kMaxSegmentLevel = 8;  // 256 segment files
 
   struct Options {
-    /// IoBackend kind for the main and every segment file
-    /// ("mem", "file", "async-mem", "async-file").
+    /// IoBackend kind for the main and every segment file ("mem" or
+    /// "file").
     std::string backend = "mem";
     /// Main database path; segment k lives at `path + ".seg<k>"`.
     /// Ignored by the mem backends.

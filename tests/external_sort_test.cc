@@ -21,6 +21,12 @@ struct SortCase {
   size_t work_pages;
 };
 
+// Prints the fields, not the raw bytes gtest would otherwise show
+// (padding included), so test display names are stable across builds.
+void PrintTo(const SortCase& c, std::ostream* os) {
+  *os << "records=" << c.num_records << " budget=" << c.work_pages;
+}
+
 class ExternalSortTest : public ::testing::TestWithParam<SortCase> {
  protected:
   void SetUp() override {

@@ -263,6 +263,12 @@ struct FaultJoinCase {
   size_t threads;
 };
 
+// Prints the fields, not the raw bytes gtest would otherwise show
+// (padding included), so test display names are stable across builds.
+void PrintTo(const FaultJoinCase& c, std::ostream* os) {
+  *os << "alg=" << AlgorithmName(c.algorithm) << " threads=" << c.threads;
+}
+
 std::string FaultCaseName(const ::testing::TestParamInfo<FaultJoinCase>& info) {
   std::string n = AlgorithmName(info.param.algorithm);
   for (char& c : n) {

@@ -11,6 +11,7 @@
 #include "common/random.h"
 #include "framework/planner.h"
 #include "framework/runner.h"
+#include "join/algorithm_registry.h"
 #include "sort/external_sort.h"
 
 namespace pbitree {
@@ -36,6 +37,16 @@ TEST(PlannerTest, AlgorithmNamesAreStable) {
   EXPECT_STREQ(AlgorithmName(Algorithm::kVpj), "VPJ");
   EXPECT_STREQ(AlgorithmName(Algorithm::kMhcjRollup), "MHCJ+Rollup");
   EXPECT_STREQ(AlgorithmName(Algorithm::kAdb), "ADB+");
+}
+
+TEST(PlannerTest, AlgorithmNamesMatchIgnoringCase) {
+  auto vpj = AlgorithmFromName("vpj");
+  ASSERT_TRUE(vpj.ok()) << vpj.status().ToString();
+  EXPECT_EQ(*vpj, Algorithm::kVpj);
+  Algorithm parsed;
+  ASSERT_TRUE(ParseAlgorithm("mhcj+rollup", &parsed));
+  EXPECT_EQ(parsed, Algorithm::kMhcjRollup);
+  EXPECT_FALSE(AlgorithmFromName("vpjx").ok());
 }
 
 class RunnerTest : public ::testing::Test {

@@ -1,11 +1,10 @@
-// Async I/O path tests: the injectable ReadFullAt/WriteFullAt transfer
-// loops (EINTR retry, short-transfer resumption, EOF zero-fill), the
-// FileIoBackend fixes they back (O_CLOEXEC, fstat-based sizing), the
-// IoWorkerPool submission queue, and the AsyncIoBackend decorator —
-// including its composition with fault injection, where errors must
-// travel from a worker thread back through Wait.
+// Synchronous I/O backend tests: the injectable ReadFullAt/WriteFullAt
+// transfer loops (EINTR retry, short-transfer resumption, EOF
+// zero-fill), the FileIoBackend fixes they back (O_CLOEXEC, fstat-based
+// sizing), and the backend-kind vocabulary shared by the factory and
+// the tools.
 
-#include "storage/async_io.h"
+#include "storage/io_backend.h"
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -13,18 +12,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "storage/io_backend.h"
+#include "storage/factory.h"
+#include "storage/segment_store.h"
 
 namespace pbitree {
 namespace {
@@ -212,157 +208,38 @@ TEST(FileIoBackendTest, OpensWithCloexec) {
 }
 
 // ---------------------------------------------------------------------
-// IoWorkerPool: submission, completion, cancellation, drain.
+// Backend kinds: one vocabulary, one error text.
 
-TEST(IoWorkerPoolTest, WaitReturnsJobStatus) {
-  IoWorkerPool pool(2);
-  IoTicket ok_job = pool.Submit([] { return Status::OK(); });
-  IoTicket bad_job =
-      pool.Submit([] { return Status::IOError("injected failure"); });
-  EXPECT_TRUE(pool.Wait(ok_job).ok());
-  Status st = pool.Wait(bad_job);
-  EXPECT_EQ(st.code(), StatusCode::kIOError);
-  EXPECT_NE(st.ToString().find("injected failure"), std::string::npos);
+TEST(IoBackendKindTest, AsyncKindsGetTheSingleUnknownBackendError) {
+  // The tools validate up front (ValidateIoBackendKind); the daemon
+  // reaches MakeIoBackend through SegmentStore::Open. Both must reject
+  // the retired "async-" decorator kinds with the same message.
+  const std::string path = TempDbPath("kind_async");
+  for (const char* base : {"file", "mem"}) {
+    const std::string kind = std::string("async-") + base;
+    Status validated = ValidateIoBackendKind(kind);
+    EXPECT_EQ(validated.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(validated.message(),
+              "unknown backend '" + kind + "' (want file|mem)");
+
+    auto made = MakeIoBackend(kind, path);
+    ASSERT_FALSE(made.ok());
+    EXPECT_EQ(made.status().ToString(), validated.ToString());
+
+    SegmentStore::Options opts;
+    opts.backend = kind;
+    opts.path = path;
+    auto opened = SegmentStore::Open(opts);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().ToString(), validated.ToString());
+  }
+  EXPECT_NE(::access(path.c_str(), F_OK), 0) << "rejected kind created a file";
 }
 
-TEST(IoWorkerPoolTest, TryCancelOnlyCancelsQueuedJobs) {
-  IoWorkerPool pool(1);
-
-  // Park the single worker so the next submission stays queued. The
-  // handshake makes sure the parked job has actually *started* before
-  // cancellation is attempted (a queued job is still cancellable).
-  std::mutex mu;
-  std::condition_variable cv;
-  bool started = false;
-  bool release = false;
-  IoTicket parked = pool.Submit([&] {
-    std::unique_lock<std::mutex> lk(mu);
-    started = true;
-    cv.notify_all();
-    cv.wait(lk, [&] { return release; });
-    return Status::OK();
-  });
-  {
-    std::unique_lock<std::mutex> lk(mu);
-    cv.wait(lk, [&] { return started; });
-  }
-  IoTicket queued = pool.Submit([] { return Status::OK(); });
-
-  EXPECT_TRUE(pool.TryCancel(queued));
-  EXPECT_FALSE(pool.TryCancel(parked));  // already running: too late
-
-  {
-    std::lock_guard<std::mutex> lk(mu);
-    release = true;
-  }
-  cv.notify_all();
-  EXPECT_TRUE(pool.Wait(parked).ok());
-  EXPECT_TRUE(pool.Wait(queued).IsCancelled());
-}
-
-TEST(IoWorkerPoolTest, DrainWaitsForEverything) {
-  IoWorkerPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 16; ++i) {
-    pool.Submit([&done] {
-      done.fetch_add(1);
-      return Status::OK();
-    });
-  }
-  pool.Drain();
-  EXPECT_EQ(done.load(), 16);
-}
-
-// ---------------------------------------------------------------------
-// AsyncIoBackend: the IoBackend face of the worker pool.
-
-TEST(AsyncIoBackendTest, SyncOpsRoundTrip) {
-  AsyncIoBackend io(std::make_unique<MemIoBackend>(), /*workers=*/2);
-  std::vector<char> page(kPageSize), got(kPageSize);
-  for (size_t i = 0; i < kPageSize; ++i) page[i] = static_cast<char>(i * 13);
-  ASSERT_TRUE(io.WritePage(2, page.data()).ok());
-  ASSERT_TRUE(io.ReadPage(2, got.data()).ok());
-  EXPECT_EQ(std::memcmp(page.data(), got.data(), kPageSize), 0);
-  EXPECT_STREQ(io.name(), "async");
-}
-
-TEST(AsyncIoBackendTest, SubmittedTransfersCompleteViaWait) {
-  AsyncIoBackend io(std::make_unique<MemIoBackend>(), /*workers=*/2);
-  std::vector<std::vector<char>> pages;
-  std::vector<IoTicket> writes;
-  for (PageId id = 0; id < 8; ++id) {
-    pages.emplace_back(kPageSize, static_cast<char>('a' + id));
-    writes.push_back(io.SubmitWrite(id, pages.back().data()));
-  }
-  for (const IoTicket& t : writes) ASSERT_TRUE(io.Wait(t).ok());
-
-  std::vector<std::vector<char>> got(8, std::vector<char>(kPageSize));
-  std::vector<IoTicket> reads;
-  for (PageId id = 0; id < 8; ++id) {
-    reads.push_back(io.SubmitRead(id, got[id].data()));
-  }
-  for (PageId id = 0; id < 8; ++id) {
-    ASSERT_TRUE(io.Wait(reads[id]).ok());
-    EXPECT_EQ(got[id][0], static_cast<char>('a' + id));
-    EXPECT_EQ(got[id][kPageSize - 1], static_cast<char>('a' + id));
-  }
-}
-
-TEST(AsyncIoBackendTest, FaultCompositionPropagatesThroughWait) {
-  // async over fault over mem: a sticky read fault raised on a worker
-  // thread must come back through Wait (and through the sync ReadPage
-  // face), not vanish.
-  FaultSchedule sched;
-  sched.seed = 3;
-  sched.read_every = 1;  // every read fails
-  sched.transient = 0;   // sticky
-  auto fault = std::make_unique<FaultInjectingBackend>(
-      std::make_unique<MemIoBackend>(), sched);
-  AsyncIoBackend io(std::move(fault), /*workers=*/2);
-
-  std::vector<char> page(kPageSize, 'z');
-  ASSERT_TRUE(io.WritePage(0, page.data()).ok());
-
-  std::vector<char> got(kPageSize);
-  IoTicket t = io.SubmitRead(0, got.data());
-  EXPECT_EQ(io.Wait(t).code(), StatusCode::kIOError);
-  EXPECT_EQ(io.ReadPage(0, got.data()).code(), StatusCode::kIOError);
-}
-
-TEST(AsyncIoBackendTest, FactoryBuildsAsyncKinds) {
-  auto mem = MakeIoBackend("async-mem", "");
-  ASSERT_TRUE(mem.ok()) << mem.status().ToString();
-  EXPECT_STREQ((*mem)->name(), "async");
-
-  const std::string path = TempDbPath("factory_async");
-  auto file = MakeIoBackend("async-file", path);
-  ASSERT_TRUE(file.ok()) << file.status().ToString();
-  EXPECT_STREQ((*file)->name(), "async");
-  ::unlink(path.c_str());
-
-  EXPECT_FALSE(MakeIoBackend("async-bogus", "").ok());
-  EXPECT_FALSE(MakeIoBackend("bogus", "").ok());
-}
-
-// ---------------------------------------------------------------------
-// LatencyInjectingBackend: pass-through semantics plus real delay.
-
-TEST(LatencyInjectingBackendTest, DelaysButPreservesBytes) {
-  LatencyInjectingBackend io(std::make_unique<MemIoBackend>(),
-                             /*read_us=*/2000, /*write_us=*/0);
-  std::vector<char> page(kPageSize, 'q'), got(kPageSize);
-  ASSERT_TRUE(io.WritePage(1, page.data()).ok());
-
-  auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(io.ReadPage(1, got.data()).ok());
-  }
-  auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
-      std::chrono::steady_clock::now() - t0);
-  EXPECT_EQ(std::memcmp(page.data(), got.data(), kPageSize), 0);
-  // 5 reads x 2ms injected latency; allow generous scheduling slack
-  // downwards is impossible (sleep_for is a lower bound).
-  EXPECT_GE(elapsed.count(), 10000);
+TEST(IoBackendKindTest, OnlyTheFileKindIsFileBacked) {
+  EXPECT_TRUE(IsFileBackend("file"));
+  EXPECT_FALSE(IsFileBackend("mem"));
+  EXPECT_FALSE(IsFileBackend("tape"));
 }
 
 }  // namespace

@@ -28,6 +28,13 @@ struct JoinCase {
   size_t threads = 1;
 };
 
+// Prints the fields, not the raw bytes gtest would otherwise show
+// (padding included), so test display names are stable across builds.
+void PrintTo(const JoinCase& c, std::ostream* os) {
+  *os << "alg=" << AlgorithmName(c.algorithm) << " budget=" << c.work_pages
+      << " threads=" << c.threads;
+}
+
 std::string CaseName(const ::testing::TestParamInfo<JoinCase>& info) {
   std::string n = AlgorithmName(info.param.algorithm);
   for (char& c : n) {

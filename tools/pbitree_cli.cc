@@ -12,8 +12,7 @@
 //                                        (epoch-bumping durable commit)
 //
 // Run `pbitree_cli <command> --help` for per-command options. Global
-// flags: `--backend=file|mem|async-file|async-mem` selects the storage
-// backend through the
+// flags: `--backend=file|mem` selects the storage backend through the
 // IoBackend factory (file — the default — persists at <db>; mem runs
 // the same commands against a volatile in-memory store, useful for
 // benchmarking the algorithms without touching disk). `--threads N`
@@ -64,12 +63,10 @@ constexpr size_t kPoolPages = 1024;
 
 /// Flags shared by every subcommand.
 struct GlobalOptions {
-  std::string backend = "file";  // IoBackend factory kinds (file | mem |
-                                 // async-file | async-mem)
+  std::string backend = "file";  // IoBackend factory kind (file | mem)
   std::string server;            // host:port — route to pbitree_serverd
   std::string alg = "auto";      // server mode: algorithm to request
   size_t threads = 1;
-  int readahead = -1;  // scan readahead pages; -1 = pool default
   int segments = -1;   // encode: code-space sharding level l (2^l segment
                        // files); -1/0 = unsegmented single-file layout
   int simd = -1;       // query: -1 = process default, 0 = scalar, 1 = AVX2
@@ -78,12 +75,6 @@ struct GlobalOptions {
   bool metrics = false;
   bool help = false;
 };
-
-/// Whether `kind` persists to a file on disk (the async decorator keeps
-/// the inner kind's persistence semantics).
-bool IsPersistentBackend(const std::string& kind) {
-  return kind == "file" || kind == "async-file";
-}
 
 int Fail(const Status& st) {
   std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
@@ -106,7 +97,7 @@ StatusOr<DiskManager*> OpenDb(const GlobalOptions& g,
       DiskManager * disk,
       DiskManager::OpenWithBackend(
           std::move(*backend),
-          /*restore_frontier=*/IsPersistentBackend(g.backend)));
+          /*restore_frontier=*/IsFileBackend(g.backend)));
   // Replay a mutable database's commit log before anything caches a
   // page (no-op on fresh or log-free databases).
   if (Status st = ElementSetStore::Recover(disk); !st.ok()) {
@@ -349,9 +340,6 @@ int CmdQuery(const GlobalOptions& g, const std::vector<std::string>& args) {
   RunOptions opts;
   opts.work_pages = kPoolPages / 2;
   opts.threads = g.threads;
-  if (g.readahead >= 0) {
-    opts.readahead_pages = static_cast<size_t>(g.readahead);
-  }
   if (g.simd >= 0) opts.simd = g.simd != 0;
   // The evaluator owns and drops every provider-returned set, so the
   // provider must never hand out the stored files themselves — a freed
@@ -544,10 +532,7 @@ std::string CommonOptions() {
   return std::string("  --backend=KIND      storage backend: ") +
          IoBackendHelp() +
          "\n"
-         "                      (default file; mem is volatile; async-* routes\n"
-         "                      transfers through a worker-thread queue)\n"
-         "  --readahead N       scan readahead window in pages (default: the\n"
-         "                      pool's PBITREE_READAHEAD_PAGES; 0 = synchronous)\n"
+         "                      (default file; mem is volatile)\n"
          "  --help              show this help\n";
 }
 
@@ -629,14 +614,6 @@ int main(int argc, char** argv) {
     if (std::strncmp(arg, "--threads=", 10) == 0) {
       long n = std::atol(arg + 10);
       g.threads = n < 1 ? 1 : static_cast<size_t>(n);
-      continue;
-    }
-    if (std::strcmp(arg, "--readahead") == 0 && i + 1 < argc) {
-      g.readahead = static_cast<int>(std::atol(argv[++i]));
-      continue;
-    }
-    if (std::strncmp(arg, "--readahead=", 12) == 0) {
-      g.readahead = static_cast<int>(std::atol(arg + 12));
       continue;
     }
     if (std::strcmp(arg, "--segments") == 0 && i + 1 < argc) {
