@@ -38,14 +38,6 @@
 #include "storage/segment_store.h"
 
 namespace pbitree {
-
-// The MutableStoreTest parameter. Declared in the enum's own namespace
-// so gtest finds it by argument-dependent lookup; prints the codec name
-// instead of the raw byte.
-void PrintTo(PageCodecKind kind, std::ostream* os) {
-  *os << "codec=" << PageCodecName(kind);
-}
-
 namespace {
 
 using RecordTuple = std::tuple<Code, uint32_t, uint32_t>;

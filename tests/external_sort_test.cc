@@ -12,6 +12,7 @@
 
 #include "common/random.h"
 #include "storage/heap_file.h"
+#include "zero_padded_printer.h"
 
 namespace pbitree {
 namespace {
@@ -21,10 +22,8 @@ struct SortCase {
   size_t work_pages;
 };
 
-// Prints the fields, not the raw bytes gtest would otherwise show
-// (padding included), so test display names are stable across builds.
 void PrintTo(const SortCase& c, std::ostream* os) {
-  *os << "records=" << c.num_records << " budget=" << c.work_pages;
+  PrintZeroPadded(c, os, &SortCase::num_records, &SortCase::work_pages);
 }
 
 class ExternalSortTest : public ::testing::TestWithParam<SortCase> {

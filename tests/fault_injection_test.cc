@@ -24,6 +24,7 @@
 #include "storage/buffer_manager.h"
 #include "storage/disk_manager.h"
 #include "storage/io_backend.h"
+#include "zero_padded_printer.h"
 
 namespace pbitree {
 namespace {
@@ -263,10 +264,8 @@ struct FaultJoinCase {
   size_t threads;
 };
 
-// Prints the fields, not the raw bytes gtest would otherwise show
-// (padding included), so test display names are stable across builds.
 void PrintTo(const FaultJoinCase& c, std::ostream* os) {
-  *os << "alg=" << AlgorithmName(c.algorithm) << " threads=" << c.threads;
+  PrintZeroPadded(c, os, &FaultJoinCase::algorithm, &FaultJoinCase::threads);
 }
 
 std::string FaultCaseName(const ::testing::TestParamInfo<FaultJoinCase>& info) {

@@ -16,6 +16,7 @@
 #include "framework/runner.h"
 #include "join/element_set.h"
 #include "join/result_sink.h"
+#include "zero_padded_printer.h"
 
 namespace pbitree {
 namespace {
@@ -28,11 +29,9 @@ struct JoinCase {
   size_t threads = 1;
 };
 
-// Prints the fields, not the raw bytes gtest would otherwise show
-// (padding included), so test display names are stable across builds.
 void PrintTo(const JoinCase& c, std::ostream* os) {
-  *os << "alg=" << AlgorithmName(c.algorithm) << " budget=" << c.work_pages
-      << " threads=" << c.threads;
+  PrintZeroPadded(c, os, &JoinCase::algorithm, &JoinCase::work_pages,
+                  &JoinCase::threads);
 }
 
 std::string CaseName(const ::testing::TestParamInfo<JoinCase>& info) {
