@@ -16,15 +16,13 @@ namespace bench {
 
 BenchConfig BenchConfig::FromEnv() {
   BenchConfig c;
-  // Checked reads: a knob set to nonsense (scale <= 0, threads == 0,
-  // negative latency) aborts with the accepted range instead of
-  // producing an empty dataset or a silently-clamped thread count.
+  // Checked reads: a knob set to nonsense (scale <= 0, negative
+  // latency) aborts with the accepted range instead of producing an
+  // empty dataset or a silently-clamped value.
   c.scale = EnvDoubleChecked("PBITREE_BENCH_SCALE", c.scale, 1e-6, 1e3);
   c.seed = static_cast<uint64_t>(
       EnvInt64Checked("PBITREE_BENCH_SEED", 42, 0, INT64_MAX));
   c.sim_io_ms = EnvDoubleChecked("PBITREE_SIM_IO_MS", c.sim_io_ms, 0.0, 1e6);
-  c.threads =
-      static_cast<size_t>(EnvInt64Checked("PBITREE_THREADS", 1, 1, 4096));
   return c;
 }
 
@@ -189,7 +187,6 @@ void RunBufferSweep(const std::string& dataset, Algorithm partitioned) {
     opts.cold_cache = true;
     opts.work_pages = pages;
     opts.simulated_io_ms = cfg.sim_io_ms;
-    opts.threads = cfg.threads;
 
     MinRgnResult min_rgn = MustRunMinRgn(env.bm.get(), ds->a, ds->d, opts);
     RunResult part = MustRun(partitioned, env.bm.get(), ds->a, ds->d, opts);
@@ -248,7 +245,6 @@ void RunScalabilitySweep(bool multi_height) {
     opts.cold_cache = true;
     opts.work_pages = cfg.DefaultBufferPages();
     opts.simulated_io_ms = cfg.sim_io_ms;
-    opts.threads = cfg.threads;
 
     MinRgnResult min_rgn = MustRunMinRgn(env.bm.get(), ds->a, ds->d, opts);
     RunResult part = MustRun(horizontal, env.bm.get(), ds->a, ds->d, opts);

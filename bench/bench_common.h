@@ -25,20 +25,16 @@ namespace bench {
 ///  - PBITREE_SIM_IO_MS    (default 1.0): simulated per-page disk
 ///    latency; reported "time" = wall CPU + latency * page I/O, which
 ///    reproduces the paper's disk-bound regime machine-independently.
-///  - PBITREE_THREADS      (default 1): worker threads for the
-///    partition-parallel paths. 1 keeps the paper-faithful serial
-///    execution (exact I/O counts); N > 1 measures parallel speedup.
 ///  - PBITREE_METRICS_JSON (unset by default): path of a JSONL sink —
 ///    every measured operation appends its full per-operation metrics
 ///    report (schema-stable; see obs/metrics.h).
 ///
-/// Set knobs are validated: nonsense values (scale <= 0, threads == 0,
-/// negative sim_io_ms, unparsable text) abort with the accepted range.
+/// Set knobs are validated: nonsense values (scale <= 0, negative
+/// sim_io_ms, unparsable text) abort with the accepted range.
 struct BenchConfig {
   double scale = 0.02;
   uint64_t seed = 42;
   double sim_io_ms = 1.0;
-  size_t threads = 1;
 
   static BenchConfig FromEnv();
 

@@ -219,7 +219,6 @@ int Run() {
   scfg.max_concurrent = 2;
   scfg.queue_depth = 32;
   scfg.work_pages = cfg.DefaultBufferPages() / 2;
-  scfg.threads = cfg.threads;
   serve::Server server(env.bm.get(), *catalog, scfg);
   server.AttachElementStore(estore->get());
   if (Status st = server.Start(); !st.ok()) Die("server start", st);

@@ -217,7 +217,6 @@ int Run() {
     scfg.max_concurrent = 4;
     scfg.queue_depth = 64;
     scfg.work_pages = cfg.DefaultBufferPages() / 2;
-    scfg.threads = cfg.threads;
     server.emplace(env->bm.get(), std::move(catalog), scfg);
     if (Status st = server->Start(); !st.ok()) Die("server start", st);
     target.host = "127.0.0.1";

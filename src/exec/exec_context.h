@@ -8,18 +8,25 @@
 
 namespace pbitree {
 
-/// \brief Execution resources for one measured run: the worker pool and
-/// the rule for splitting the `work_pages` memory budget across workers.
+/// \brief Execution resources for segment fan-out: the worker pool.
 ///
-/// An ExecContext with threads() == 1 owns no pool; every consumer must
-/// treat that (and a null ExecContext pointer) as "run serially, exactly
-/// like the single-threaded code path" — this is what makes `threads=1`
-/// byte-identical to the pre-exec behaviour, I/O counts included.
+/// The only parallel unit in the repository is the code-space segment
+/// (RunSegmentedJoin): the VPJ lemma makes segment pairs independent,
+/// so each active segment pair joins as one pool task. A join over one
+/// unsegmented pair (RunJoin) is always serial and never touches a pool.
 ///
+/// The budget rule: `threads` is the width of the segment fan-out and
+/// `work_pages` applies to each segment task, whether the segments run
+/// serially or in parallel — every segment owns its own buffer pool, so
+/// slicing the budget would only add sort runs and partition passes.
+/// Peak working memory is therefore `threads × work_pages` by design,
+/// and page I/O at any `threads` equals the serial segment loop's.
+///
+/// An ExecContext with threads() == 1 owns no pool; consumers treat that
+/// (and a null ExecContext pointer) as "run the segments serially".
 /// The pool holds threads() - 1 workers: the help-on-wait model makes
-/// the blocked caller the final executor, so at most threads() tasks
-/// run concurrently and SplitBudget(work_pages, threads()) slices sum
-/// to the true budget — no thread or memory oversubscription.
+/// the blocked caller the final executor, so at most threads() tasks run
+/// concurrently.
 class ExecContext {
  public:
   /// `threads` <= 1 selects serial execution (no pool is created).
@@ -32,17 +39,6 @@ class ExecContext {
 
   /// Null when threads() == 1.
   ThreadPool* pool() const { return pool_.get(); }
-
-  /// The budget slice each of `n` concurrent workers may assume, such
-  /// that the slices sum to at most `work_pages`. Floored at 3 pages —
-  /// the minimum every algorithm in the repository needs — so very
-  /// small budgets oversubscribe memory slightly rather than handing a
-  /// worker an unusable slice.
-  static size_t SplitBudget(size_t work_pages, size_t n) {
-    if (n < 1) n = 1;
-    size_t slice = work_pages / n;
-    return slice < 3 ? 3 : slice;
-  }
 
  private:
   size_t threads_;

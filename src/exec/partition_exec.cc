@@ -1,6 +1,6 @@
 #include "exec/partition_exec.h"
 
-#include <algorithm>
+#include <atomic>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -8,34 +8,29 @@
 
 namespace pbitree {
 
-bool ShouldParallelize(const JoinContext* ctx, size_t n) {
-  return ctx->exec != nullptr && ctx->exec->threads() > 1 && n > 1;
+bool ShouldParallelize(const ExecContext* exec, size_t n) {
+  return exec != nullptr && exec->threads() > 1 && n > 1;
 }
 
-Status ParallelPartitions(JoinContext* ctx, ResultSink* sink, size_t n,
+Status ParallelPartitions(ExecContext* exec, JoinContext* ctx,
+                          ResultSink* sink, size_t n,
                           const PartitionTask& task) {
-  ExecContext* exec = ctx->exec;
-  const size_t workers = std::min<size_t>(exec->threads(), n);
-  const size_t slice = ExecContext::SplitBudget(ctx->work_pages, workers);
-
-  // Worker contexts carry no exec pointer: nesting parallelism below
-  // the partition level would oversubscribe both the pool and the
-  // budget slices. Each worker context's stats merge back afterwards.
+  // Every worker gets the full budget: each task owns its resources
+  // (a segment owns its pool), so slicing would only add passes.
   std::vector<JoinContext> worker_ctxs;
   worker_ctxs.reserve(n);
-  std::atomic<bool> cancel{false};
   for (size_t i = 0; i < n; ++i) {
-    worker_ctxs.emplace_back(ctx->bm, slice);
-    worker_ctxs.back().cancel = &cancel;
+    worker_ctxs.emplace_back(ctx->bm, ctx->work_pages);
   }
-  // Each local sink buffers at most its worker's budget slice worth of
-  // pairs in memory and spills the rest to a temp heap file, so join
-  // output larger than the budget cannot blow up the heap.
-  const size_t max_buffered = slice * HeapFile::kRecordsPerPage;
+  // Each local sink buffers at most its worker's budget worth of pairs
+  // in memory and spills the rest to a temp heap file, so join output
+  // larger than the budget cannot blow up the heap.
+  const size_t max_buffered = ctx->work_pages * HeapFile::kRecordsPerPage;
   std::vector<BufferingSink> local_sinks;
   local_sinks.reserve(n);
   for (size_t i = 0; i < n; ++i) local_sinks.emplace_back(ctx->bm, max_buffered);
   std::vector<Status> statuses(n);
+  std::atomic<bool> cancel{false};
 
   exec->pool()->ParallelFor(n, [&](size_t i) {
     if (cancel.load(std::memory_order_relaxed)) {

@@ -11,37 +11,35 @@
 
 namespace pbitree {
 
-/// \brief The partition-parallel execution driver shared by the
-/// partitioned joins (SHCJ/MHCJ Grace partitions, MHCJ height
-/// partitions, VPJ vertical partitions).
+/// \brief The order-preserving fan-out/fan-in driver behind segment
+/// scatter-gather (RunSegmentedJoin).
 ///
-/// Each of `n` independent partition pairs is joined as one pool task
-/// with its own worker JoinContext (a SplitBudget slice of the parent's
-/// `work_pages`, no nested pool) and its own thread-local BufferingSink.
-/// When every task finished, worker stats merge into the parent context
-/// and the buffered pairs replay into the shared sink in task order —
-/// so the emitted pair sequence is identical to the serial loop's, just
-/// computed concurrently.
+/// Each of `n` independent tasks runs on `exec`'s pool with its own
+/// worker JoinContext (the parent's pool and its full `work_pages`; see
+/// exec/exec_context.h for the budget rule) and its own thread-local
+/// BufferingSink. When every task finished, worker stats merge into the
+/// parent context and the buffered pairs replay into the shared sink in
+/// task order — so the emitted pair sequence is identical to the serial
+/// loop's, just computed concurrently.
 ///
-/// Callers must keep their original serial loop for the
-/// !ShouldParallelize case: that path is the byte-identical
-/// `threads=1` contract.
+/// Callers keep their serial loop for the !ShouldParallelize case.
 
-/// One partition-pair task. `i` is the partition index; the task joins
-/// into `local_sink` using `worker` and is responsible for dropping its
-/// partition files (temp-file cleanup runs concurrently too).
+/// One task. `i` is the task index; the task joins into `local_sink`
+/// using `worker` and drops any temp files it made.
 using PartitionTask =
     std::function<Status(size_t i, JoinContext* worker, ResultSink* local_sink)>;
 
-/// True when `ctx` carries a pool with more than one thread and the
-/// loop has more than one partition to run.
-bool ShouldParallelize(const JoinContext* ctx, size_t n);
+/// True when `exec` carries a pool with more than one thread and there
+/// is more than one task to run.
+bool ShouldParallelize(const ExecContext* exec, size_t n);
 
-/// Runs `task` for every partition index on the pool. Requires
-/// ShouldParallelize(ctx, n). Returns the first (lowest-index) non-OK
-/// task status; pairs are only replayed into `sink` when every task
-/// succeeded.
-Status ParallelPartitions(JoinContext* ctx, ResultSink* sink, size_t n,
+/// Runs `task` for every index on `exec`'s pool. Requires
+/// ShouldParallelize(exec, n). A task that has not started when a
+/// sibling fails returns kCancelled without running. Returns the first
+/// (lowest-index) real error, else OK; pairs are only replayed into
+/// `sink` when every task succeeded.
+Status ParallelPartitions(ExecContext* exec, JoinContext* ctx,
+                          ResultSink* sink, size_t n,
                           const PartitionTask& task);
 
 }  // namespace pbitree

@@ -1,6 +1,5 @@
 #include "exec/thread_pool.h"
 
-#include <chrono>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -67,42 +66,6 @@ void ThreadPool::SignalProgress() {
   progress_cv_.notify_all();
 }
 
-std::future<void> ThreadPool::Submit(std::function<void()> fn) {
-  auto task = std::make_shared<std::packaged_task<void()>>(std::move(fn));
-  std::future<void> fut = task->get_future();
-  // Tasks bill to the registry of the operation that *enqueued* them,
-  // not whatever scope the executing worker happens to carry — this is
-  // what keeps interleaved operations' metrics disjoint.
-  obs::MetricRegistry* reg = obs::CurrentRegistry();
-  obs::Count(obs::Counter::kPoolTasks);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    queue_.push_back([task, reg] {
-      obs::MetricScope scope(reg);
-      (*task)();
-    });
-    if (reg != nullptr) {
-      reg->UpdateGaugeMax(obs::Gauge::kPoolQueueDepth, queue_.size());
-    }
-    progress_cv_.notify_all();  // blocked helpers can run the new task
-  }
-  task_cv_.notify_one();
-  return fut;
-}
-
-void ThreadPool::Wait(std::future<void>& f) {
-  // Help-on-wait: drain the shared queue while the future is pending.
-  // With the queue empty, sleep on progress_cv_ until some task
-  // finishes (possibly ours) or new work arrives to help with.
-  while (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
-    if (RunOneTask()) continue;
-    std::unique_lock<std::mutex> lk(mu_);
-    if (!queue_.empty()) continue;
-    if (f.wait_for(std::chrono::seconds(0)) == std::future_status::ready) break;
-    progress_cv_.wait(lk);
-  }
-}
-
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
   if (n == 0) return;
   if (n == 1) {
@@ -148,7 +111,7 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& body) 
   task_cv_.notify_all();
 
   // The caller helps: run any queued task (its own batch, another
-  // batch, or a nested submission) until this batch completes. With
+  // batch, or a nested one) until this batch completes. With
   // the queue empty, sleep on progress_cv_ until a task of this batch
   // finishes on a worker or new helpable work is enqueued. Lock order
   // is mu_ then batch->mu here; completers take them one at a time, so

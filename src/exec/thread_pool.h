@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -14,17 +13,17 @@ namespace pbitree {
 
 /// \brief Fixed-size worker pool with a help-on-wait execution model.
 ///
-/// The pool owns one shared FIFO task queue. Blocking entry points
-/// (ParallelFor, Wait) never just sleep: while their work is
-/// outstanding they drain tasks from the shared queue themselves, so a
-/// pool task may itself call ParallelFor or Submit-and-Wait without
-/// deadlocking — even on a pool whose every worker is blocked inside
-/// such a call. This is the property the partitioned joins rely on for
-/// nested parallelism (a VPJ partition task re-partitioning its slice).
+/// The pool owns one shared FIFO task queue. ParallelFor never just
+/// sleeps: while its batch is outstanding the calling thread drains
+/// tasks from the shared queue itself. Segment fan-out is the only
+/// caller, but the serve daemon shares one pool across concurrent
+/// queries, so several ParallelFor batches may be queued at once; a
+/// caller that helps with another query's tasks keeps the pool busy
+/// instead of idling, and a ParallelFor issued from inside a pool task
+/// cannot deadlock.
 ///
-/// Tasks must not throw across the pool boundary except via the
-/// captured channels: Submit futures carry exceptions, ParallelFor
-/// rethrows the first exception of its own batch in the caller.
+/// Tasks must not throw across the pool boundary: ParallelFor rethrows
+/// the first exception of its own batch in the caller.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (at least 1).
@@ -37,15 +36,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   size_t num_threads() const { return workers_.size(); }
-
-  /// Enqueues one task. The returned future becomes ready when the
-  /// task finishes and carries any exception it threw.
-  std::future<void> Submit(std::function<void()> fn);
-
-  /// Blocks until `f` is ready, running queued tasks meanwhile. Safe
-  /// to call from inside a pool task (the blocked task keeps the pool
-  /// making progress by executing other tasks itself).
-  void Wait(std::future<void>& f);
 
   /// Runs body(i) for every i in [0, n) across the pool. The calling
   /// thread participates in the work, and returns only when all n
@@ -60,7 +50,7 @@ class ThreadPool {
   /// empty (nothing ran).
   bool RunOneTask();
 
-  /// Wakes blocked Wait/ParallelFor callers. Called after every task
+  /// Wakes blocked ParallelFor callers. Called after every task
   /// completion and enqueue; takes mu_ so a caller that checked its
   /// predicate under mu_ cannot miss the wakeup.
   void SignalProgress();
@@ -68,7 +58,7 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable task_cv_;  // signalled on push and on stop
   /// Signalled whenever a task finishes or is enqueued — the wakeup
-  /// channel for Wait/ParallelFor callers that found the queue empty.
+  /// channel for ParallelFor callers that found the queue empty.
   std::condition_variable progress_cv_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;

@@ -16,14 +16,10 @@ StatusOr<RunResult> RunJoin(Algorithm alg, BufferManager* bm,
   if (options.work_pages < 3) {
     return Status::InvalidArgument("work_pages must be >= 3");
   }
-  if (options.threads < 1) {
-    return Status::InvalidArgument("threads must be >= 1");
-  }
   RunResult result;
   result.algorithm = alg;
 
-  // Per-operation metric scope: everything this run does — on this
-  // thread and on any pool worker executing its tasks — bills to
+  // Per-operation metric scope: everything this run does bills to
   // `registry` and nothing else does, so interleaved operations on the
   // same DiskManager report disjoint I/O (the old global DiskStats
   // delta charged foreign traffic to whoever was being timed). A
@@ -45,21 +41,14 @@ StatusOr<RunResult> RunJoin(Algorithm alg, BufferManager* bm,
   obs::MetricsSnapshot before = registry->Snapshot();
   Timer timer;
 
-  // A caller-provided shared context (the serve daemon's pool) is
-  // reused so concurrent runs share one set of workers; otherwise the
-  // run owns a private context sized by options.threads.
-  std::optional<ExecContext> local_exec;
-  ExecContext* exec = options.shared_exec;
-  if (exec == nullptr) {
-    local_exec.emplace(options.threads);
-    exec = &local_exec.value();
-  }
-  JoinContext ctx(bm, options.work_pages, exec);
+  // One unsegmented pair always joins serially on this thread; the
+  // parallel unit is the segment (RunSegmentedJoin).
+  JoinContext ctx(bm, options.work_pages);
   {
-    // The SIMD override is process-global (pool workers executing this
-    // run's partition tasks must see it), so concurrent runs with
-    // conflicting overrides race benignly: the kernels are exact either
-    // way, only the instruction selection differs.
+    // The SIMD override is process-global (segment tasks running on
+    // pool workers must see it), so concurrent runs with conflicting
+    // overrides race benignly: the kernels are exact either way, only
+    // the instruction selection differs.
     std::optional<simd::ScopedEnable> simd_scope;
     if (options.simd.has_value()) simd_scope.emplace(*options.simd);
     PBITREE_RETURN_IF_ERROR(
@@ -216,11 +205,11 @@ StatusOr<RunResult> RunSegmentedJoin(Algorithm alg, BufferManager* spill_bm,
 
   const int h_cut = a.cut_height();
   RunOptions seg_opts = options;
-  seg_opts.threads = 1;            // parallelism lives across segments
-  seg_opts.shared_exec = nullptr;  // no nested pool inside a segment task
   seg_opts.paths = AccessPaths{};  // store-level indexes don't cover pieces
 
-  auto run_segment = [&](size_t k, size_t work_pages, ResultSink* out,
+  // Every segment task gets the full options.work_pages, serial or
+  // parallel: each segment owns its pool (see exec/exec_context.h).
+  auto run_segment = [&](size_t k, ResultSink* out,
                          JoinStats* stats) -> Status {
     const SegmentedSet::Segment& sa = a.segments[k];
     const SegmentedSet::Segment& sd = d.segments[k];
@@ -237,9 +226,7 @@ StatusOr<RunResult> RunSegmentedJoin(Algorithm alg, BufferManager* spill_bm,
     }
     Status st = Status::OK();
     if (d_view.num_records() > 0) {
-      RunOptions opts = seg_opts;
-      opts.work_pages = work_pages;
-      auto run = RunJoin(alg, sa.bm, sa.set, d_view, out, opts);
+      auto run = RunJoin(alg, sa.bm, sa.set, d_view, out, seg_opts);
       st = run.ok() ? Status::OK() : run.status();
       if (run.ok()) stats->Merge(run.value().stats);
     }
@@ -256,22 +243,20 @@ StatusOr<RunResult> RunSegmentedJoin(Algorithm alg, BufferManager* spill_bm,
     local_exec.emplace(options.threads);
     exec = &local_exec.value();
   }
-  JoinContext ctx(spill_bm, options.work_pages, exec);
+  JoinContext ctx(spill_bm, options.work_pages);
 
-  if (ShouldParallelize(&ctx, active.size())) {
+  if (ShouldParallelize(exec, active.size())) {
     // Fan out one task per active segment; the fan-in replays buffered
     // pairs in segment order, so the emitted sequence equals the serial
     // loop below.
     PBITREE_RETURN_IF_ERROR(ParallelPartitions(
-        &ctx, sink, active.size(),
+        exec, &ctx, sink, active.size(),
         [&](size_t i, JoinContext* worker, ResultSink* local_sink) {
-          return run_segment(active[i], worker->work_pages, local_sink,
-                             &worker->stats);
+          return run_segment(active[i], local_sink, &worker->stats);
         }));
   } else {
     for (size_t k : active) {
-      PBITREE_RETURN_IF_ERROR(
-          run_segment(k, options.work_pages, sink, &ctx.stats));
+      PBITREE_RETURN_IF_ERROR(run_segment(k, sink, &ctx.stats));
     }
   }
 

@@ -47,22 +47,20 @@ struct RunOptions {
   /// storage. Must not exceed the buffer pool size.
   size_t work_pages = 500;
 
-  /// Worker threads for the partition-parallel execution paths
-  /// (src/exec/). 1 — the default — runs strictly serially and is
-  /// byte-identical to the pre-exec behaviour, including page-I/O
-  /// counts and result order. With N > 1 the partitioned joins
-  /// (SHCJ/MHCJ(+Rollup)/VPJ) join independent partition pairs on an
-  /// N-thread pool, each worker on a `work_pages / N` budget slice;
-  /// result *sets* are unchanged (pairs replay in partition order) but
-  /// I/O counts may differ (per-worker budgets change partition fan-out).
+  /// Width of the segment fan-out (src/exec/): how many segment pairs
+  /// of a segmented join (RunSegmentedJoin, level >= 1) run at once.
+  /// `work_pages` applies to each segment task, so peak working memory
+  /// is `threads × work_pages` by design, and page I/O and result order
+  /// equal the serial segment loop's at any width. RunJoin over one
+  /// unsegmented pair is always serial and ignores this field.
   size_t threads = 1;
 
   /// Borrowed execution context shared across runs — the serve daemon's
-  /// worker pool. When set, `threads` is ignored and the run schedules
-  /// its partition tasks on this context, so N concurrent queries share
-  /// one pool instead of each spawning their own (no thread
-  /// oversubscription). The caller keeps ownership and must keep the
-  /// context alive for the duration of the run.
+  /// worker pool. When set, `threads` is ignored and a segmented join
+  /// schedules its segment tasks on this context, so N concurrent
+  /// queries share one pool instead of each spawning their own (no
+  /// thread oversubscription). The caller keeps ownership and must keep
+  /// the context alive for the duration of the run.
   ExecContext* shared_exec = nullptr;
 
   /// Flush dirty pool pages after the run so their writes are charged
@@ -89,7 +87,7 @@ struct RunOptions {
   /// inherits the process setting (PBITREE_SIMD, default on). Join
   /// output is byte-identical either way — this knob exists for A/B
   /// measurement and differential testing. The toggle is process-global
-  /// so the run's pool workers see it.
+  /// so segment tasks on pool workers see it.
   std::optional<bool> simd;
 
   /// Pre-existing access paths (see AccessPaths); missing ones are
@@ -123,14 +121,14 @@ struct RunResult {
 /// (sorted copy, index) on the fly and charging it to the measurement —
 /// exactly the experimental protocol of Section 4.
 ///
-/// I/O and event counts come from a per-operation obs::MetricRegistry
-/// scope installed for the duration of the call (and propagated to pool
-/// workers), so concurrent traffic on the same DiskManager is never
-/// billed to this run; wall time includes preparation. Temporary files
-/// and indexes are dropped before return. When the caller already has a
-/// registry scope installed (a query pipeline accumulating several
-/// joins), the run bills into it and `result.metrics` is the delta this
-/// run contributed.
+/// The join runs serially on the calling thread. I/O and event counts
+/// come from a per-operation obs::MetricRegistry scope installed for
+/// the duration of the call, so concurrent traffic on the same
+/// DiskManager is never billed to this run; wall time includes
+/// preparation. Temporary files and indexes are dropped before return.
+/// When the caller already has a registry scope installed (a query
+/// pipeline accumulating several joins), the run bills into it and
+/// `result.metrics` is the delta this run contributed.
 StatusOr<RunResult> RunJoin(Algorithm alg, BufferManager* bm,
                           const ElementSet& a, const ElementSet& d,
                           ResultSink* sink, const RunOptions& options);
@@ -157,9 +155,11 @@ StatusOr<RunResult> RunAuto(BufferManager* bm, const ElementSet& a,
 /// \brief Scatter-gather execution over a code-space-sharded pair: the
 /// join runs independently on each matching segment pair (segment k of
 /// A against segment k of D — the VPJ lemma guarantees no cross-segment
-/// pair exists) and the per-segment results merge through the
-/// ParallelPartitions order-preserving fan-in, so the emitted sequence
-/// equals the serial segment-order concatenation.
+/// pair exists). With `threads` > 1 (or a shared pool) the segment
+/// pairs run as pool tasks and merge through the ParallelPartitions
+/// order-preserving fan-in, so the emitted sequence equals the serial
+/// segment-order concatenation. Every segment task gets the full
+/// `work_pages`, so page I/O equals the serial loop's.
 ///
 /// Both sets must come from the same SegmentStore (matching level and
 /// per-segment pools). Ancestor replicas stay in the A input (the lemma

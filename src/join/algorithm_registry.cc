@@ -23,12 +23,11 @@ namespace {
 /// Sorted-by-Start copy of a set; the temp file must be dropped by the
 /// caller. Sort time is charged to stats->sort_seconds.
 StatusOr<ElementSet> SortedCopy(BufferManager* bm, const ElementSet& in,
-                              size_t work_pages, ExecContext* exec,
-                              JoinStats* stats) {
+                              size_t work_pages, JoinStats* stats) {
   Timer t;
   PBITREE_ASSIGN_OR_RETURN(
       HeapFile sorted,
-      ExternalSort(bm, in.file, work_pages, SortOrder::kStartOrder, exec));
+      ExternalSort(bm, in.file, work_pages, SortOrder::kStartOrder));
   stats->sort_seconds += t.ElapsedSeconds();
   ElementSet out = in;
   out.file = sorted;
@@ -40,12 +39,12 @@ StatusOr<ElementSet> SortedCopy(BufferManager* bm, const ElementSet& in,
 /// first (bulk load needs key order). Charged to index_build_seconds.
 StatusOr<BPTree> BuildIndexOnTheFly(BufferManager* bm, const ElementSet& in,
                                   KeyKind kind, size_t work_pages,
-                                  ExecContext* exec, JoinStats* stats) {
+                                  JoinStats* stats) {
   Timer t;
   SortOrder order =
       kind == KeyKind::kCode ? SortOrder::kCodeOrder : SortOrder::kStartOrder;
   PBITREE_ASSIGN_OR_RETURN(HeapFile sorted,
-                           ExternalSort(bm, in.file, work_pages, order, exec));
+                           ExternalSort(bm, in.file, work_pages, order));
   auto built = BPTree::BulkLoad(bm, sorted, kind);
   Status drop = sorted.Drop(bm);
   stats->index_build_seconds += t.ElapsedSeconds();
@@ -57,12 +56,11 @@ StatusOr<BPTree> BuildIndexOnTheFly(BufferManager* bm, const ElementSet& in,
 StatusOr<IntervalIndex> BuildIntervalIndexOnTheFly(BufferManager* bm,
                                                  const ElementSet& in,
                                                  size_t work_pages,
-                                                 ExecContext* exec,
                                                  JoinStats* stats) {
   Timer t;
   PBITREE_ASSIGN_OR_RETURN(
       HeapFile sorted,
-      ExternalSort(bm, in.file, work_pages, SortOrder::kStartOrder, exec));
+      ExternalSort(bm, in.file, work_pages, SortOrder::kStartOrder));
   auto built = IntervalIndex::BulkLoad(bm, sorted);
   Status drop = sorted.Drop(bm);
   stats->index_build_seconds += t.ElapsedSeconds();
@@ -103,12 +101,12 @@ Status RunSortedMerge(Algorithm alg, JoinContext* ctx, const ElementSet& a,
   std::optional<ElementSet> tmp_a, tmp_d;
   if (!sa.sorted_by_start) {
     PBITREE_ASSIGN_OR_RETURN(
-        sa, SortedCopy(bm, a, ctx->work_pages, ctx->exec, &ctx->stats));
+        sa, SortedCopy(bm, a, ctx->work_pages, &ctx->stats));
     tmp_a = sa;
   }
   if (!sd.sorted_by_start) {
     PBITREE_ASSIGN_OR_RETURN(
-        sd, SortedCopy(bm, d, ctx->work_pages, ctx->exec, &ctx->stats));
+        sd, SortedCopy(bm, d, ctx->work_pages, &ctx->stats));
     tmp_d = sd;
   }
   Status st = alg == Algorithm::kStackTree ? StackTreeJoin(ctx, sa, sd, sink)
@@ -151,7 +149,7 @@ Status RunInljn(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
   if (a.num_records() <= d.num_records()) {
     PBITREE_ASSIGN_OR_RETURN(
         BPTree d_index,
-        BuildIndexOnTheFly(bm, d, KeyKind::kCode, ctx->work_pages, ctx->exec,
+        BuildIndexOnTheFly(bm, d, KeyKind::kCode, ctx->work_pages,
                            &ctx->stats));
     idx.d_code_index = &d_index;
     Status st = Inljn(ctx, a, d, idx, sink);
@@ -161,8 +159,7 @@ Status RunInljn(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
   }
   PBITREE_ASSIGN_OR_RETURN(
       IntervalIndex a_index,
-      BuildIntervalIndexOnTheFly(bm, a, ctx->work_pages, ctx->exec,
-                                 &ctx->stats));
+      BuildIntervalIndexOnTheFly(bm, a, ctx->work_pages, &ctx->stats));
   idx.a_interval_index = &a_index;
   Status st = Inljn(ctx, a, d, idx, sink);
   Status drop = a_index.Drop(bm);
@@ -179,7 +176,7 @@ Status RunAdb(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
   if (a_idx == nullptr) {
     PBITREE_ASSIGN_OR_RETURN(
         BPTree built,
-        BuildIndexOnTheFly(bm, a, KeyKind::kStart, ctx->work_pages, ctx->exec,
+        BuildIndexOnTheFly(bm, a, KeyKind::kStart, ctx->work_pages,
                            &ctx->stats));
     tmp_a = built;
     a_idx = &tmp_a.value();
@@ -187,7 +184,7 @@ Status RunAdb(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
   if (d_idx == nullptr) {
     PBITREE_ASSIGN_OR_RETURN(
         BPTree built,
-        BuildIndexOnTheFly(bm, d, KeyKind::kStart, ctx->work_pages, ctx->exec,
+        BuildIndexOnTheFly(bm, d, KeyKind::kStart, ctx->work_pages,
                            &ctx->stats));
     tmp_d = built;
     d_idx = &tmp_d.value();

@@ -5,7 +5,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "exec/partition_exec.h"
 #include "obs/metrics.h"
 #include "pbitree/simd.h"
 
@@ -114,9 +113,6 @@ Status BlockNestedLoopJoin(JoinContext* ctx, const HeapFile& a_file,
   PairBuffer out(sink, &ctx->stats.output_pairs);
   bool more = true;
   while (more) {
-    if (ctx->ShouldCancel()) {
-      return Status::Cancelled("block nested-loop join: sibling failed");
-    }
     std::unordered_multimap<uint64_t, Code> table;
     uint64_t n = 0;
     for (; build_cur.live() && n < chunk; build_cur.Advance()) {
@@ -222,9 +218,6 @@ Status PartitionFile(JoinContext* ctx, const HeapFile& input, int h, size_t k,
 Status HashJoinRecursive(JoinContext* ctx, const HeapFile& a_file,
                          const HeapFile& d_file, int h, EquiMode mode,
                          ResultSink* sink, int depth) {
-  if (ctx->ShouldCancel()) {
-    return Status::Cancelled("hash equijoin: sibling partition failed");
-  }
   if (a_file.num_records() == 0 || d_file.num_records() == 0) {
     return Status::OK();
   }
@@ -242,76 +235,19 @@ Status HashJoinRecursive(JoinContext* ctx, const HeapFile& a_file,
   }
 
   // Partition count: enough that the smaller side of each pair fits in
-  // the per-worker budget. Serially that budget is the whole of
-  // work_pages (the seed formula, byte-identical at threads=1); with a
-  // pool attached each pair joins on a SplitBudget slice, so target
-  // that slice instead — partitioning I/O is the same total pages
-  // either way, and right-sized pairs avoid a recursive rewrite inside
-  // the worker.
-  size_t target_pages = ctx->work_pages;
-  const bool parallel_pairs = depth == 0 && ShouldParallelize(ctx, 2);
-  if (parallel_pairs) {
-    target_pages = ExecContext::SplitBudget(ctx->work_pages, ctx->exec->threads());
-  }
+  // the budget.
   const uint64_t min_pages = std::min(a_file.num_pages(), d_file.num_pages());
   size_t k = static_cast<size_t>(
-      (min_pages + target_pages - 2) / std::max<size_t>(target_pages - 1, 1));
+      (min_pages + ctx->work_pages - 2) /
+      std::max<size_t>(ctx->work_pages - 1, 1));
   k = std::max<size_t>(k, 2);
   k = std::min<size_t>(k, std::max<size_t>(ctx->work_pages - 2, 2));
 
   std::vector<HeapFile> a_parts, d_parts;
-  if (parallel_pairs) {
-    // The two inputs partition independently (PartitionFile only touches
-    // the shared BufferManager, which is latched), so overlapping them
-    // halves the serial prefix of the parallel plan.
-    ThreadPool* pool = ctx->exec->pool();
-    Status a_st;
-    std::future<void> f = pool->Submit(
-        [&] { a_st = PartitionFile(ctx, a_file, h, k, depth, &a_parts); });
-    Status d_st = PartitionFile(ctx, d_file, h, k, depth, &d_parts);
-    pool->Wait(f);
-    if (!a_st.ok() || !d_st.ok()) {
-      // The failed side dropped its own partials; drop the survivor's.
-      DropParts(ctx->bm, &a_parts);
-      DropParts(ctx->bm, &d_parts);
-      return a_st.ok() ? d_st : a_st;
-    }
-  } else {
-    PBITREE_RETURN_IF_ERROR(PartitionFile(ctx, a_file, h, k, depth, &a_parts));
-    Status d_st = PartitionFile(ctx, d_file, h, k, depth, &d_parts);
-    if (!d_st.ok()) return DropParts(ctx->bm, &a_parts, d_st);
-  }
+  PBITREE_RETURN_IF_ERROR(PartitionFile(ctx, a_file, h, k, depth, &a_parts));
+  Status d_st = PartitionFile(ctx, d_file, h, k, depth, &d_parts);
+  if (!d_st.ok()) return DropParts(ctx->bm, &a_parts, d_st);
   ctx->stats.partitions += k;
-
-  if (parallel_pairs && k > 1) {
-    // Each Grace partition pair is independent: join pair i on its own
-    // worker with a budget slice and a thread-local sink, dropping the
-    // partition files inside the task.
-    Status st = ParallelPartitions(
-        ctx, sink, k,
-        [&](size_t i, JoinContext* worker, ResultSink* local_sink) -> Status {
-          Status r = Status::OK();
-          if (a_parts[i].valid() && d_parts[i].valid()) {
-            r = HashJoinRecursive(worker, a_parts[i], d_parts[i], h, mode,
-                                  local_sink, depth + 1);
-          }
-          if (a_parts[i].valid()) {
-            Status s = a_parts[i].Drop(worker->bm);
-            if (r.ok()) r = s;
-          }
-          if (d_parts[i].valid()) {
-            Status s = d_parts[i].Drop(worker->bm);
-            if (r.ok()) r = s;
-          }
-          return r;
-        });
-    if (!st.ok()) {
-      // Cancelled workers never ran their drop; sweep the leftovers.
-      DropParts(ctx->bm, &a_parts);
-      DropParts(ctx->bm, &d_parts);
-    }
-    return st;
-  }
 
   Status result = Status::OK();
   for (size_t i = 0; i < k; ++i) {

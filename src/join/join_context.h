@@ -1,15 +1,12 @@
 #ifndef PBITREE_JOIN_JOIN_CONTEXT_H_
 #define PBITREE_JOIN_JOIN_CONTEXT_H_
 
-#include <atomic>
 #include <cstdint>
 
 #include "storage/buffer_manager.h"
 #include "storage/heap_file.h"
 
 namespace pbitree {
-
-class ExecContext;
 
 /// \brief Counters every join algorithm fills in while running.
 ///
@@ -60,27 +57,10 @@ struct JoinStats {
 struct JoinContext {
   BufferManager* bm = nullptr;
   size_t work_pages = 0;
-  /// Execution resources (worker pool + budget splitting). Null — the
-  /// default everywhere — means strictly serial execution; the
-  /// partition-parallel drivers only engage when a pool with more than
-  /// one thread is attached (see exec/partition_exec.h).
-  ExecContext* exec = nullptr;
-  /// Cooperative cancellation flag, shared between sibling partition
-  /// workers (owned by ParallelPartitions; null in serial contexts).
-  /// When one partition fails, the others observe the flag at partition
-  /// boundaries and bail out with kCancelled instead of burning I/O on
-  /// a join whose result is already doomed.
-  std::atomic<bool>* cancel = nullptr;
   JoinStats stats;
 
-  JoinContext(BufferManager* buffer_manager, size_t pages,
-              ExecContext* exec_context = nullptr)
-      : bm(buffer_manager), work_pages(pages), exec(exec_context) {}
-
-  /// True when a sibling worker has failed and this worker should stop.
-  bool ShouldCancel() const {
-    return cancel != nullptr && cancel->load(std::memory_order_relaxed);
-  }
+  JoinContext(BufferManager* buffer_manager, size_t pages)
+      : bm(buffer_manager), work_pages(pages) {}
 
   /// Records budgeted in-memory working storage: `work_pages` pages of
   /// 16-byte records.

@@ -3,7 +3,6 @@
 #include <memory>
 #include <vector>
 
-#include "exec/partition_exec.h"
 #include "join/hash_equijoin.h"
 #include "join/validate.h"
 #include "obs/metrics.h"
@@ -86,24 +85,6 @@ Status Mhcj(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
         apps.clear();  // release appender pins before dropping
         return drop_remaining(st);
       }
-    }
-    if (ShouldParallelize(ctx, end - base)) {
-      // Every height partition joins against D independently — one
-      // worker per height, concurrent scans of the shared D file.
-      Status st = ParallelPartitions(
-          ctx, sink, end - base,
-          [&](size_t i, JoinContext* worker, ResultSink* local_sink) -> Status {
-            HeapFile& part = parts[i];
-            if (!part.valid()) return Status::OK();
-            Status st = HashEquijoinAtHeight(worker, part, d.file,
-                                             heights[base + i], local_sink);
-            Status drop = part.Drop(worker->bm);
-            PBITREE_RETURN_IF_ERROR(st);
-            return drop;
-          });
-      // Cancelled workers never ran their drop; sweep the leftovers.
-      if (!st.ok()) return drop_remaining(st);
-      continue;
     }
     for (size_t i = base; i < end; ++i) {
       HeapFile& part = parts[i - base];

@@ -169,10 +169,10 @@ class VectorSink : public ResultSink {
 };
 
 /// Buffers pairs for later replay into another sink — the thread-local
-/// sink of the partition-parallel execution driver. Each worker emits
-/// into its own BufferingSink with no synchronisation; the driver
-/// replays every buffer into the shared sink in partition order once
-/// all workers finished, reproducing the serial emission sequence.
+/// sink of the segment fan-out driver (exec/partition_exec.h). Each
+/// task emits into its own BufferingSink with no synchronisation; the
+/// driver replays every buffer into the shared sink in task order once
+/// all tasks finished, reproducing the serial emission sequence.
 ///
 /// Containment-join output can dwarf the input, so a sink constructed
 /// with a BufferManager bounds its heap footprint: once `max_buffered`

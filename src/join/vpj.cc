@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "exec/partition_exec.h"
 #include "join/hash_equijoin.h"
 #include "join/validate.h"
 #include "obs/metrics.h"
@@ -95,9 +94,6 @@ struct VpjRunner {
 
   Status Run(const HeapFile& a_file, const HeapFile& d_file, uint64_t a_mask,
              uint64_t range_lo, uint64_t range_hi, int depth) {
-    if (ctx->ShouldCancel()) {
-      return Status::Cancelled("VPJ: sibling partition failed");
-    }
     if (a_file.num_records() == 0 || d_file.num_records() == 0) {
       return Status::OK();
     }
@@ -354,39 +350,6 @@ struct VpjRunner {
     }
 
     // ---- Process each partition pair (Algorithm 5, lines 4-10).
-    if (depth == 0 && ShouldParallelize(ctx, live.size())) {
-      // Vertical partitions are independent by construction (every
-      // descendant routed to exactly one, ancestors replicated): join
-      // each on its own worker. A pair still too big for the worker's
-      // budget slice recurses inside the task with a child runner.
-      Status st = ParallelPartitions(
-          ctx, sink, live.size(),
-          [&](size_t i, JoinContext* worker, ResultSink* local_sink) -> Status {
-            Partition& p = live[i];
-            Status r;
-            bool both_big = p.a.num_pages() > worker->work_pages &&
-                            p.d.num_pages() > worker->work_pages;
-            if (both_big) {
-              VpjRunner child{worker, spec, opts, local_sink};
-              r = child.Run(p.a, p.d, p.a_mask, p.min_start, p.max_end,
-                            depth + 1);
-            } else {
-              r = MemoryContainmentJoin(worker, p.a, p.d, p.a_mask, local_sink);
-            }
-            if (p.a.valid()) {
-              Status s = p.a.Drop(worker->bm);
-              if (r.ok()) r = s;
-            }
-            if (p.d.valid()) {
-              Status s = p.d.Drop(worker->bm);
-              if (r.ok()) r = s;
-            }
-            return r;
-          });
-      // Cancelled workers never ran their drop; sweep the leftovers.
-      if (!st.ok()) return drop_partitions(&live, st);
-      return Status::OK();
-    }
     Status result = Status::OK();
     for (Partition& p : live) {
       if (result.ok()) {

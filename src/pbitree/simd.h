@@ -42,7 +42,7 @@ bool Avx2Available();
 bool Enabled();
 
 /// Overrides the process-global enable flag (visible to all threads —
-/// pool workers must observe a per-run override). Returns the previous
+/// segment tasks on pool workers must observe a per-run override). Returns the previous
 /// value. Enabling has no effect when Avx2Available() is false.
 bool SetEnabled(bool on);
 

@@ -49,9 +49,11 @@ struct ServeConfig {
   size_t queue_depth = 16;
   /// Total buffer-page budget shared by the concurrent queries.
   size_t work_pages = 512;
-  /// Width of the shared worker pool (exec/). 1 = serial per query;
-  /// the queries themselves still run concurrently on their
-  /// connection threads.
+  /// Width of the shared worker pool (exec/) that fans out the segment
+  /// pairs of queries over a segmented store (level >= 1). 1 = each
+  /// query joins its segments serially; queries over unsegmented sets
+  /// are always serial. Queries themselves still run concurrently on
+  /// their connection threads.
   size_t threads = 1;
   /// Epoch-keyed query-result cache (see serve/result_cache.h).
   ResultCacheConfig cache;
@@ -76,10 +78,10 @@ struct ServeConfig {
 /// cancelled, and the backend gets a final FlushAll + Sync barrier.
 ///
 /// Concurrency model: one thread per connection (bounded by
-/// max_clients), queries gated by the AdmissionController, partition
-/// parallelism on one shared ExecContext pool (RunOptions::shared_exec)
-/// so the thread budget is global, and per-query page budgets sliced
-/// from `work_pages`. Every handler thread bills into the server's
+/// max_clients), queries gated by the AdmissionController, segment
+/// fan-out on one shared ExecContext pool (RunOptions::shared_exec) so
+/// the thread budget is global, and per-query page budgets sliced from
+/// `work_pages` (each segment task of a query gets the whole slice). Every handler thread bills into the server's
 /// MetricRegistry — `metrics` requests return its JSON snapshot, and
 /// the serve_query latency histogram is the p50/p99 source.
 class Server {

@@ -1,8 +1,6 @@
 #include "sort/external_sort.h"
 
 #include <algorithm>
-#include <deque>
-#include <future>
 #include <memory>
 #include <queue>
 #include <span>
@@ -48,67 +46,21 @@ Status SortAndWriteRun(BufferManager* bm, std::vector<ElementRecord>* buf,
   return Status::OK();
 }
 
-/// Generates sorted runs of at most `work_pages` pages each (split
-/// across in-flight chunks when a pool is attached).
+/// Generates sorted runs of at most `work_pages` pages each.
 Status GenerateRuns(BufferManager* bm, const HeapFile& input,
-                    size_t work_pages, SortOrder order, ExecContext* exec,
+                    size_t work_pages, SortOrder order,
                     std::vector<HeapFile>* runs) {
-  const size_t workers =
-      (exec != nullptr && exec->pool() != nullptr) ? exec->threads() : 1;
-
-  if (workers == 1) {
-    const size_t run_capacity = work_pages * HeapFile::kRecordsPerPage;
-    std::vector<ElementRecord> buf;
-    buf.reserve(std::min<size_t>(run_capacity, 1 << 20));
-
-    HeapFile::Scanner scan(bm, input);
-    std::span<const ElementRecord> batch;
-    size_t off = 0;
-    bool more = true;
-    while (more) {
-      buf.clear();
-      while (buf.size() < run_capacity) {
-        if (off >= batch.size()) {
-          batch = scan.NextElementBatch();
-          off = 0;
-          if (batch.empty()) {
-            more = false;
-            break;
-          }
-        }
-        size_t take = std::min(run_capacity - buf.size(), batch.size() - off);
-        buf.insert(buf.end(), batch.begin() + off, batch.begin() + off + take);
-        off += take;
-      }
-      PBITREE_RETURN_IF_ERROR(scan.status());
-      if (buf.empty()) break;
-      HeapFile run;
-      PBITREE_RETURN_IF_ERROR(SortAndWriteRun(bm, &buf, order, &run));
-      runs->push_back(run);
-    }
-    return Status::OK();
-  }
-
-  // Parallel run generation: the scan is inherently sequential (one
-  // page chain, one cursor), but each chunk's sort + write-out is an
-  // independent pool task. The budget is split so the `workers` chunks
-  // in flight together stay within work_pages; deques keep element
-  // addresses stable while the producer keeps appending slots.
-  const size_t run_capacity =
-      ExecContext::SplitBudget(work_pages, workers) * HeapFile::kRecordsPerPage;
-  ThreadPool* pool = exec->pool();
-  std::deque<HeapFile> chunk_runs;
-  std::deque<Status> chunk_status;
-  std::deque<std::future<void>> inflight;
+  const size_t run_capacity = work_pages * HeapFile::kRecordsPerPage;
+  std::vector<ElementRecord> buf;
+  buf.reserve(std::min<size_t>(run_capacity, 1 << 20));
 
   HeapFile::Scanner scan(bm, input);
   std::span<const ElementRecord> batch;
   size_t off = 0;
   bool more = true;
   while (more) {
-    auto buf = std::make_shared<std::vector<ElementRecord>>();
-    buf->reserve(run_capacity);
-    while (buf->size() < run_capacity) {
+    buf.clear();
+    while (buf.size() < run_capacity) {
       if (off >= batch.size()) {
         batch = scan.NextElementBatch();
         off = 0;
@@ -117,35 +69,17 @@ Status GenerateRuns(BufferManager* bm, const HeapFile& input,
           break;
         }
       }
-      size_t take = std::min(run_capacity - buf->size(), batch.size() - off);
-      buf->insert(buf->end(), batch.begin() + off, batch.begin() + off + take);
+      size_t take = std::min(run_capacity - buf.size(), batch.size() - off);
+      buf.insert(buf.end(), batch.begin() + off, batch.begin() + off + take);
       off += take;
     }
-    // On a scan error fall through to the Wait below — returning here
-    // would destroy the deques while in-flight tasks still write them.
-    if (!scan.status().ok() || buf->empty()) break;
-    chunk_runs.emplace_back();
-    chunk_status.emplace_back();
-    HeapFile* out = &chunk_runs.back();
-    Status* out_st = &chunk_status.back();
-    inflight.push_back(pool->Submit([bm, buf, order, out, out_st] {
-      *out_st = SortAndWriteRun(bm, buf.get(), order, out);
-    }));
-    if (inflight.size() >= workers) {
-      pool->Wait(inflight.front());
-      inflight.pop_front();
-    }
+    PBITREE_RETURN_IF_ERROR(scan.status());
+    if (buf.empty()) break;
+    HeapFile run;
+    PBITREE_RETURN_IF_ERROR(SortAndWriteRun(bm, &buf, order, &run));
+    runs->push_back(run);
   }
-  for (std::future<void>& f : inflight) pool->Wait(f);
-
-  Status result = scan.status();
-  for (size_t i = 0; i < chunk_runs.size(); ++i) {
-    if (!chunk_status[i].ok() && result.ok()) result = chunk_status[i];
-    // Completed runs are handed to the caller even on error, so its
-    // cleanup path can drop them.
-    if (chunk_runs[i].valid()) runs->push_back(chunk_runs[i]);
-  }
-  return result;
+  return Status::OK();
 }
 
 /// Merges `inputs` into one run; drops the inputs afterwards.
@@ -225,8 +159,7 @@ Result<HeapFile> MergeRuns(BufferManager* bm, std::vector<HeapFile>* inputs,
 }  // namespace
 
 Result<HeapFile> ExternalSort(BufferManager* bm, const HeapFile& input,
-                              size_t work_pages, SortOrder order,
-                              ExecContext* exec) {
+                              size_t work_pages, SortOrder order) {
   if (work_pages < 3) {
     return Status::InvalidArgument("ExternalSort needs >= 3 work pages");
   }
@@ -241,7 +174,7 @@ Result<HeapFile> ExternalSort(BufferManager* bm, const HeapFile& input,
     files->clear();
     return keep;
   };
-  Status gen_st = GenerateRuns(bm, input, work_pages, order, exec, &runs);
+  Status gen_st = GenerateRuns(bm, input, work_pages, order, &runs);
   if (!gen_st.ok()) return drop_runs(&runs, gen_st);
   obs::Count(obs::Counter::kSortRuns, runs.size());
   if (runs.empty()) return HeapFile::Create(bm);

@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "common/status.h"
-#include "exec/exec_context.h"
 #include "pbitree/code.h"
 #include "storage/heap_file.h"
 
@@ -35,17 +34,11 @@ bool ElementLess(const ElementRecord& a, const ElementRecord& b, SortOrder order
 /// (callers owning temporary inputs drop them separately). I/O cost is
 /// the textbook 2 * ||R|| * ceil(log_{b-1}(runs)) + 2 * ||R||, which is
 /// exactly the term the paper charges the naive sort-on-the-fly
-/// algorithms with (Section 3.4.1).
-///
-/// With an ExecContext carrying a pool (threads > 1), run generation is
-/// pipelined: the input scan stays sequential but each chunk's in-memory
-/// sort and run write-out runs as a pool task, with at most `threads`
-/// chunks in flight and the budget split so in-flight chunks together
-/// stay within `work_pages`. A null/serial `exec` reproduces the
-/// single-threaded pass exactly (same runs, same I/O order).
+/// algorithms with (Section 3.4.1). The sort is single-threaded: the
+/// parallel unit is the code-space segment, one level up
+/// (RunSegmentedJoin), and each segment sorts with the full budget.
 Result<HeapFile> ExternalSort(BufferManager* bm, const HeapFile& input,
-                              size_t work_pages, SortOrder order,
-                              ExecContext* exec = nullptr);
+                              size_t work_pages, SortOrder order);
 
 /// Verifies that `file` is sorted according to `order` (test helper).
 Result<bool> IsSorted(BufferManager* bm, const HeapFile& file, SortOrder order);

@@ -1,7 +1,7 @@
 // Tests for the execution subsystem: ThreadPool semantics (exception
-// propagation, help-on-wait nesting), ExecContext budget splitting, the
-// ParallelPartitions driver, and a multi-threaded stress test of the
-// latched BufferManager.
+// propagation, help-on-wait nesting), ExecContext, the
+// ParallelPartitions fan-out/fan-in driver, and a multi-threaded stress
+// test of the latched BufferManager.
 
 #include <gtest/gtest.h>
 
@@ -48,14 +48,6 @@ TEST(ThreadPoolTest, ParallelForPropagatesException) {
   EXPECT_EQ(ran.load(), 64u);
 }
 
-TEST(ThreadPoolTest, SubmitFutureCarriesException) {
-  ThreadPool pool(2);
-  std::future<void> f =
-      pool.Submit([] { throw std::logic_error("task failed"); });
-  pool.Wait(f);  // must not rethrow — the future carries the exception
-  EXPECT_THROW(f.get(), std::logic_error);
-}
-
 TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   // Every worker blocks inside an outer ParallelFor iteration that
   // itself calls ParallelFor on the same pool. Help-on-wait means the
@@ -68,21 +60,6 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   EXPECT_EQ(inner_runs.load(), 64);
 }
 
-TEST(ThreadPoolTest, NestedSubmitAndWaitDoesNotDeadlock) {
-  // Submit-and-Wait from inside pool tasks, deeper than the pool is
-  // wide: the waiting tasks must drain the queue themselves.
-  ThreadPool pool(2);
-  std::atomic<int> leaf_runs{0};
-  pool.ParallelFor(4, [&](size_t) {
-    std::future<void> f = pool.Submit([&] {
-      std::future<void> g = pool.Submit([&] { leaf_runs.fetch_add(1); });
-      pool.Wait(g);
-    });
-    pool.Wait(f);
-  });
-  EXPECT_EQ(leaf_runs.load(), 4);
-}
-
 TEST(ExecContextTest, SerialContextOwnsNoPool) {
   ExecContext serial(1);
   EXPECT_EQ(serial.threads(), 1u);
@@ -92,17 +69,8 @@ TEST(ExecContextTest, SerialContextOwnsNoPool) {
   EXPECT_EQ(parallel.threads(), 4u);
   ASSERT_NE(parallel.pool(), nullptr);
   // threads - 1 pool workers: the help-on-wait caller is the fourth
-  // executor, so at most threads() tasks ever run concurrently and the
-  // SplitBudget slices cannot oversubscribe work_pages.
+  // executor, so at most threads() tasks ever run concurrently.
   EXPECT_EQ(parallel.pool()->num_threads(), 3u);
-}
-
-TEST(ExecContextTest, SplitBudgetDividesAndFloors) {
-  EXPECT_EQ(ExecContext::SplitBudget(100, 4), 25u);
-  EXPECT_EQ(ExecContext::SplitBudget(100, 1), 100u);
-  // Slices never drop below the 3-page algorithmic minimum.
-  EXPECT_EQ(ExecContext::SplitBudget(8, 4), 3u);
-  EXPECT_EQ(ExecContext::SplitBudget(0, 4), 3u);
 }
 
 class PartitionExecTest : public ::testing::Test {
@@ -117,31 +85,29 @@ class PartitionExecTest : public ::testing::Test {
 };
 
 TEST_F(PartitionExecTest, ShouldParallelizeRequiresPoolAndWork) {
-  JoinContext serial(bm_.get(), 16);
-  EXPECT_FALSE(ShouldParallelize(&serial, 8));  // no exec attached
+  EXPECT_FALSE(ShouldParallelize(nullptr, 8));  // no exec attached
 
   ExecContext one(1);
-  JoinContext ctx1(bm_.get(), 16, &one);
-  EXPECT_FALSE(ShouldParallelize(&ctx1, 8));  // threads == 1
+  EXPECT_FALSE(ShouldParallelize(&one, 8));  // threads == 1
 
   ExecContext four(4);
-  JoinContext ctx4(bm_.get(), 16, &four);
-  EXPECT_TRUE(ShouldParallelize(&ctx4, 8));
-  EXPECT_FALSE(ShouldParallelize(&ctx4, 1));  // single partition
+  EXPECT_TRUE(ShouldParallelize(&four, 8));
+  EXPECT_FALSE(ShouldParallelize(&four, 1));  // single task
 }
 
 TEST_F(PartitionExecTest, ReplaysPairsInPartitionOrderAndMergesStats) {
   ExecContext exec(4);
-  JoinContext ctx(bm_.get(), 32, &exec);
+  JoinContext ctx(bm_.get(), 32);
   constexpr size_t kParts = 16;
 
   VectorSink sink;
   Status st = ParallelPartitions(
-      &ctx, &sink, kParts,
+      &exec, &ctx, &sink, kParts,
       [&](size_t i, JoinContext* worker, ResultSink* local_sink) {
-        // Workers get a budget slice and no nested pool.
-        EXPECT_EQ(worker->work_pages, ExecContext::SplitBudget(32, 4));
-        EXPECT_EQ(worker->exec, nullptr);
+        // Every worker gets the parent's pool and its full budget: a
+        // task's budget does not depend on how many run at once.
+        EXPECT_EQ(worker->work_pages, 32u);
+        EXPECT_EQ(worker->bm, bm_.get());
         worker->stats.partitions += 1;
         worker->stats.false_hits += i;
         // Two pairs per partition, tagged with the partition index.
@@ -220,14 +186,17 @@ TEST_F(PartitionExecTest, FailingPartitionWithSpillsLeaksNoTempPages) {
   // The error path abandons every worker's BufferingSink after some of
   // them spilled to disk; their temp files must be dropped, not leaked.
   ExecContext exec(4);
-  JoinContext ctx(bm_.get(), 32, &exec);
+  // 8 pages: each local sink buffers 8 * kRecordsPerPage pairs, then
+  // spills.
+  JoinContext ctx(bm_.get(), 8);
   const uint64_t live_before = disk_->num_live_pages();
 
   obs::MetricRegistry reg;
   obs::MetricScope scope(&reg);
   VectorSink sink;
   Status st = ParallelPartitions(
-      &ctx, &sink, 8, [&](size_t i, JoinContext*, ResultSink* local_sink) {
+      &exec, &ctx, &sink, 8,
+      [&](size_t i, JoinContext*, ResultSink* local_sink) {
         for (uint64_t k = 0; k < 5000; ++k) {  // enough pairs to spill
           PBITREE_RETURN_IF_ERROR(local_sink->OnPair(k + 1, k + 2));
         }
@@ -243,12 +212,25 @@ TEST_F(PartitionExecTest, FailingPartitionWithSpillsLeaksNoTempPages) {
 
 TEST_F(PartitionExecTest, FirstFailingPartitionWinsAndNothingIsEmitted) {
   ExecContext exec(4);
-  JoinContext ctx(bm_.get(), 32, &exec);
+  JoinContext ctx(bm_.get(), 32);
 
+  // Tasks 4..7 fail only after task 3 has: a task not yet started when
+  // a sibling fails is cancelled, so an earlier failure of task 4 could
+  // cancel task 3 and legitimately win. Tasks are dequeued in index
+  // order, so task 3 is already running whenever a later task waits.
+  std::atomic<bool> third_done{false};
   VectorSink sink;
   Status st = ParallelPartitions(
-      &ctx, &sink, 8, [&](size_t i, JoinContext*, ResultSink* local_sink) {
-        if (i >= 3) return Status::Internal("partition " + std::to_string(i));
+      &exec, &ctx, &sink, 8,
+      [&](size_t i, JoinContext*, ResultSink* local_sink) {
+        if (i == 3) {
+          third_done.store(true);
+          return Status::Internal("partition 3");
+        }
+        if (i > 3) {
+          while (!third_done.load()) std::this_thread::yield();
+          return Status::Internal("partition " + std::to_string(i));
+        }
         return local_sink->OnPair(i, i);
       });
   ASSERT_FALSE(st.ok());

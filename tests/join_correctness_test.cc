@@ -92,6 +92,9 @@ class JoinCorrectnessTest : public ::testing::TestWithParam<JoinCase> {
     ASSERT_EQ(collected.pairs().size(), expect.size());
     EXPECT_EQ(collected.pairs(), expect);
     EXPECT_EQ(run->output_pairs, expect.size());
+    // One unsegmented pair always joins serially, whatever `threads`
+    // says: the segment is the only parallel unit.
+    EXPECT_EQ(run->metrics.counter(obs::Counter::kPoolTasks), 0u);
     EXPECT_EQ(bm_->PinnedFrames(), 0u);
 
     ASSERT_TRUE(a.file.Drop(bm_.get()).ok());
@@ -199,9 +202,10 @@ TEST_P(JoinCorrectnessTest, RootContainsEverything) {
 
 // SHCJ is only defined for single-height ancestor sets, so it gets its
 // own shape; the general matrix runs the other seven algorithms. The
-// partition-parallel algorithms run twice more at threads=4: the result
-// set must be identical to the serial run (VerifyingSink re-checks each
-// pair, the sorted comparison catches drops/duplicates).
+// partitioned algorithms run twice more at threads=4: RunJoin must stay
+// serial (no pool tasks) and give the identical result set
+// (VerifyingSink re-checks each pair, the sorted comparison catches
+// drops/duplicates).
 INSTANTIATE_TEST_SUITE_P(
     Matrix, JoinCorrectnessTest,
     ::testing::Values(JoinCase{Algorithm::kVpj, 8},

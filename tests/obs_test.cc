@@ -21,6 +21,7 @@
 #include "storage/buffer_manager.h"
 #include "storage/disk_manager.h"
 #include "storage/heap_file.h"
+#include "storage/segment_store.h"
 
 namespace pbitree {
 namespace {
@@ -393,23 +394,49 @@ TEST_F(RunnerMetricsTest, AmbientRegistryAccumulatesAcrossRuns) {
 }
 
 TEST_F(RunnerMetricsTest, ParallelRunBillsPoolWorkToTheOperation) {
+  // Segments are the only parallel unit: store the fixture at level 1
+  // and fan its two segment pairs out on a 4-wide pool. Segment pools
+  // barely above the budget make every extra pass cost disk reads.
+  SegmentStore::Options store_opts;
+  store_opts.backend = "mem";
+  store_opts.pool_pages = 16;
+  store_opts.create_level = 1;
+  auto store = SegmentStore::Open(store_opts);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_TRUE((*store)->StoreSet("a", a_, bm_.get()).ok());
+  ASSERT_TRUE((*store)->StoreSet("d", d_, bm_.get()).ok());
+  auto a = (*store)->Load("a");
+  auto d = (*store)->Load("d");
+  ASSERT_TRUE(a.ok() && d.ok());
+  // Write the stored pieces out first: a segmented run's registry
+  // would otherwise also bill the cold-cache purge of these pages.
+  for (size_t k = 0; k < (*store)->num_segments(); ++k) {
+    ASSERT_TRUE((*store)->segment_bm(k)->FlushAll().ok());
+  }
+
   RunOptions opts;
-  opts.work_pages = 64;
+  opts.work_pages = 6;
   opts.cold_cache = true;
   opts.threads = 4;
-  CountingSink serial_sink, par_sink;
-
   RunOptions serial = opts;
   serial.threads = 1;
-  // MHCJ joins each height partition independently — the parallel path.
-  auto sr = RunJoin(Algorithm::kMhcj, bm_.get(), a_, d_, &serial_sink, serial);
-  auto pr = RunJoin(Algorithm::kMhcj, bm_.get(), a_, d_, &par_sink, opts);
+  CountingSink serial_sink, par_sink;
+  auto sr = RunSegmentedJoin(Algorithm::kMhcj, (*store)->main_bm(), *a, *d,
+                             &serial_sink, serial);
+  auto pr = RunSegmentedJoin(Algorithm::kMhcj, (*store)->main_bm(), *a, *d,
+                             &par_sink, opts);
   ASSERT_TRUE(sr.ok() && pr.ok());
   EXPECT_EQ(sr->output_pairs, pr->output_pairs);
   // Pool tasks exist and were billed to this run's registry, not lost
   // to the workers' ambient (null) scope.
+  EXPECT_EQ(sr->metrics.counter(Counter::kPoolTasks), 0u);
   EXPECT_GT(pr->metrics.counter(Counter::kPoolTasks), 0u);
   EXPECT_GT(pr->metrics.counter(Counter::kPageReads), 0u);
+  // Every segment task runs on the full work_pages, so the parallel
+  // run does exactly the serial run's page I/O (a budget split across
+  // the two tasks triples the reads here).
+  EXPECT_EQ(pr->page_reads, sr->page_reads);
+  EXPECT_EQ(pr->page_writes, sr->page_writes);
 }
 
 }  // namespace

@@ -92,6 +92,7 @@ ElementSet SingleHeightCopy(BufferManager* bm, const ElementSet& in) {
 struct Measured {
   std::vector<ResultPair> pairs;  // emission order, NOT sorted
   uint64_t page_reads = 0;
+  uint64_t sink_spills = 0;  // fan-in BufferingSink spills
 };
 
 RunOptions ColdOptions(size_t threads = 1) {
@@ -131,6 +132,7 @@ Measured RunSegmented(Algorithm alg, SegmentStore* store,
   m.pairs = collected.pairs();
   if (run.ok()) {
     m.page_reads = run->page_reads;
+    m.sink_spills = run->metrics.counter(obs::Counter::kSinkSpills);
     EXPECT_EQ(run->output_pairs, collected.pairs().size()) << AlgorithmName(alg);
   }
   return m;
@@ -357,7 +359,8 @@ TEST_P(SegmentDifferentialTest, MergedViewRoundTrips) {
 
 // The parallel scatter-gather path replays per-segment results through
 // the order-preserving fan-in: the emitted sequence equals the serial
-// segment-order run exactly, not just as a multiset.
+// segment-order run exactly, not just as a multiset. Every segment task
+// gets the full work_pages at any width, so page reads match too.
 TEST_P(SegmentDifferentialTest, ParallelFanInPreservesSerialOrder) {
   std::unique_ptr<SegmentStore> store = OpenMemStore(2);
   StoreInputs(store.get());
@@ -367,6 +370,10 @@ TEST_P(SegmentDifferentialTest, ParallelFanInPreservesSerialOrder) {
     Measured parallel = RunSegmented(alg, store.get(), "a", "d", /*threads=*/4);
     EXPECT_EQ(serial.pairs, parallel.pairs)
         << AlgorithmName(alg) << ": fan-in broke the order contract";
+    // No fan-in spill on this data, so the reads compare directly.
+    EXPECT_EQ(parallel.sink_spills, 0u) << AlgorithmName(alg);
+    EXPECT_EQ(serial.page_reads, parallel.page_reads)
+        << AlgorithmName(alg) << ": a segment task ran on a smaller budget";
   }
 }
 

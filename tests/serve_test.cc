@@ -36,6 +36,7 @@
 #include "storage/buffer_manager.h"
 #include "storage/catalog.h"
 #include "storage/disk_manager.h"
+#include "storage/segment_store.h"
 
 namespace pbitree {
 namespace {
@@ -641,9 +642,22 @@ TEST_F(ServeTest, ClientDisconnectMidStreamAbortsWithoutLeaks) {
 }
 
 TEST_F(ServeTest, SharedExecPoolServesParallelPartitionedQueries) {
+  // Segments are the only parallel unit: serve the fixture sets from a
+  // level-1 store, so every query fans its two segment pairs out on the
+  // daemon's one shared pool.
+  SegmentStore::Options store_opts;
+  store_opts.backend = "mem";
+  store_opts.pool_pages = 256;
+  store_opts.create_level = 1;
+  auto store = SegmentStore::Open(store_opts);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_TRUE((*store)->StoreSet("anc", a_, bm_.get()).ok());
+  ASSERT_TRUE((*store)->StoreSet("desc", d_, bm_.get()).ok());
+
   ServeConfig cfg = TestConfig();
   cfg.threads = 2;  // one shared pool for every query
-  StartServer(cfg);
+  server_ = std::make_unique<Server>(store->get(), cfg);
+  ASSERT_TRUE(server_->Start().ok());
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
   for (int i = 0; i < 3; ++i) {
@@ -669,7 +683,13 @@ TEST_F(ServeTest, SharedExecPoolServesParallelPartitionedQueries) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(bm_->PinnedFrames(), 0u);
+  EXPECT_GT(server_->registry()->Snapshot().counter(obs::Counter::kPoolTasks),
+            0u);
+  EXPECT_TRUE(server_->Shutdown().ok());
+  server_.reset();  // before the store it serves
+  for (size_t k = 0; k < (*store)->num_segments(); ++k) {
+    EXPECT_EQ((*store)->segment_bm(k)->PinnedFrames(), 0u);
+  }
 }
 
 }  // namespace

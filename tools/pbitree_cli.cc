@@ -15,10 +15,9 @@
 // flags: `--backend=file|mem` selects the storage backend through the
 // IoBackend factory (file — the default — persists at <db>; mem runs
 // the same commands against a volatile in-memory store, useful for
-// benchmarking the algorithms without touching disk). `--threads N`
-// (default 1) runs the partitioned joins on an N-worker pool; 1 is the
-// strictly serial, paper-faithful execution. `--metrics` prints the
-// query's full per-operation metrics report as one JSON object.
+// benchmarking the algorithms without touching disk). `--metrics`
+// prints the query's full per-operation metrics report as one JSON
+// object.
 //
 // The database file survives restarts: `encode` once, `query` many
 // times. Queries run on whatever access paths exist — freshly loaded
@@ -66,7 +65,6 @@ struct GlobalOptions {
   std::string backend = "file";  // IoBackend factory kind (file | mem)
   std::string server;            // host:port — route to pbitree_serverd
   std::string alg = "auto";      // server mode: algorithm to request
-  size_t threads = 1;
   int segments = -1;   // encode: code-space sharding level l (2^l segment
                        // files); -1/0 = unsegmented single-file layout
   int simd = -1;       // query: -1 = process default, 0 = scalar, 1 = AVX2
@@ -339,7 +337,6 @@ int CmdQuery(const GlobalOptions& g, const std::vector<std::string>& args) {
 
   RunOptions opts;
   opts.work_pages = kPoolPages / 2;
-  opts.threads = g.threads;
   if (g.simd >= 0) opts.simd = g.simd != 0;
   // The evaluator owns and drops every provider-returned set, so the
   // provider must never hand out the stored files themselves — a freed
@@ -551,7 +548,6 @@ const Subcommand kSubcommands[] = {
      CmdList},
     {"query", "<db> '//a[//p]//b//c'",
      "evaluate a descendant path by chaining containment joins",
-     "  --threads N         worker threads for partitioned joins (default 1)\n"
      "  --metrics           print the per-operation metrics report as JSON\n"
      "  --simd on|off       force the AVX2 kernels on or off for this query\n"
      "                      (default: PBITREE_SIMD; output is identical)\n"
@@ -604,16 +600,6 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(arg, "--metrics") == 0) {
       g.metrics = true;
-      continue;
-    }
-    if (std::strcmp(arg, "--threads") == 0 && i + 1 < argc) {
-      long n = std::atol(argv[++i]);
-      g.threads = n < 1 ? 1 : static_cast<size_t>(n);
-      continue;
-    }
-    if (std::strncmp(arg, "--threads=", 10) == 0) {
-      long n = std::atol(arg + 10);
-      g.threads = n < 1 ? 1 : static_cast<size_t>(n);
       continue;
     }
     if (std::strcmp(arg, "--segments") == 0 && i + 1 < argc) {
