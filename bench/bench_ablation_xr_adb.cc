@@ -80,7 +80,7 @@ void Run() {
     auto make_set = [&](const std::vector<Code>& codes) {
       auto b = ElementSetBuilder::Create(env.bm.get(), PBiTreeSpec{kTreeHeight});
       for (Code c : codes) b->AddCode(c);
-      return b->Build();
+      return b->Build().value_or(ElementSet{});
     };
     ElementSet a = make_set(a_codes), d = make_set(d_codes);
 

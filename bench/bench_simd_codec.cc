@@ -154,9 +154,13 @@ ElementSet BuildSorted(BufferManager* bm, const std::vector<ElementRecord>& recs
       std::exit(1);
     }
   }
-  ElementSet set = b->Build();
-  set.sorted_by_start = true;  // records arrive presorted
-  return set;
+  auto set = b->Build();
+  if (!set.ok()) {
+    std::fprintf(stderr, "build: %s\n", set.status().ToString().c_str());
+    std::exit(1);
+  }
+  set->sorted_by_start = true;  // records arrive presorted
+  return *set;
 }
 
 std::vector<ElementRecord> ReadSortedRecords(BufferManager* bm,

@@ -34,7 +34,7 @@ ElementSet MakeRandomSet(BufferManager* bm, const PBiTreeSpec& spec, int n,
     builder->AddCode(c);
     ++added;
   }
-  return builder->Build();
+  return builder->Build().value_or(ElementSet{});
 }
 
 }  // namespace

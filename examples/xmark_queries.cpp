@@ -119,9 +119,10 @@ int main(int argc, char** argv) {
       }
       if (!scan.status().ok()) return 1;
     }
-    ElementSet mid = builder->Build();
+    auto mid = builder->Build();
+    if (!mid.ok()) return 1;
     CountingSink final_sink;
-    auto run2 = RunAuto(&bm, mid, *kw, &final_sink, opts);
+    auto run2 = RunAuto(&bm, *mid, *kw, &final_sink, opts);
     if (!run2.ok()) return 1;
     std::printf("step 1: %llu (open_auction, annotation) pairs\n",
                 static_cast<unsigned long long>(step1_pairs));

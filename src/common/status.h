@@ -12,7 +12,7 @@ namespace pbitree {
 ///
 /// The library does not throw exceptions on expected failure paths (I/O
 /// errors, corrupt input, resource exhaustion); every fallible operation
-/// returns a Status (or Result<T>) instead, RocksDB-style.
+/// returns a Status (or StatusOr<T>) instead, RocksDB-style.
 enum class StatusCode {
   kOk = 0,
   kInvalidArgument,
@@ -100,9 +100,6 @@ class Status {
 
 /// \brief A value-or-error holder; the moral equivalent of
 /// absl::StatusOr<T> without the dependency.
-///
-/// `StatusOr` is the canonical name; `Result` remains as a deprecated
-/// alias for one release so out-of-tree callers keep compiling.
 template <typename T>
 class StatusOr {
  public:
@@ -144,10 +141,6 @@ class StatusOr {
   std::optional<T> value_;
 };
 
-/// Deprecated spelling of StatusOr<T>; prefer StatusOr in new code.
-template <typename T>
-using Result = StatusOr<T>;
-
 /// Propagates a non-OK status to the caller.
 #define PBITREE_RETURN_IF_ERROR(expr)            \
   do {                                           \
@@ -155,7 +148,7 @@ using Result = StatusOr<T>;
     if (!_st.ok()) return _st;                   \
   } while (0)
 
-/// Evaluates a Result<T> expression and either binds its value or returns
+/// Evaluates a StatusOr<T> expression and either binds its value or returns
 /// the error. `lhs` must be a declaration, e.g. `auto x`.
 #define PBITREE_ASSIGN_OR_RETURN(lhs, expr)         \
   PBITREE_ASSIGN_OR_RETURN_IMPL(                    \

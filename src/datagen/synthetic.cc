@@ -31,8 +31,8 @@ Code RandomDescendant(Random* rng, Code anc, int h) {
 
 }  // namespace
 
-Result<SyntheticDataset> GenerateSynthetic(BufferManager* bm,
-                                           const SyntheticSpec& spec) {
+StatusOr<SyntheticDataset> GenerateSynthetic(BufferManager* bm,
+                                             const SyntheticSpec& spec) {
   PBiTreeSpec tree{spec.tree_height};
   PBITREE_RETURN_IF_ERROR(ValidateSpec(tree));
   if (spec.a_heights.empty() || spec.d_heights.empty()) {
@@ -150,13 +150,13 @@ Result<SyntheticDataset> GenerateSynthetic(BufferManager* bm,
     PBITREE_ASSIGN_OR_RETURN(ElementSetBuilder b,
                              ElementSetBuilder::Create(bm, tree));
     for (Code c : a_codes) PBITREE_RETURN_IF_ERROR(b.AddCode(c));
-    out.a = b.Build();
+    PBITREE_ASSIGN_OR_RETURN(out.a, b.Build());
   }
   {
     PBITREE_ASSIGN_OR_RETURN(ElementSetBuilder b,
                              ElementSetBuilder::Create(bm, tree));
     for (Code c : d_codes) PBITREE_RETURN_IF_ERROR(b.AddCode(c));
-    out.d = b.Build();
+    PBITREE_ASSIGN_OR_RETURN(out.d, b.Build());
   }
   return out;
 }
@@ -235,8 +235,8 @@ std::vector<NamedSyntheticSpec> CanonicalSyntheticSpecs(double scale,
   return out;
 }
 
-Result<SyntheticSpec> CanonicalSpecByName(const std::string& name, double scale,
-                                          uint64_t seed) {
+StatusOr<SyntheticSpec> CanonicalSpecByName(const std::string& name,
+                                            double scale, uint64_t seed) {
   for (NamedSyntheticSpec& s : CanonicalSyntheticSpecs(scale, seed)) {
     if (s.name == name) return std::move(s.spec);
   }

@@ -38,8 +38,8 @@ struct SyntheticDataset {
 /// Generates a dataset per `spec`. Elements are emitted in random
 /// order (the sets are neither sorted nor indexed, the paper's target
 /// configuration). Fails if a level cannot hold the requested count.
-Result<SyntheticDataset> GenerateSynthetic(BufferManager* bm,
-                                           const SyntheticSpec& spec);
+StatusOr<SyntheticDataset> GenerateSynthetic(BufferManager* bm,
+                                             const SyntheticSpec& spec);
 
 /// \brief One of the paper's 16 named datasets (SLLH ... MSSL).
 struct NamedSyntheticSpec {
@@ -55,8 +55,8 @@ std::vector<NamedSyntheticSpec> CanonicalSyntheticSpecs(double scale,
 
 /// Looks up one canonical spec by name (e.g. "SLLH"); NotFound if the
 /// name is not one of the 16.
-Result<SyntheticSpec> CanonicalSpecByName(const std::string& name, double scale,
-                                          uint64_t seed = 42);
+StatusOr<SyntheticSpec> CanonicalSpecByName(const std::string& name,
+                                            double scale, uint64_t seed = 42);
 
 }  // namespace pbitree
 

@@ -6,13 +6,6 @@ namespace pbitree {
 
 const char* AlgorithmName(Algorithm alg) { return GetAlgorithmInfo(alg).name; }
 
-bool ParseAlgorithm(std::string_view name, Algorithm* out) {
-  const AlgorithmInfo* info = FindAlgorithmByName(name);
-  if (info == nullptr) return false;
-  *out = info->alg;
-  return true;
-}
-
 Algorithm ChooseAlgorithm(const InputProperties& a, const InputProperties& d,
                           bool ancestor_single_height) {
   const bool indexed = a.indexed && d.indexed;

@@ -2,7 +2,6 @@
 #define PBITREE_FRAMEWORK_PLANNER_H_
 
 #include <string>
-#include <string_view>
 
 namespace pbitree {
 
@@ -19,11 +18,6 @@ enum class Algorithm {
 };
 
 const char* AlgorithmName(Algorithm alg);
-
-/// Reverse of AlgorithmName (case-insensitive, so "vpj" names VPJ; the
-/// wire protocol of the serve layer uses these names). False when
-/// `name` matches no algorithm.
-bool ParseAlgorithm(std::string_view name, Algorithm* out);
 
 /// Access-path properties of a join input, as the optimizer would see
 /// them (Table 1's row labels).

@@ -190,9 +190,6 @@ StatusOr<RunResult> RunSegmentedJoin(Algorithm alg, BufferManager* spill_bm,
   }
   obs::MetricScope scope(registry);
 
-  obs::MetricsSnapshot before = registry->Snapshot();
-  Timer timer;
-
   // Segment pairs with records on both sides; the rest join empty.
   std::vector<size_t> active;
   for (size_t k = 0; k < a.segments.size(); ++k) {
@@ -202,6 +199,18 @@ StatusOr<RunResult> RunSegmentedJoin(Algorithm alg, BufferManager* spill_bm,
     if (sa.set.num_records() == 0 || sd.set.num_records() == 0) continue;
     active.push_back(k);
   }
+
+  if (options.cold_cache) {
+    // As in RunJoin: write back earlier dirty pages before the baseline
+    // snapshot, so the per-segment purges below bill only this run's
+    // own pages. Flushing suffices; each segment task still evicts its
+    // pool, in parallel.
+    for (size_t k : active) {
+      PBITREE_RETURN_IF_ERROR(a.segments[k].bm->FlushAll());
+    }
+  }
+  obs::MetricsSnapshot before = registry->Snapshot();
+  Timer timer;
 
   const int h_cut = a.cut_height();
   RunOptions seg_opts = options;

@@ -130,7 +130,7 @@ size_t LeafLowerBound(const Page* p, uint64_t lo) {
 
 }  // namespace
 
-Result<BPTree> BPTree::CreateEmpty(BufferManager* bm, KeyKind kind) {
+StatusOr<BPTree> BPTree::CreateEmpty(BufferManager* bm, KeyKind kind) {
   PBITREE_ASSIGN_OR_RETURN(Page * p, bm->NewPage());
   SetNodeLeaf(p, true);
   SetNodeCount(p, 0);
@@ -144,8 +144,9 @@ Result<BPTree> BPTree::CreateEmpty(BufferManager* bm, KeyKind kind) {
   return t;
 }
 
-Result<BPTree> BPTree::BulkLoad(BufferManager* bm, const HeapFile& sorted_input,
-                                KeyKind kind, double fill) {
+StatusOr<BPTree> BPTree::BulkLoad(BufferManager* bm,
+                                  const HeapFile& sorted_input, KeyKind kind,
+                                  double fill) {
   if (fill <= 0.0 || fill > 1.0) {
     return Status::InvalidArgument("BulkLoad: fill must be in (0, 1]");
   }
@@ -237,7 +238,7 @@ Result<BPTree> BPTree::BulkLoad(BufferManager* bm, const HeapFile& sorted_input,
   return t;
 }
 
-Result<Page*> BPTree::DescendToLeaf(BufferManager* bm, uint64_t key) const {
+StatusOr<Page*> BPTree::DescendToLeaf(BufferManager* bm, uint64_t key) const {
   PBITREE_ASSIGN_OR_RETURN(Page * p, bm->FetchPage(root_));
   while (!NodeIsLeaf(p)) {
     PageId child = ChildForLowerBound(p, key);
@@ -454,8 +455,8 @@ Status BPTree::Drop(BufferManager* bm) {
   return Status::OK();
 }
 
-Result<bool> BPTree::SeekCeil(BufferManager* bm, uint64_t key,
-                              ElementRecord* out) const {
+StatusOr<bool> BPTree::SeekCeil(BufferManager* bm, uint64_t key,
+                                ElementRecord* out) const {
   PBITREE_ASSIGN_OR_RETURN(Page * leaf, DescendToLeaf(bm, key));
   size_t pos = LeafLowerBound(leaf, key);
   while (true) {

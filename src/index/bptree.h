@@ -44,12 +44,13 @@ class BPTree {
   BPTree() = default;
 
   /// Creates an empty tree (a single empty leaf).
-  static Result<BPTree> CreateEmpty(BufferManager* bm, KeyKind kind);
+  static StatusOr<BPTree> CreateEmpty(BufferManager* bm, KeyKind kind);
 
   /// Bulk loads from input already sorted by the key (ascending).
   /// Leaves are packed to `fill` of capacity (0 < fill <= 1).
-  static Result<BPTree> BulkLoad(BufferManager* bm, const HeapFile& sorted_input,
-                                 KeyKind kind, double fill = 1.0);
+  static StatusOr<BPTree> BulkLoad(BufferManager* bm,
+                                   const HeapFile& sorted_input, KeyKind kind,
+                                   double fill = 1.0);
 
   bool valid() const { return root_ != kInvalidPageId; }
   KeyKind key_kind() const { return kind_; }
@@ -107,14 +108,15 @@ class BPTree {
 
   /// First leaf entry with key >= `key`; used by ADB+ skipping. Returns
   /// false (with OK status) when no such entry exists.
-  Result<bool> SeekCeil(BufferManager* bm, uint64_t key, ElementRecord* out) const;
+  StatusOr<bool> SeekCeil(BufferManager* bm, uint64_t key,
+                          ElementRecord* out) const;
 
  private:
   friend class RangeScanner;
 
   /// Descends to the leaf that would contain `key`. The returned page
   /// is pinned; caller unpins.
-  Result<Page*> DescendToLeaf(BufferManager* bm, uint64_t key) const;
+  StatusOr<Page*> DescendToLeaf(BufferManager* bm, uint64_t key) const;
 
   PageId root_ = kInvalidPageId;
   KeyKind kind_ = KeyKind::kCode;

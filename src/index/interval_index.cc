@@ -48,8 +48,8 @@ void WriteInterior(Page* p, size_t i, const InteriorEntry& e) {
 
 }  // namespace
 
-Result<IntervalIndex> IntervalIndex::BulkLoad(BufferManager* bm,
-                                              const HeapFile& sorted_by_start) {
+StatusOr<IntervalIndex> IntervalIndex::BulkLoad(
+    BufferManager* bm, const HeapFile& sorted_by_start) {
   IntervalIndex idx;
 
   struct LevelEntry {

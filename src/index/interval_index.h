@@ -38,8 +38,8 @@ class IntervalIndex {
 
   /// Bulk loads from input sorted by Start order (ties by height
   /// descending are fine; only Start monotonicity is checked).
-  static Result<IntervalIndex> BulkLoad(BufferManager* bm,
-                                        const HeapFile& sorted_by_start);
+  static StatusOr<IntervalIndex> BulkLoad(BufferManager* bm,
+                                          const HeapFile& sorted_by_start);
 
   bool valid() const { return root_ != kInvalidPageId; }
   uint64_t num_entries() const { return num_entries_; }

@@ -120,8 +120,8 @@ void StabWrite(Page* p, size_t i, const ElementRecord& rec) {
 
 }  // namespace
 
-Result<XRTree> XRTree::BulkLoad(BufferManager* bm,
-                                const HeapFile& sorted_by_start) {
+StatusOr<XRTree> XRTree::BulkLoad(BufferManager* bm,
+                                  const HeapFile& sorted_by_start) {
   XRTree t;
 
   // ---- Load and validate the input.
@@ -348,7 +348,7 @@ Status XRTree::StabPath(
   return Status::OK();
 }
 
-Result<Page*> XRTree::DescendToLeaf(BufferManager* bm, uint64_t key) const {
+StatusOr<Page*> XRTree::DescendToLeaf(BufferManager* bm, uint64_t key) const {
   PBITREE_ASSIGN_OR_RETURN(Page * p, bm->FetchPage(root_));
   while (!NodeIsLeaf(p)) {
     PageId child = ChildForLowerBound(p, key);

@@ -40,8 +40,8 @@ class XRTree {
   XRTree() = default;
 
   /// Bulk loads from input sorted in document order (Start ascending).
-  static Result<XRTree> BulkLoad(BufferManager* bm,
-                                 const HeapFile& sorted_by_start);
+  static StatusOr<XRTree> BulkLoad(BufferManager* bm,
+                                   const HeapFile& sorted_by_start);
 
   bool valid() const { return root_ != kInvalidPageId; }
   uint64_t num_entries() const { return num_entries_; }
@@ -90,7 +90,7 @@ class XRTree {
  private:
   friend class Cursor;
 
-  Result<Page*> DescendToLeaf(BufferManager* bm, uint64_t key) const;
+  StatusOr<Page*> DescendToLeaf(BufferManager* bm, uint64_t key) const;
 
   PageId root_ = kInvalidPageId;
   uint64_t num_entries_ = 0;

@@ -28,10 +28,11 @@ StatusOr<ElementSetBuilder> ElementSetBuilder::Create(
     BufferManager* bm, PBiTreeSpec spec, std::optional<PageCodecKind> codec) {
   PBITREE_RETURN_IF_ERROR(ValidateSpec(spec));
   ElementSetBuilder b;
-  b.bm_ = bm;
   b.set_.spec = spec;
   PBITREE_ASSIGN_OR_RETURN(
-      b.set_.file, HeapFile::Create(bm, codec.value_or(AmbientPageCodec())));
+      HeapFile file, HeapFile::Create(bm, codec.value_or(AmbientPageCodec())));
+  b.file_ = std::make_unique<HeapFile>(std::move(file));
+  b.app_ = std::make_unique<HeapFile::Appender>(bm, b.file_.get());
   return b;
 }
 
@@ -44,10 +45,14 @@ Status ElementSetBuilder::Add(const ElementRecord& rec) {
   set_.height_mask |= uint64_t{1} << HeightOf(rec.code);
   set_.min_start = std::min(set_.min_start, StartOf(rec.code));
   set_.max_end = std::max(set_.max_end, EndOf(rec.code));
-  return set_.file.Append(bm_, &rec);
+  return app_->AppendElement(rec);
 }
 
-ElementSet ElementSetBuilder::Build() { return set_; }
+StatusOr<ElementSet> ElementSetBuilder::Build() {
+  PBITREE_RETURN_IF_ERROR(app_->Finish());
+  set_.file = *file_;
+  return set_;
+}
 
 StatusOr<ElementSet> ExtractTagSet(BufferManager* bm, const DataTree& tree,
                                  PBiTreeSpec spec, TagId tag, uint32_t doc,

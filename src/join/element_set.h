@@ -2,6 +2,7 @@
 #define PBITREE_JOIN_ELEMENT_SET_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -49,6 +50,10 @@ struct ElementSet {
 
 /// \brief Builds an ElementSet by appending records (maintains the
 /// height mask incrementally).
+///
+/// One Appender serves every Add, so the tail page stays pinned (and,
+/// on a compressed codec, staged) until it fills or Build finishes it.
+/// Dropping a builder without Build still releases that pin.
 class ElementSetBuilder {
  public:
   /// Creates an empty set on `bm` belonging to PBiTree `spec`. `codec`
@@ -64,14 +69,20 @@ class ElementSetBuilder {
     return Add(ElementRecord{code, tag, doc});
   }
 
-  /// Finalises and returns the set. The builder must not be used after.
-  ElementSet Build();
+  /// Finishes the tail page and returns the set; the error of a failed
+  /// final encode or unpin propagates. The builder must not be used
+  /// after.
+  StatusOr<ElementSet> Build();
 
  private:
   ElementSetBuilder() = default;
 
-  BufferManager* bm_ = nullptr;
-  ElementSet set_;
+  ElementSet set_;  // metadata; Build fills in `file`
+  // Heap-held so the appender's file pointer survives moves of the
+  // builder (Create returns it by value). Declared in destruction
+  // order: the appender finishes before the file handle goes.
+  std::unique_ptr<HeapFile> file_;
+  std::unique_ptr<HeapFile::Appender> app_;
 };
 
 /// Extracts the elements of `tree` with tag `tag` (in document order)

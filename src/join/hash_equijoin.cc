@@ -25,21 +25,11 @@ uint64_t HashKey(uint64_t key, int salt) {
 /// already at height h this is its own code (F(n, height(n)) = n).
 uint64_t RolledKey(Code code, int h) { return AncestorAtHeight(code, h); }
 
-/// Emits one rolled-key match under the given mode into the join's
-/// staging buffer. Returns OK and bumps the right counter.
-Status EmitMatch(JoinContext* ctx, Code a, Code d, EquiMode mode,
-                 PairBuffer* out) {
-  if (mode == EquiMode::kContainment) {
-    if (IsAncestor(a, d)) {
-      return out->Emit(a, d);
-    }
-    ++ctx->stats.false_hits;
-    return Status::OK();
-  }
-  // Proximity: all distinct same-subtree pairs count.
-  if (a != d) {
-    return out->Emit(a, d);
-  }
+/// Emits one rolled-key match into the join's staging buffer if the
+/// exact Lemma-1 predicate holds; otherwise counts a false hit.
+Status EmitMatch(JoinContext* ctx, Code a, Code d, PairBuffer* out) {
+  if (IsAncestor(a, d)) return out->Emit(a, d);
+  ++ctx->stats.false_hits;
   return Status::OK();
 }
 
@@ -48,15 +38,14 @@ Status EmitMatch(JoinContext* ctx, Code a, Code d, EquiMode mode,
 /// (a, d) with the Lemma-1 residual check.
 Status InMemoryJoin(JoinContext* ctx, const HeapFile& a_file,
                     const HeapFile& d_file, int h, bool build_a,
-                    EquiMode mode, ResultSink* sink) {
+                    ResultSink* sink) {
   const HeapFile& build = build_a ? a_file : d_file;
   const HeapFile& probe = build_a ? d_file : a_file;
 
   std::unordered_multimap<uint64_t, Code> table;
   table.reserve(build.num_records());
   // Rolled keys for the whole zero-copy batch, computed by the batch
-  // kernel; the proximity height filter stays scalar (filtered slots'
-  // keys are computed but never read).
+  // kernel.
   std::vector<uint64_t> keys;
   {
     obs::ObsSpan build_span(obs::Phase::kBuild);
@@ -67,9 +56,7 @@ Status InMemoryJoin(JoinContext* ctx, const HeapFile& a_file,
       simd::RolledKeys(reinterpret_cast<const uint64_t*>(batch.data()), 2,
                        batch.size(), h, keys.data());
       for (size_t i = 0; i < batch.size(); ++i) {
-        const ElementRecord& rec = batch[i];
-        if (mode == EquiMode::kProximity && HeightOf(rec.code) > h) continue;
-        table.emplace(keys[i], rec.code);
+        table.emplace(keys[i], batch[i].code);
       }
     }
     PBITREE_RETURN_IF_ERROR(scan.status());
@@ -85,12 +72,11 @@ Status InMemoryJoin(JoinContext* ctx, const HeapFile& a_file,
                      batch.size(), h, keys.data());
     for (size_t i = 0; i < batch.size(); ++i) {
       const ElementRecord& rec = batch[i];
-      if (mode == EquiMode::kProximity && HeightOf(rec.code) > h) continue;
       auto [lo, hi] = table.equal_range(keys[i]);
       for (auto it = lo; it != hi; ++it) {
         Code a = build_a ? it->second : rec.code;
         Code d = build_a ? rec.code : it->second;
-        PBITREE_RETURN_IF_ERROR(EmitMatch(ctx, a, d, mode, &out));
+        PBITREE_RETURN_IF_ERROR(EmitMatch(ctx, a, d, &out));
       }
     }
   }
@@ -102,8 +88,7 @@ Status InMemoryJoin(JoinContext* ctx, const HeapFile& a_file,
 /// one rolled key holds more records than memory: join in chunks of the
 /// build side. I/O = ||probe|| * ceil(||build|| / budget).
 Status BlockNestedLoopJoin(JoinContext* ctx, const HeapFile& a_file,
-                           const HeapFile& d_file, int h, EquiMode mode,
-                           ResultSink* sink) {
+                           const HeapFile& d_file, int h, ResultSink* sink) {
   const bool build_a = a_file.num_pages() <= d_file.num_pages();
   const HeapFile& build = build_a ? a_file : d_file;
   const HeapFile& probe = build_a ? d_file : a_file;
@@ -117,7 +102,6 @@ Status BlockNestedLoopJoin(JoinContext* ctx, const HeapFile& a_file,
     uint64_t n = 0;
     for (; build_cur.live() && n < chunk; build_cur.Advance()) {
       const Code c = build_cur.rec().code;
-      if (mode == EquiMode::kProximity && HeightOf(c) > h) continue;
       table.emplace(RolledKey(c, h), c);
       ++n;
     }
@@ -135,12 +119,11 @@ Status BlockNestedLoopJoin(JoinContext* ctx, const HeapFile& a_file,
                        batch.size(), h, keys.data());
       for (size_t i = 0; i < batch.size(); ++i) {
         const ElementRecord& rec = batch[i];
-        if (mode == EquiMode::kProximity && HeightOf(rec.code) > h) continue;
-        auto [lo, hi] = table.equal_range(keys[i]);
+          auto [lo, hi] = table.equal_range(keys[i]);
         for (auto it = lo; it != hi; ++it) {
           Code a = build_a ? it->second : rec.code;
           Code d = build_a ? rec.code : it->second;
-          PBITREE_RETURN_IF_ERROR(EmitMatch(ctx, a, d, mode, &out));
+          PBITREE_RETURN_IF_ERROR(EmitMatch(ctx, a, d, &out));
         }
       }
     }
@@ -216,8 +199,8 @@ Status PartitionFile(JoinContext* ctx, const HeapFile& input, int h, size_t k,
 }
 
 Status HashJoinRecursive(JoinContext* ctx, const HeapFile& a_file,
-                         const HeapFile& d_file, int h, EquiMode mode,
-                         ResultSink* sink, int depth) {
+                         const HeapFile& d_file, int h, ResultSink* sink,
+                         int depth) {
   if (a_file.num_records() == 0 || d_file.num_records() == 0) {
     return Status::OK();
   }
@@ -226,12 +209,12 @@ Status HashJoinRecursive(JoinContext* ctx, const HeapFile& a_file,
       std::min(a_file.num_records(), d_file.num_records());
   if (smaller <= budget) {
     bool build_a = a_file.num_records() <= d_file.num_records();
-    return InMemoryJoin(ctx, a_file, d_file, h, build_a, mode, sink);
+    return InMemoryJoin(ctx, a_file, d_file, h, build_a, sink);
   }
   if (depth >= 3) {
     // Re-partitioning stopped helping (duplicate-heavy rolled keys);
     // degrade gracefully instead of recursing forever.
-    return BlockNestedLoopJoin(ctx, a_file, d_file, h, mode, sink);
+    return BlockNestedLoopJoin(ctx, a_file, d_file, h, sink);
   }
 
   // Partition count: enough that the smaller side of each pair fits in
@@ -252,8 +235,8 @@ Status HashJoinRecursive(JoinContext* ctx, const HeapFile& a_file,
   Status result = Status::OK();
   for (size_t i = 0; i < k; ++i) {
     if (result.ok() && a_parts[i].valid() && d_parts[i].valid()) {
-      result = HashJoinRecursive(ctx, a_parts[i], d_parts[i], h, mode, sink,
-                                 depth + 1);
+      result =
+          HashJoinRecursive(ctx, a_parts[i], d_parts[i], h, sink, depth + 1);
     }
     if (a_parts[i].valid()) {
       Status s = a_parts[i].Drop(ctx->bm);
@@ -271,15 +254,15 @@ Status HashJoinRecursive(JoinContext* ctx, const HeapFile& a_file,
 
 Status HashEquijoinAtHeight(JoinContext* ctx, const HeapFile& a_file,
                             const HeapFile& d_file, int target_height,
-                            ResultSink* sink, EquiMode mode) {
+                            ResultSink* sink) {
   if (target_height < 0 || target_height >= kMaxTreeHeight) {
     return Status::InvalidArgument("bad target height");
   }
-  return HashJoinRecursive(ctx, a_file, d_file, target_height, mode, sink, 0);
+  return HashJoinRecursive(ctx, a_file, d_file, target_height, sink, 0);
 }
 
-Result<std::vector<ElementRecord>> LoadAllRecords(BufferManager* bm,
-                                                  const HeapFile& file) {
+StatusOr<std::vector<ElementRecord>> LoadAllRecords(BufferManager* bm,
+                                                    const HeapFile& file) {
   std::vector<ElementRecord> out;
   out.reserve(file.num_records());
   HeapFile::Scanner scan(bm, file);

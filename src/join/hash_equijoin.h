@@ -24,19 +24,6 @@ namespace pbitree {
 /// partition pair is joined recursively (I/O = 3(||A|| + ||D||), the
 /// figure the paper quotes for SHCJ/MHCJ+Rollup).
 ///
-/// What a rolled-key match means (and which pairs are emitted).
-enum class EquiMode {
-  /// Containment: verify with the exact Lemma-1 predicate and emit
-  /// (ancestor, descendant); rejected matches are counted in
-  /// stats.false_hits (Table 2(f)).
-  kContainment,
-  /// Proximity: both elements lie in the same height-h subtree (they
-  /// share the F(., h) ancestor). All distinct key matches are
-  /// results; elements above height h are skipped (they have no
-  /// height-h ancestor).
-  kProximity,
-};
-
 /// Every key match is verified with the exact Lemma-1 predicate; matches
 /// that fail it are counted in stats.false_hits (Table 2(f)). For SHCJ
 /// (every a at exactly height h) the only possible false hits are
@@ -44,13 +31,12 @@ enum class EquiMode {
 /// sitting above height h in D.
 Status HashEquijoinAtHeight(JoinContext* ctx, const HeapFile& a_file,
                             const HeapFile& d_file, int target_height,
-                            ResultSink* sink,
-                            EquiMode mode = EquiMode::kContainment);
+                            ResultSink* sink);
 
 /// Loads every record of `file` into memory (helper shared by the
 /// in-memory join paths; callers must have checked the budget).
-Result<std::vector<ElementRecord>> LoadAllRecords(BufferManager* bm,
-                                                  const HeapFile& file);
+StatusOr<std::vector<ElementRecord>> LoadAllRecords(BufferManager* bm,
+                                                    const HeapFile& file);
 
 }  // namespace pbitree
 

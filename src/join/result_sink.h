@@ -25,9 +25,7 @@ class ResultSink {
  public:
   virtual ~ResultSink() = default;
 
-  /// Called once per result pair. For containment joins `a` is a
-  /// proper ancestor of `d`; for proximity joins the pair is two
-  /// distinct same-subtree elements.
+  /// Called once per result pair: `a` is a proper ancestor of `d`.
   virtual Status OnPair(Code a, Code d) = 0;
 
   /// Batched emission, pairs in emission order. The default forwards
@@ -104,14 +102,6 @@ class PairBuffer {
       if (size_ == kCapacity) PBITREE_RETURN_IF_ERROR(Flush());
     }
     return Status::OK();
-  }
-
-  /// Emits an already-materialised run of pairs: flushes the staged
-  /// tail first (order!), then hands the run to the sink whole.
-  Status EmitRun(std::span<const ResultPair> pairs) {
-    PBITREE_RETURN_IF_ERROR(Flush());
-    *pair_counter_ += pairs.size();
-    return sink_->OnBatch(pairs);
   }
 
   Status Flush() {

@@ -21,7 +21,7 @@ StatusOr<ElementSet> FilterSegmentReplicas(BufferManager* bm,
     }
     PBITREE_RETURN_IF_ERROR(scan.status());
   }
-  ElementSet out = builder.Build();
+  PBITREE_ASSIGN_OR_RETURN(ElementSet out, builder.Build());
   // Replica removal preserves the piece's relative record order, so
   // sortedness carries over.
   out.sorted_by_start = piece.sorted_by_start;

@@ -1,6 +1,5 @@
 #include "join/stack_tree.h"
 
-#include <bit>
 #include <span>
 #include <vector>
 
@@ -62,107 +61,6 @@ Status StackTreeJoin(JoinContext* ctx, const ElementSet& a,
       d_cur.Advance();
       if (!d_cur.live()) PBITREE_RETURN_IF_ERROR(d_cur.status());
     }
-  }
-  return out.Flush();
-}
-
-namespace {
-
-/// Stack entry of the ancestor-ordered variant: the pairs owned by this
-/// ancestor (self) and the already-ordered output of closed descendants
-/// (inherit), flushed parent-first when the entry closes.
-struct AncEntry {
-  Code anc;
-  std::vector<Code> self_descendants;
-  std::vector<ResultPair> inherit;
-};
-
-Status FlushAncEntry(AncEntry&& e, std::vector<AncEntry>* stack,
-                     PairBuffer* out) {
-  if (!stack->empty()) {
-    // Parent still open: this ancestor's output must follow the
-    // parent's own pairs, so buffer it on the parent.
-    AncEntry& parent = stack->back();
-    parent.inherit.reserve(parent.inherit.size() + e.self_descendants.size() +
-                           e.inherit.size());
-    for (Code d : e.self_descendants) {
-      parent.inherit.push_back(ResultPair{e.anc, d});
-    }
-    parent.inherit.insert(parent.inherit.end(), e.inherit.begin(),
-                          e.inherit.end());
-    return Status::OK();
-  }
-  PBITREE_RETURN_IF_ERROR(out->EmitDescendants(e.anc, e.self_descendants));
-  // The inherited tail is already a materialised, ordered pair run.
-  return out->EmitRun(e.inherit);
-}
-
-}  // namespace
-
-Status StackTreeJoinAnc(JoinContext* ctx, const ElementSet& a,
-                        const ElementSet& d, ResultSink* sink) {
-  bool empty = false;
-  PBITREE_RETURN_IF_ERROR(
-      ValidateJoinInputs("StackTree", a, d, /*require_sorted=*/true, &empty));
-  if (empty) return Status::OK();
-
-  obs::ObsSpan merge_span(obs::Phase::kMerge);
-  HeapFile::BatchCursor a_cur(ctx->bm, a.file);
-  HeapFile::BatchCursor d_cur(ctx->bm, d.file);
-  PBITREE_RETURN_IF_ERROR(a_cur.status());
-  PBITREE_RETURN_IF_ERROR(d_cur.status());
-  PairBuffer out(sink, &ctx->stats.output_pairs);
-
-  std::vector<AncEntry> stack;
-  // Codes of the open ancestors, parallel to `stack` — a contiguous
-  // array the mask kernel can test in one pass.
-  std::vector<Code> stack_codes;
-
-  auto pop_below = [&](uint64_t start) -> Status {
-    while (!stack.empty() && EndOf(stack.back().anc) < start) {
-      AncEntry e = std::move(stack.back());
-      stack.pop_back();
-      stack_codes.pop_back();
-      PBITREE_RETURN_IF_ERROR(FlushAncEntry(std::move(e), &stack, &out));
-    }
-    return Status::OK();
-  };
-
-  while (d_cur.live() && (a_cur.live() || !stack.empty())) {
-    if (a_cur.live() && ElementLess(a_cur.rec(), d_cur.rec(), SortOrder::kStartOrder)) {
-      const Code a_code = a_cur.rec().code;
-      PBITREE_RETURN_IF_ERROR(pop_below(StartOf(a_code)));
-      stack.push_back(AncEntry{a_code, {}, {}});
-      stack_codes.push_back(a_code);
-      a_cur.Advance();
-      if (!a_cur.live()) PBITREE_RETURN_IF_ERROR(a_cur.status());
-    } else {
-      const Code d_code = d_cur.rec().code;
-      PBITREE_RETURN_IF_ERROR(pop_below(StartOf(d_code)));
-      // Nested ancestors have strictly decreasing heights, so the stack
-      // depth is bounded by the tree height and one 64-wide mask almost
-      // always covers it; the chunk loop keeps the code correct anyway.
-      for (size_t base = 0; base < stack.size(); base += 64) {
-        const size_t chunk =
-            stack.size() - base < 64 ? stack.size() - base : 64;
-        uint64_t mask =
-            simd::AncestorMask64(stack_codes.data() + base, chunk, d_code);
-        while (mask != 0) {
-          const int i = std::countr_zero(mask);
-          mask &= mask - 1;
-          stack[base + i].self_descendants.push_back(d_code);
-        }
-      }
-      d_cur.Advance();
-      if (!d_cur.live()) PBITREE_RETURN_IF_ERROR(d_cur.status());
-    }
-  }
-  // Close whatever is still open (deepest first).
-  while (!stack.empty()) {
-    AncEntry e = std::move(stack.back());
-    stack.pop_back();
-    stack_codes.pop_back();
-    PBITREE_RETURN_IF_ERROR(FlushAncEntry(std::move(e), &stack, &out));
   }
   return out.Flush();
 }

@@ -24,19 +24,6 @@ namespace pbitree {
 Status StackTreeJoin(JoinContext* ctx, const ElementSet& a,
                      const ElementSet& d, ResultSink* sink);
 
-/// \brief Stack-Tree-Anc: the ancestor-ordered variant of [1].
-///
-/// Emits exactly the same pair set as StackTreeJoin, but grouped by
-/// ancestor with the ancestors in document order — the order a
-/// subsequent join on the ancestor side wants ("favorable for further
-/// containment joins", Section 3.1). Implemented with the original's
-/// self/inherit lists: pairs of a still-open ancestor are buffered on
-/// its stack entry and flushed, parents first, when the entry closes.
-/// The buffers hold the full result in the worst case (deeply nested
-/// ancestors), which is the documented memory cost of this variant.
-Status StackTreeJoinAnc(JoinContext* ctx, const ElementSet& a,
-                        const ElementSet& d, ResultSink* sink);
-
 }  // namespace pbitree
 
 #endif  // PBITREE_JOIN_STACK_TREE_H_

@@ -48,7 +48,7 @@ int ComputeLevels(const DataTree& tree, int fanout_slack,
 
 }  // namespace
 
-Result<int> RequiredHeight(const DataTree& tree) {
+StatusOr<int> RequiredHeight(const DataTree& tree) {
   if (tree.empty()) return Status::InvalidArgument("empty data tree");
   std::vector<int> levels;
   int max_level = ComputeLevels(tree, /*fanout_slack=*/0, &levels);

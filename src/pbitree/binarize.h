@@ -42,7 +42,7 @@ Status BinarizeTree(DataTree* tree, PBiTreeSpec* spec,
 
 /// Minimum PBiTree height required to embed `tree` under the paper's
 /// heuristic (without assigning codes).
-Result<int> RequiredHeight(const DataTree& tree);
+StatusOr<int> RequiredHeight(const DataTree& tree);
 
 }  // namespace pbitree
 

@@ -12,8 +12,8 @@ Status ValidateSpec(const PBiTreeSpec& spec) {
   return Status::OK();
 }
 
-Result<Code> CheckedCodeOfTopDown(uint64_t alpha, int level,
-                                  const PBiTreeSpec& spec) {
+StatusOr<Code> CheckedCodeOfTopDown(uint64_t alpha, int level,
+                                    const PBiTreeSpec& spec) {
   PBITREE_RETURN_IF_ERROR(ValidateSpec(spec));
   if (level < 0 || level >= spec.height) {
     return Status::InvalidArgument(

@@ -79,8 +79,8 @@ inline Code CodeOfTopDown(uint64_t alpha, int level, const PBiTreeSpec& spec) {
 /// Checked variant of CodeOfTopDown for untrusted (alpha, level) —
 /// parser input, CLI arguments: InvalidArgument instead of a silently
 /// wrapped code.
-Result<Code> CheckedCodeOfTopDown(uint64_t alpha, int level,
-                                  const PBiTreeSpec& spec);
+StatusOr<Code> CheckedCodeOfTopDown(uint64_t alpha, int level,
+                                    const PBiTreeSpec& spec);
 
 /// Inverse of G: the 0-based left-to-right position of `code` on its
 /// level.

@@ -22,8 +22,8 @@ size_t SketchCell(uint64_t key) {
 
 }  // namespace
 
-Result<PBiTreeStats> PBiTreeStats::Collect(BufferManager* bm,
-                                           const ElementSet& set) {
+StatusOr<PBiTreeStats> PBiTreeStats::Collect(BufferManager* bm,
+                                             const ElementSet& set) {
   PBITREE_RETURN_IF_ERROR(ValidateSpec(set.spec));
   PBiTreeStats stats;
   stats.tree_height_ = set.spec.height;

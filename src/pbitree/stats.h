@@ -40,8 +40,8 @@ class PBiTreeStats {
   static constexpr size_t kBuckets = 256;
 
   /// Collects statistics with one scan of `set`.
-  static Result<PBiTreeStats> Collect(BufferManager* bm,
-                                      const ElementSet& set);
+  static StatusOr<PBiTreeStats> Collect(BufferManager* bm,
+                                        const ElementSet& set);
 
   uint64_t total() const { return total_; }
   uint64_t CountAtHeight(int h) const { return height_counts_[h]; }

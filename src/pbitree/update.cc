@@ -27,8 +27,8 @@ const CodeInterval* ConflictingSibling(
 
 }  // namespace
 
-Result<Code> AllocateChildCode(Code parent, const std::vector<Code>& siblings,
-                               const PBiTreeSpec& spec) {
+StatusOr<Code> AllocateChildCode(Code parent, const std::vector<Code>& siblings,
+                                 const PBiTreeSpec& spec) {
   PBITREE_RETURN_IF_ERROR(ValidateSpec(spec));
   if (!IsValidCode(parent, spec)) {
     return Status::InvalidArgument("invalid parent code");
@@ -96,8 +96,8 @@ Result<Code> AllocateChildCode(Code parent, const std::vector<Code>& siblings,
       "; re-binarize with more slack levels");
 }
 
-Result<NodeId> InsertElement(DataTree* tree, NodeId parent,
-                             std::string_view tag, const PBiTreeSpec& spec) {
+StatusOr<NodeId> InsertElement(DataTree* tree, NodeId parent,
+                               std::string_view tag, const PBiTreeSpec& spec) {
   const auto& pnode = tree->node(parent);
   if (pnode.code == kInvalidCode) {
     return Status::InvalidArgument("parent not binarized");

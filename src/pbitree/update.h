@@ -28,13 +28,13 @@ namespace pbitree {
 /// subtree has no free slot left — the document must then be
 /// re-binarized with more slack, and callers such as the segment layer
 /// can detect the condition and trigger that fallback.
-Result<Code> AllocateChildCode(Code parent, const std::vector<Code>& siblings,
-                               const PBiTreeSpec& spec);
+StatusOr<Code> AllocateChildCode(Code parent, const std::vector<Code>& siblings,
+                                 const PBiTreeSpec& spec);
 
 /// Convenience wrapper: appends a child element to a binarized tree and
 /// assigns it a code via AllocateChildCode.
-Result<NodeId> InsertElement(DataTree* tree, NodeId parent,
-                             std::string_view tag, const PBiTreeSpec& spec);
+StatusOr<NodeId> InsertElement(DataTree* tree, NodeId parent,
+                               std::string_view tag, const PBiTreeSpec& spec);
 
 }  // namespace pbitree
 

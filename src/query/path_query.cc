@@ -6,7 +6,7 @@
 
 namespace pbitree {
 
-Result<PathQuery> ParsePathQuery(std::string_view text) {
+StatusOr<PathQuery> ParsePathQuery(std::string_view text) {
   PathQuery q;
   size_t i = 0;
   while (i < text.size()) {
@@ -39,9 +39,9 @@ Result<PathQuery> ParsePathQuery(std::string_view text) {
   return q;
 }
 
-Result<ElementSet> DistinctDescendants(BufferManager* bm,
-                                       const HeapFile& pair_file,
-                                       PBiTreeSpec spec, size_t work_pages) {
+StatusOr<ElementSet> DistinctDescendants(BufferManager* bm,
+                                         const HeapFile& pair_file,
+                                         PBiTreeSpec spec, size_t work_pages) {
   // Rewrite the descendant column as element records, sort by code,
   // then emit each code once.
   PBITREE_ASSIGN_OR_RETURN(HeapFile column, HeapFile::Create(bm));
@@ -82,11 +82,11 @@ Result<ElementSet> DistinctDescendants(BufferManager* bm,
   return builder.Build();
 }
 
-Result<ElementSet> EvaluatePathQuery(BufferManager* bm, const DataTree& tree,
-                                     const PBiTreeSpec& spec,
-                                     const PathQuery& query,
-                                     const RunOptions& options,
-                                     PathQueryStats* stats) {
+StatusOr<ElementSet> EvaluatePathQuery(BufferManager* bm, const DataTree& tree,
+                                       const PBiTreeSpec& spec,
+                                       const PathQuery& query,
+                                       const RunOptions& options,
+                                       PathQueryStats* stats) {
   if (query.steps.empty()) {
     return Status::InvalidArgument("empty path query");
   }

@@ -30,7 +30,7 @@ struct PathQuery {
 };
 
 /// Parses "//a//b//c". Errors on empty input, other axes, predicates.
-Result<PathQuery> ParsePathQuery(std::string_view text);
+StatusOr<PathQuery> ParsePathQuery(std::string_view text);
 
 /// Per-join measurements of one evaluation.
 struct PathQueryStats {
@@ -45,18 +45,18 @@ struct PathQueryStats {
 /// element set and keeps the *distinct descendants* as the new match
 /// set. Returns the distinct elements matching the full path (the
 /// XPath answer set), as an ElementSet the caller must Drop.
-Result<ElementSet> EvaluatePathQuery(BufferManager* bm, const DataTree& tree,
-                                     const PBiTreeSpec& spec,
-                                     const PathQuery& query,
-                                     const RunOptions& options,
-                                     PathQueryStats* stats = nullptr);
+StatusOr<ElementSet> EvaluatePathQuery(BufferManager* bm, const DataTree& tree,
+                                       const PBiTreeSpec& spec,
+                                       const PathQuery& query,
+                                       const RunOptions& options,
+                                       PathQueryStats* stats = nullptr);
 
 /// Deduplicates the descendant column of a join-result pair file into
 /// an element set (sorting by code; the output is not in document
 /// order). Exposed for custom pipelines; the input file is not dropped.
-Result<ElementSet> DistinctDescendants(BufferManager* bm,
-                                       const HeapFile& pair_file,
-                                       PBiTreeSpec spec, size_t work_pages);
+StatusOr<ElementSet> DistinctDescendants(BufferManager* bm,
+                                         const HeapFile& pair_file,
+                                         PBiTreeSpec spec, size_t work_pages);
 
 }  // namespace pbitree
 

@@ -12,7 +12,7 @@ class TwigParser {
  public:
   explicit TwigParser(std::string_view text) : text_(text) {}
 
-  Result<TwigQuery> Parse() {
+  StatusOr<TwigQuery> Parse() {
     PBITREE_ASSIGN_OR_RETURN(TwigQuery q, ParsePattern());
     if (pos_ != text_.size()) {
       return Status::InvalidArgument("trailing input at offset " +
@@ -22,7 +22,7 @@ class TwigParser {
   }
 
  private:
-  Result<TwigQuery> ParsePattern() {
+  StatusOr<TwigQuery> ParsePattern() {
     TwigQuery q;
     while (pos_ < text_.size() && text_[pos_] == '/') {
       if (pos_ + 1 >= text_.size() || text_[pos_ + 1] != '/') {
@@ -72,19 +72,20 @@ class TwigParser {
 };
 
 /// Forward declaration: match set of a full (sub-)pattern.
-Result<ElementSet> MatchSet(BufferManager* bm,
-                            const ElementSetProvider& provider,
-                            const PBiTreeSpec& spec, const TwigQuery& query,
-                            const RunOptions& options, TwigQueryStats* stats);
+StatusOr<ElementSet> MatchSet(BufferManager* bm,
+                              const ElementSetProvider& provider,
+                              const PBiTreeSpec& spec, const TwigQuery& query,
+                              const RunOptions& options,
+                              TwigQueryStats* stats);
 
 /// Elements of `candidates` that have at least one descendant in
 /// `needles` — a containment join kept as a semijoin. Drops neither
 /// input; the result is a new set.
-Result<ElementSet> SemijoinHavingDescendant(BufferManager* bm,
-                                            const ElementSet& candidates,
-                                            const ElementSet& needles,
-                                            const RunOptions& options,
-                                            TwigQueryStats* stats) {
+StatusOr<ElementSet> SemijoinHavingDescendant(BufferManager* bm,
+                                              const ElementSet& candidates,
+                                              const ElementSet& needles,
+                                              const RunOptions& options,
+                                              TwigQueryStats* stats) {
   PBITREE_ASSIGN_OR_RETURN(HeapFile pairs, HeapFile::Create(bm));
   Status join_status;
   {
@@ -109,12 +110,12 @@ Result<ElementSet> SemijoinHavingDescendant(BufferManager* bm,
 
 /// Applies a step's predicates to `set` (consuming it), returning the
 /// filtered set.
-Result<ElementSet> ApplyPredicates(BufferManager* bm,
-                                   const ElementSetProvider& provider,
-                                   const PBiTreeSpec& spec,
-                                   const TwigStep& step, ElementSet set,
-                                   const RunOptions& options,
-                                   TwigQueryStats* stats) {
+StatusOr<ElementSet> ApplyPredicates(BufferManager* bm,
+                                     const ElementSetProvider& provider,
+                                     const PBiTreeSpec& spec,
+                                     const TwigStep& step, ElementSet set,
+                                     const RunOptions& options,
+                                     TwigQueryStats* stats) {
   for (const TwigQuery& pred : step.predicates) {
     auto needles = MatchSet(bm, provider, spec, pred, options, stats);
     if (!needles.ok()) {
@@ -131,10 +132,11 @@ Result<ElementSet> ApplyPredicates(BufferManager* bm,
   return set;
 }
 
-Result<ElementSet> MatchSet(BufferManager* bm,
-                            const ElementSetProvider& provider,
-                            const PBiTreeSpec& spec, const TwigQuery& query,
-                            const RunOptions& options, TwigQueryStats* stats) {
+StatusOr<ElementSet> MatchSet(BufferManager* bm,
+                              const ElementSetProvider& provider,
+                              const PBiTreeSpec& spec, const TwigQuery& query,
+                              const RunOptions& options,
+                              TwigQueryStats* stats) {
   if (query.steps.empty()) {
     return Status::InvalidArgument("empty twig pattern");
   }
@@ -216,7 +218,7 @@ Result<ElementSet> MatchSet(BufferManager* bm,
 
 }  // namespace
 
-Result<TwigQuery> ParseTwigQuery(std::string_view text) {
+StatusOr<TwigQuery> ParseTwigQuery(std::string_view text) {
   if (text.empty()) return Status::InvalidArgument("empty twig pattern");
   TwigParser parser(text);
   PBITREE_ASSIGN_OR_RETURN(TwigQuery q, parser.Parse());
@@ -224,9 +226,9 @@ Result<TwigQuery> ParseTwigQuery(std::string_view text) {
   return q;
 }
 
-Result<ElementSet> DistinctAncestors(BufferManager* bm,
-                                     const HeapFile& pair_file,
-                                     PBiTreeSpec spec, size_t work_pages) {
+StatusOr<ElementSet> DistinctAncestors(BufferManager* bm,
+                                       const HeapFile& pair_file,
+                                       PBiTreeSpec spec, size_t work_pages) {
   PBITREE_ASSIGN_OR_RETURN(HeapFile column, HeapFile::Create(bm));
   {
     HeapFile::Appender app(bm, &column);
@@ -265,23 +267,23 @@ Result<ElementSet> DistinctAncestors(BufferManager* bm,
   return builder.Build();
 }
 
-Result<ElementSet> EvaluateTwigQuery(BufferManager* bm, const DataTree& tree,
-                                     const PBiTreeSpec& spec,
-                                     const TwigQuery& query,
-                                     const RunOptions& options,
-                                     TwigQueryStats* stats) {
+StatusOr<ElementSet> EvaluateTwigQuery(BufferManager* bm, const DataTree& tree,
+                                       const PBiTreeSpec& spec,
+                                       const TwigQuery& query,
+                                       const RunOptions& options,
+                                       TwigQueryStats* stats) {
   ElementSetProvider provider = [bm, &tree, &spec](const std::string& tag) {
     return ExtractTagSetByName(bm, tree, spec, tag);
   };
   return EvaluateTwigQuery(bm, provider, spec, query, options, stats);
 }
 
-Result<ElementSet> EvaluateTwigQuery(BufferManager* bm,
-                                     const ElementSetProvider& provider,
-                                     const PBiTreeSpec& spec,
-                                     const TwigQuery& query,
-                                     const RunOptions& options,
-                                     TwigQueryStats* stats) {
+StatusOr<ElementSet> EvaluateTwigQuery(BufferManager* bm,
+                                       const ElementSetProvider& provider,
+                                       const PBiTreeSpec& spec,
+                                       const TwigQuery& query,
+                                       const RunOptions& options,
+                                       TwigQueryStats* stats) {
   PBITREE_ASSIGN_OR_RETURN(
       ElementSet result,
       MatchSet(bm, provider, spec, query, options, stats));

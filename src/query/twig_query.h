@@ -17,7 +17,7 @@ namespace pbitree {
 /// Catalog, or anything else. Each call returns a fresh set the query
 /// evaluator takes ownership of (and drops).
 using ElementSetProvider =
-    std::function<Result<ElementSet>(const std::string& tag)>;
+    std::function<StatusOr<ElementSet>(const std::string& tag)>;
 
 struct TwigQuery;
 
@@ -41,7 +41,7 @@ struct TwigQuery {
 /// itself a full twig pattern in brackets. Only the descendant axis is
 /// supported (child-axis parenthood is not derivable from PBiTree
 /// codes; see ParsePathQuery).
-Result<TwigQuery> ParseTwigQuery(std::string_view text);
+StatusOr<TwigQuery> ParseTwigQuery(std::string_view text);
 
 /// Per-join measurements of one evaluation.
 struct TwigQueryStats {
@@ -59,26 +59,26 @@ struct TwigQueryStats {
 ///    filtered sets.
 /// Returns the distinct elements matching the spine's last step (the
 /// XPath answer set); the caller drops the returned set's file.
-Result<ElementSet> EvaluateTwigQuery(BufferManager* bm, const DataTree& tree,
-                                     const PBiTreeSpec& spec,
-                                     const TwigQuery& query,
-                                     const RunOptions& options,
-                                     TwigQueryStats* stats = nullptr);
+StatusOr<ElementSet> EvaluateTwigQuery(BufferManager* bm, const DataTree& tree,
+                                       const PBiTreeSpec& spec,
+                                       const TwigQuery& query,
+                                       const RunOptions& options,
+                                       TwigQueryStats* stats = nullptr);
 
 /// Provider-based overload: evaluates against any source of element
 /// sets (e.g. a persistent Catalog — what pbitree_cli uses).
-Result<ElementSet> EvaluateTwigQuery(BufferManager* bm,
-                                     const ElementSetProvider& provider,
-                                     const PBiTreeSpec& spec,
-                                     const TwigQuery& query,
-                                     const RunOptions& options,
-                                     TwigQueryStats* stats = nullptr);
+StatusOr<ElementSet> EvaluateTwigQuery(BufferManager* bm,
+                                       const ElementSetProvider& provider,
+                                       const PBiTreeSpec& spec,
+                                       const TwigQuery& query,
+                                       const RunOptions& options,
+                                       TwigQueryStats* stats = nullptr);
 
 /// Deduplicates the *ancestor* column of a join-result pair file into an
 /// element set (the semijoin primitive; mirror of DistinctDescendants).
-Result<ElementSet> DistinctAncestors(BufferManager* bm,
-                                     const HeapFile& pair_file,
-                                     PBiTreeSpec spec, size_t work_pages);
+StatusOr<ElementSet> DistinctAncestors(BufferManager* bm,
+                                       const HeapFile& pair_file,
+                                       PBiTreeSpec spec, size_t work_pages);
 
 }  // namespace pbitree
 

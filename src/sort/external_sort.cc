@@ -83,8 +83,8 @@ Status GenerateRuns(BufferManager* bm, const HeapFile& input,
 }
 
 /// Merges `inputs` into one run; drops the inputs afterwards.
-Result<HeapFile> MergeRuns(BufferManager* bm, std::vector<HeapFile>* inputs,
-                           SortOrder order) {
+StatusOr<HeapFile> MergeRuns(BufferManager* bm, std::vector<HeapFile>* inputs,
+                             SortOrder order) {
   std::vector<std::unique_ptr<HeapFile::BatchCursor>> cursors;
   cursors.reserve(inputs->size());
   Status st;
@@ -158,8 +158,8 @@ Result<HeapFile> MergeRuns(BufferManager* bm, std::vector<HeapFile>* inputs,
 
 }  // namespace
 
-Result<HeapFile> ExternalSort(BufferManager* bm, const HeapFile& input,
-                              size_t work_pages, SortOrder order) {
+StatusOr<HeapFile> ExternalSort(BufferManager* bm, const HeapFile& input,
+                                size_t work_pages, SortOrder order) {
   if (work_pages < 3) {
     return Status::InvalidArgument("ExternalSort needs >= 3 work pages");
   }
@@ -202,7 +202,8 @@ Result<HeapFile> ExternalSort(BufferManager* bm, const HeapFile& input,
   return runs[0];
 }
 
-Result<bool> IsSorted(BufferManager* bm, const HeapFile& file, SortOrder order) {
+StatusOr<bool> IsSorted(BufferManager* bm, const HeapFile& file,
+                        SortOrder order) {
   HeapFile::Scanner scan(bm, file);
   ElementRecord prev;
   bool first = true;

@@ -37,11 +37,12 @@ bool ElementLess(const ElementRecord& a, const ElementRecord& b, SortOrder order
 /// algorithms with (Section 3.4.1). The sort is single-threaded: the
 /// parallel unit is the code-space segment, one level up
 /// (RunSegmentedJoin), and each segment sorts with the full budget.
-Result<HeapFile> ExternalSort(BufferManager* bm, const HeapFile& input,
-                              size_t work_pages, SortOrder order);
+StatusOr<HeapFile> ExternalSort(BufferManager* bm, const HeapFile& input,
+                                size_t work_pages, SortOrder order);
 
 /// Verifies that `file` is sorted according to `order` (test helper).
-Result<bool> IsSorted(BufferManager* bm, const HeapFile& file, SortOrder order);
+StatusOr<bool> IsSorted(BufferManager* bm, const HeapFile& file,
+                        SortOrder order);
 
 }  // namespace pbitree
 

@@ -19,7 +19,7 @@ BufferManager::BufferManager(DiskManager* disk, size_t pool_pages)
 
 BufferManager::~BufferManager() { FlushAll(); }
 
-Result<size_t> BufferManager::FindVictimLocked() {
+StatusOr<size_t> BufferManager::FindVictimLocked() {
   // Classic clock sweep: skip pinned frames, clear reference bits, take
   // the first unreferenced unpinned frame. Two full sweeps guarantee
   // termination when any frame is unpinned. Frames mid-transfer are
@@ -39,7 +39,7 @@ Result<size_t> BufferManager::FindVictimLocked() {
   return Status::ResourceExhausted("buffer pool: all frames pinned");
 }
 
-Result<size_t> BufferManager::AcquireVictimLocked(
+StatusOr<size_t> BufferManager::AcquireVictimLocked(
     std::unique_lock<std::mutex>& lk) {
   for (;;) {
     auto victim = FindVictimLocked();
@@ -70,7 +70,7 @@ PageId BufferManager::DetachFrameLocked(size_t idx) {
   return f->page_id_;
 }
 
-Result<Page*> BufferManager::FetchPage(PageId page_id) {
+StatusOr<Page*> BufferManager::FetchPage(PageId page_id) {
   obs::LatencyTimer latch_wait(obs::Latency::kLatchWait);
   std::unique_lock<std::mutex> lk(latch_);
   latch_wait.Finish();
@@ -165,7 +165,7 @@ Result<Page*> BufferManager::FetchPage(PageId page_id) {
   return f;
 }
 
-Result<Page*> BufferManager::NewPage() {
+StatusOr<Page*> BufferManager::NewPage() {
   PBITREE_ASSIGN_OR_RETURN(PageId page_id, disk_->AllocatePage());
   std::unique_lock<std::mutex> lk(latch_);
   PBITREE_ASSIGN_OR_RETURN(size_t idx, AcquireVictimLocked(lk));

@@ -67,10 +67,10 @@ class BufferManager {
   BufferManager& operator=(const BufferManager&) = delete;
 
   /// Pins page `page_id`, reading it from disk on a miss.
-  Result<Page*> FetchPage(PageId page_id);
+  StatusOr<Page*> FetchPage(PageId page_id);
 
   /// Allocates a fresh page on disk and pins a zeroed frame for it.
-  Result<Page*> NewPage();
+  StatusOr<Page*> NewPage();
 
   /// Releases one pin; `dirty` marks the frame modified.
   Status UnpinPage(PageId page_id, bool dirty);
@@ -113,14 +113,14 @@ class BufferManager {
  private:
   /// Finds a victim frame via the clock sweep (latch held). Fails when
   /// every frame is pinned or mid-transfer.
-  Result<size_t> FindVictimLocked();
+  StatusOr<size_t> FindVictimLocked();
 
   /// FindVictimLocked with patience: when the sweep fails but frames
   /// are merely mid-transfer (other threads' misses), waits on the I/O
   /// condition variable and retries — those transfers complete without
   /// needing this latch held. Fails only when every frame is genuinely
   /// pinned.
-  Result<size_t> AcquireVictimLocked(std::unique_lock<std::mutex>& lk);
+  StatusOr<size_t> AcquireVictimLocked(std::unique_lock<std::mutex>& lk);
 
   /// Detaches frame `idx` from its current page (latch held): removes
   /// the mapping and counts the eviction. Returns the write-back the

@@ -219,7 +219,7 @@ void ElementSetStore::BeginBatch() {
   batch_open_.store(true, std::memory_order_release);
 }
 
-Result<ElementSetStore::SetState*> ElementSetStore::MutableSet(
+StatusOr<ElementSetStore::SetState*> ElementSetStore::MutableSet(
     const std::string& name) {
   if (catalog_.IsSegmented(name)) {
     return Status::Unimplemented(
@@ -305,7 +305,11 @@ Status ElementSetStore::AppendToSet(const std::string& name, SetState* s,
     PBITREE_RETURN_IF_ERROR(TrackPage(s->set.file.pages().back()));
   }
   const size_t pages_before = s->set.file.pages().size();
-  PBITREE_RETURN_IF_ERROR(s->set.file.Append(bm_, &rec));
+  {
+    HeapFile::Appender app(bm_, &s->set.file);
+    PBITREE_RETURN_IF_ERROR(app.Append(&rec));
+    PBITREE_RETURN_IF_ERROR(app.Finish());
+  }
   for (size_t i = pages_before; i < s->set.file.pages().size(); ++i) {
     const PageId pid = s->set.file.pages()[i];
     batch_new_pages_.push_back(pid);
@@ -345,8 +349,8 @@ Status ElementSetStore::InsertRecord(const std::string& name,
   return AppendToSet(name, s, rec);
 }
 
-Result<ElementSetStore::RecordLoc> ElementSetStore::Locate(SetState* s,
-                                                           Code code) {
+StatusOr<ElementSetStore::RecordLoc> ElementSetStore::Locate(SetState* s,
+                                                             Code code) {
   std::vector<ElementRecord> recs;
   const size_t n_pages = s->set.file.pages().size();
   for (size_t pi = 0; pi < n_pages; ++pi) {
@@ -425,8 +429,9 @@ Status ElementSetStore::CollectInterval(int tree_height, CodeInterval interval,
   return Status::OK();
 }
 
-Result<Code> ElementSetStore::InsertChild(const std::string& name, Code parent,
-                                          uint32_t tag, uint32_t doc) {
+StatusOr<Code> ElementSetStore::InsertChild(const std::string& name,
+                                            Code parent, uint32_t tag,
+                                            uint32_t doc) {
   BeginBatch();  // before the lookup: MutableSet reads Commit-mutated state
   PBITREE_ASSIGN_OR_RETURN(SetState * s, MutableSet(name));
   const PBiTreeSpec spec = s->set.spec;
@@ -457,7 +462,7 @@ Result<Code> ElementSetStore::InsertChild(const std::string& name, Code parent,
     covered_end = EndOf(c);
     covered_any = true;
   }
-  Result<Code> alloc = AllocateChildCode(parent, maximal, spec);
+  StatusOr<Code> alloc = AllocateChildCode(parent, maximal, spec);
   if (alloc.ok()) {
     const Code code = *alloc;
     PBITREE_RETURN_IF_ERROR(
@@ -468,9 +473,9 @@ Result<Code> ElementSetStore::InsertChild(const std::string& name, Code parent,
   return Rebinarize(name, s, parent, tag, doc);
 }
 
-Result<Code> ElementSetStore::Rebinarize(const std::string& name,
-                                         SetState* target, Code parent,
-                                         uint32_t tag, uint32_t doc) {
+StatusOr<Code> ElementSetStore::Rebinarize(const std::string& name,
+                                           SetState* target, Code parent,
+                                           uint32_t tag, uint32_t doc) {
   const PBiTreeSpec spec = target->set.spec;
   if (HeightOf(parent) == 0) {
     return Status::SlackExhausted(
@@ -648,7 +653,7 @@ Status ElementSetStore::Commit() {
   for (auto& [nm, st] : sets_) {
     if (!st.dirty) continue;
     uint32_t extra = 0;
-    if (Result<uint32_t> f = cat.EntryFlags(nm); f.ok()) {
+    if (StatusOr<uint32_t> f = cat.EntryFlags(nm); f.ok()) {
       extra = *f & Catalog::kFlagHasReplicas;
     }
     PBITREE_RETURN_IF_ERROR(cat.Put(nm, st.set, extra));
@@ -764,7 +769,7 @@ Status ElementSetStore::Commit() {
   // back out of — the on-disk header was never replaced — so the pool
   // copy is restored, the chain freed, and the batch stays open.
   Status publish = Status::OK();
-  if (Result<Page*> hp = bm_->FetchPage(0); hp.ok()) {
+  if (StatusOr<Page*> hp = bm_->FetchPage(0); hp.ok()) {
     std::memcpy((*hp)->data(), header_img.data(), kPageSize);
     publish = bm_->UnpinPage(0, /*dirty=*/true);
     if (publish.ok()) publish = bm_->FlushPage(0);
@@ -772,7 +777,7 @@ Status ElementSetStore::Commit() {
     if (!publish.ok()) {
       std::vector<char> old_img(kPageSize);
       catalog_.RenderHeader(old_img.data(), disk->frontier());
-      if (Result<Page*> rp = bm_->FetchPage(0); rp.ok()) {
+      if (StatusOr<Page*> rp = bm_->FetchPage(0); rp.ok()) {
         std::memcpy((*rp)->data(), old_img.data(), kPageSize);
         (void)bm_->UnpinPage(0, /*dirty=*/true);
       }
@@ -829,7 +834,7 @@ Status ElementSetStore::Rollback() {
   };
   // Byte-exact restore of every pre-existing page we touched...
   for (const auto& [pid, img] : tracked_) {
-    Result<Page*> p = bm_->FetchPage(pid);
+    StatusOr<Page*> p = bm_->FetchPage(pid);
     if (!p.ok()) {
       note(p.status());
       continue;
@@ -862,7 +867,7 @@ Status ElementSetStore::Rollback() {
   return first;
 }
 
-Result<BPTree*> ElementSetStore::EnsureCodeIndex(const std::string& name) {
+StatusOr<BPTree*> ElementSetStore::EnsureCodeIndex(const std::string& name) {
   // Index builds write pages, and even the set lookup reads state a
   // concurrent Commit mutates (catalog_, sets_): take the writer lock
   // before touching either, unless this thread's batch already holds it.
@@ -884,7 +889,7 @@ Result<BPTree*> ElementSetStore::EnsureCodeIndex(const std::string& name) {
   return &*s->code_index;
 }
 
-Result<IntervalIndex*> ElementSetStore::EnsureIntervalIndex(
+StatusOr<IntervalIndex*> ElementSetStore::EnsureIntervalIndex(
     const std::string& name) {
   // Same lock-before-lookup discipline as EnsureCodeIndex.
   std::unique_lock<std::shared_mutex> guard;
@@ -922,7 +927,7 @@ Result<IntervalIndex*> ElementSetStore::EnsureIntervalIndex(
       PBITREE_RETURN_IF_ERROR(app.AppendElements(all));
       PBITREE_RETURN_IF_ERROR(app.Finish());
     }
-    Result<IntervalIndex> idx = IntervalIndex::BulkLoad(bm_, tmp);
+    StatusOr<IntervalIndex> idx = IntervalIndex::BulkLoad(bm_, tmp);
     Status drop = tmp.Drop(bm_);
     PBITREE_RETURN_IF_ERROR(idx.status());
     PBITREE_RETURN_IF_ERROR(drop);

@@ -150,8 +150,8 @@ class ElementSetStore {
   /// back to re-binarization when the subtree's slack is exhausted.
   /// Returns the code the new element received. Opens a batch if none
   /// is open.
-  Result<Code> InsertChild(const std::string& name, Code parent, uint32_t tag,
-                           uint32_t doc);
+  StatusOr<Code> InsertChild(const std::string& name, Code parent, uint32_t tag,
+                             uint32_t doc);
 
   /// Inserts a record whose code the caller already chose (it must be a
   /// valid code of the set's PBiTree; the caller is responsible for it
@@ -183,12 +183,12 @@ class ElementSetStore {
 
   /// Maintained code-keyed B+-tree over a set, built on first use and
   /// kept in step with every later insert/delete of the set.
-  Result<BPTree*> EnsureCodeIndex(const std::string& name);
+  StatusOr<BPTree*> EnsureCodeIndex(const std::string& name);
 
   /// Interval (stabbing) index over a set, built on first use; static,
   /// so a mutation of the set marks it stale and the next call rebuilds
   /// it against the current records.
-  Result<IntervalIndex*> EnsureIntervalIndex(const std::string& name);
+  StatusOr<IntervalIndex*> EnsureIntervalIndex(const std::string& name);
 
  private:
   /// Exact per-set bookkeeping, loaded lazily by one scan: how many
@@ -238,7 +238,7 @@ class ElementSetStore {
   /// owns one.
   void BeginBatch();
 
-  Result<SetState*> MutableSet(const std::string& name);
+  StatusOr<SetState*> MutableSet(const std::string& name);
 
   /// Loads SetMeta by one full scan (no-op when already loaded).
   Status EnsureMeta(SetState* s);
@@ -261,7 +261,7 @@ class ElementSetStore {
                      const ElementRecord& rec);
 
   /// First stored record with code `code`, in scan order.
-  Result<RecordLoc> Locate(SetState* s, Code code);
+  StatusOr<RecordLoc> Locate(SetState* s, Code code);
 
   /// Every stored record (with location) whose code lies inside
   /// `interval`, excluding codes equal to `exclude`, across all sets of
@@ -270,8 +270,8 @@ class ElementSetStore {
                          std::vector<RecordLoc>* out);
 
   /// Re-binarization fallback of InsertChild (see class comment).
-  Result<Code> Rebinarize(const std::string& name, SetState* target,
-                          Code parent, uint32_t tag, uint32_t doc);
+  StatusOr<Code> Rebinarize(const std::string& name, SetState* target,
+                            Code parent, uint32_t tag, uint32_t doc);
 
   BufferManager* bm_ = nullptr;
   Catalog catalog_;

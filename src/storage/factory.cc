@@ -17,7 +17,7 @@ const char* IoBackendHelp() {
 
 bool IsFileBackend(const std::string& kind) { return kind == "file"; }
 
-Result<PageCodecKind> ParsePageCodecKind(const std::string& name) {
+StatusOr<PageCodecKind> ParsePageCodecKind(const std::string& name) {
   if (name == PageCodecName(PageCodecKind::kRaw)) return PageCodecKind::kRaw;
   if (name == PageCodecName(PageCodecKind::kFoRDelta)) {
     return PageCodecKind::kFoRDelta;
@@ -33,7 +33,7 @@ const char* PageCodecHelp() {
 PageCodecKind AmbientPageCodec() {
   const char* v = std::getenv("PBITREE_PAGE_CODEC");
   if (v == nullptr || *v == '\0') return PageCodecKind::kRaw;
-  Result<PageCodecKind> parsed = ParsePageCodecKind(v);
+  StatusOr<PageCodecKind> parsed = ParsePageCodecKind(v);
   if (!parsed.ok()) {
     std::fprintf(stderr, "PBITREE_PAGE_CODEC=%s: %s\n", v,
                  parsed.status().message().c_str());

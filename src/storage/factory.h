@@ -26,7 +26,7 @@ bool IsFileBackend(const std::string& kind);
 
 /// Parses a page-codec name ("raw", "for-delta" — the PageCodecName
 /// vocabulary, case-sensitive).
-Result<PageCodecKind> ParsePageCodecKind(const std::string& name);
+StatusOr<PageCodecKind> ParsePageCodecKind(const std::string& name);
 
 /// The --help vocabulary for --page-codec flags.
 const char* PageCodecHelp();

@@ -3,7 +3,7 @@
 
 namespace pbitree {
 
-Result<HeapFile> HeapFile::Create(BufferManager* bm, PageCodecKind codec) {
+StatusOr<HeapFile> HeapFile::Create(BufferManager* bm, PageCodecKind codec) {
   PBITREE_ASSIGN_OR_RETURN(Page * p, bm->NewPage());
   HeapFile f;
   f.codec_ = codec;
@@ -17,8 +17,8 @@ Result<HeapFile> HeapFile::Create(BufferManager* bm, PageCodecKind codec) {
   return f;
 }
 
-Result<HeapFile> HeapFile::Attach(BufferManager* bm, PageId first_page,
-                                  PageCodecKind codec) {
+StatusOr<HeapFile> HeapFile::Attach(BufferManager* bm, PageId first_page,
+                                    PageCodecKind codec) {
   if (first_page == kInvalidPageId) {
     return Status::InvalidArgument("Attach: invalid first page");
   }
@@ -37,12 +37,6 @@ Result<HeapFile> HeapFile::Attach(BufferManager* bm, PageId first_page,
     pid = next;
   }
   return f;
-}
-
-Status HeapFile::Append(BufferManager* bm, const void* record) {
-  Appender app(bm, this);
-  PBITREE_RETURN_IF_ERROR(app.Append(record));
-  return app.Finish();
 }
 
 Status HeapFile::Drop(BufferManager* bm) {
@@ -194,8 +188,8 @@ Status HeapFile::Appender::AppendCodec(const ElementRecord& rec) {
     PBITREE_ASSIGN_OR_RETURN(Page * p, bm_->FetchPage(file_->last_page_));
     tail_ = p;
     // Stage what the tail page already holds so appends resume exactly
-    // where the file left off (the per-record HeapFile::Append
-    // convenience builds a fresh Appender every call).
+    // where the file left off (a fresh Appender on a partly filled
+    // file, such as the mutable store's per-record append).
     staged_.clear();
     sizer_.Reset();
     const uint16_t count = GetCount(tail_);

@@ -44,8 +44,8 @@ class HeapFile {
   HeapFile() = default;
 
   /// Creates an empty file (allocates its first page).
-  static Result<HeapFile> Create(BufferManager* bm,
-                                 PageCodecKind codec = PageCodecKind::kRaw);
+  static StatusOr<HeapFile> Create(BufferManager* bm,
+                                   PageCodecKind codec = PageCodecKind::kRaw);
 
   /// Re-attaches a handle to an existing on-disk file (e.g. after a
   /// catalog load) by walking its page chain to rebuild the directory
@@ -53,8 +53,8 @@ class HeapFile {
   /// the file was created with (the Catalog records it as a flag) —
   /// page headers hold logical record counts, so the walk itself is
   /// codec-agnostic.
-  static Result<HeapFile> Attach(BufferManager* bm, PageId first_page,
-                                 PageCodecKind codec = PageCodecKind::kRaw);
+  static StatusOr<HeapFile> Attach(BufferManager* bm, PageId first_page,
+                                   PageCodecKind codec = PageCodecKind::kRaw);
 
   bool valid() const { return first_page_ != kInvalidPageId; }
   PageId first_page() const { return first_page_; }
@@ -87,10 +87,6 @@ class HeapFile {
   /// InvalidArgument is returned (the caller rolls the batch back).
   Status RewriteRecordAt(BufferManager* bm, size_t page_index, size_t slot,
                          const ElementRecord& rec);
-
-  /// Appends one record. Amortised one page write per kRecordsPerPage
-  /// appends. Prefer Appender for bulk loading (keeps the tail pinned).
-  Status Append(BufferManager* bm, const void* record);
 
   /// Frees every page of the file. The handle becomes invalid. O(1)
   /// page I/O: the page list is kept in the handle (a heap-file

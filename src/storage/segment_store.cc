@@ -106,7 +106,7 @@ Status SegmentStore::StoreSet(const std::string& name, const ElementSet& src,
       }
     }
     PBITREE_RETURN_IF_ERROR(scan.status());
-    ElementSet copy = builder.Build();
+    PBITREE_ASSIGN_OR_RETURN(ElementSet copy, builder.Build());
     copy.sorted_by_start = src.sorted_by_start;
     return main_.catalog.Put(name, copy);
   }
@@ -157,7 +157,7 @@ Status SegmentStore::StoreSet(const std::string& name, const ElementSet& src,
   uint64_t total_pages = 0;
   for (size_t k = 0; k < n; ++k) {
     if (!builders[k].has_value()) continue;
-    ElementSet piece = builders[k]->Build();
+    PBITREE_ASSIGN_OR_RETURN(ElementSet piece, builders[k]->Build());
     piece.sorted_by_start = src.sorted_by_start;
     total_pages += piece.num_pages();
     PBITREE_RETURN_IF_ERROR(segments_[k].catalog.Put(
@@ -243,7 +243,7 @@ StatusOr<ElementSet> SegmentStore::LoadMerged(const std::string& name,
     }
     PBITREE_RETURN_IF_ERROR(scan.status());
   }
-  ElementSet out = builder.Build();
+  PBITREE_ASSIGN_OR_RETURN(ElementSet out, builder.Build());
   out.sorted_by_start = seg.sorted_by_start;
   if (out.num_records() != seg.num_records) {
     return Status::Corruption(
@@ -268,30 +268,6 @@ Status SegmentStore::FlushAndSync() {
   }
   PBITREE_RETURN_IF_ERROR(main_.bm->FlushAll());
   return main_.disk->Sync();
-}
-
-namespace {
-
-Status SegmentedMutationUnimplemented(const std::string& name,
-                                      const char* what) {
-  return Status::Unimplemented(
-      std::string("cannot ") + what + " '" + name +
-      "' in a segmented store: live sharded mutation is not implemented "
-      "(mutate an unsegmented database via ElementSetStore, or re-shard "
-      "offline with StoreSet)");
-}
-
-}  // namespace
-
-Status SegmentStore::InsertRecord(const std::string& name,
-                                  const ElementRecord& rec) {
-  (void)rec;
-  return SegmentedMutationUnimplemented(name, "insert into set");
-}
-
-Status SegmentStore::DeleteRecord(const std::string& name, Code code) {
-  (void)code;
-  return SegmentedMutationUnimplemented(name, "delete from set");
 }
 
 }  // namespace pbitree

@@ -41,6 +41,14 @@ namespace pbitree {
 /// `max(kMinSegmentPoolPages, pool_pages / 2^l)` frames, so the
 /// aggregate segment budget matches the single shared pool it replaces
 /// while every segment keeps enough frames to make progress.
+///
+/// Stored pieces are read-only. An insert can land above the sharding
+/// cut (forcing replica maintenance in every spanned segment), and
+/// re-binarization can move codes across a segment boundary; nothing
+/// here does either. Live mutation therefore goes through
+/// ElementSetStore, which refuses segmented sets with the typed
+/// kUnimplemented condition; to change a sharded set, re-shard it
+/// offline with StoreSet.
 class SegmentStore {
  public:
   static constexpr size_t kMinSegmentPoolPages = 16;
@@ -117,18 +125,6 @@ class SegmentStore {
 
   /// Flushes every pool and syncs every backend (serve-shutdown barrier).
   Status FlushAndSync();
-
-  /// Live mutation of a sharded set is not implemented: an insert can
-  /// land above the sharding cut (forcing replica maintenance in every
-  /// spanned segment) and re-binarization can move codes across the
-  /// segment boundary — routing either through the per-segment files
-  /// without those mechanics would silently corrupt the scatter-gather
-  /// invariants. Both entry points therefore return the *typed*
-  /// kUnimplemented condition unconditionally (tests pin this), and
-  /// callers fall back to the unsegmented path (ElementSetStore) or an
-  /// offline re-shard (StoreSet).
-  Status InsertRecord(const std::string& name, const ElementRecord& rec);
-  Status DeleteRecord(const std::string& name, Code code);
 
  private:
   struct Piece {

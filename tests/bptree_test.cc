@@ -172,7 +172,11 @@ TEST_F(BPTreeSingleTest, StartKeyedTreeOrdersByRegionStart) {
             });
   auto file = HeapFile::Create(bm_.get());
   ASSERT_TRUE(file.ok());
-  for (const auto& r : recs) ASSERT_TRUE(file->Append(bm_.get(), &r).ok());
+  {
+    HeapFile::Appender app(bm_.get(), &file.value());
+    ASSERT_TRUE(app.AppendElements(recs).ok());
+    ASSERT_TRUE(app.Finish().ok());
+  }
   auto tree = BPTree::BulkLoad(bm_.get(), *file, KeyKind::kStart);
   ASSERT_TRUE(tree.ok());
   std::vector<uint64_t> got = RangeViaScanner(*tree, 0, UINT64_MAX);

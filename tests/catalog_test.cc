@@ -21,7 +21,9 @@ ElementSet MakeSet(BufferManager* bm, const std::vector<Code>& codes,
   auto b = ElementSetBuilder::Create(bm, PBiTreeSpec{height});
   EXPECT_TRUE(b.ok());
   for (Code c : codes) EXPECT_TRUE(b->AddCode(c).ok());
-  return b->Build();
+  auto built = b->Build();
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  return built.value_or(ElementSet{});
 }
 
 std::vector<Code> ReadCodes(BufferManager* bm, const ElementSet& set) {
@@ -139,7 +141,11 @@ TEST(HeapFileAttachTest, RebuildsCountsAndSupportsAppend) {
 
   // The attached handle is fully functional: append and drop.
   ElementRecord extra{9999, 0, 0};
-  ASSERT_TRUE(attached->Append(&bm, &extra).ok());
+  {
+    HeapFile::Appender app(&bm, &attached.value());
+    ASSERT_TRUE(app.AppendElement(extra).ok());
+    ASSERT_TRUE(app.Finish().ok());
+  }
   EXPECT_EQ(attached->num_records(), 701u);
   uint64_t live = disk->num_live_pages();
   ASSERT_TRUE(attached->Drop(&bm).ok());

@@ -1,4 +1,4 @@
-// Tests for the common layer: Status/Result plumbing, the PRNG, and
+// Tests for the common layer: Status/StatusOr plumbing, the PRNG, and
 // the environment helpers.
 
 #include <gtest/gtest.h>
@@ -40,11 +40,11 @@ TEST(StatusTest, FactoriesCarryCodeAndMessage) {
 }
 
 TEST(ResultTest, HoldsValueOrStatus) {
-  Result<int> ok(42);
+  StatusOr<int> ok(42);
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(*ok, 42);
 
-  Result<int> err(Status::NotFound("nope"));
+  StatusOr<int> err(Status::NotFound("nope"));
   ASSERT_FALSE(err.ok());
   EXPECT_EQ(err.status().code(), StatusCode::kNotFound);
 }
@@ -54,7 +54,7 @@ TEST(ResultTest, WorksWithMoveOnlyAndNonDefaultConstructible) {
     explicit NoDefault(int x) : v(x) {}
     int v;
   };
-  Result<NoDefault> r(NoDefault(7));
+  StatusOr<NoDefault> r(NoDefault(7));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->v, 7);
 }
@@ -66,7 +66,7 @@ Status UsesReturnMacro() {
   return Status::OK();  // unreachable
 }
 
-Result<int> GivesSeven() { return 7; }
+StatusOr<int> GivesSeven() { return 7; }
 
 Status UsesAssignMacro(int* out) {
   PBITREE_ASSIGN_OR_RETURN(int v, GivesSeven());

@@ -101,7 +101,9 @@ class CostVsMeasuredTest : public ::testing::Test {
         EXPECT_TRUE(b->AddCode(c).ok());
         ++added;
       }
-      return b->Build();
+      auto built = b->Build();
+      EXPECT_TRUE(built.ok()) << built.status().ToString();
+      return built.value_or(ElementSet{});
     };
     a_ = make(20000, 4, 12);
     d_ = make(30000, 0, 3);

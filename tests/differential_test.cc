@@ -1,7 +1,7 @@
 // Differential property sweep: on randomly generated documents and
 // synthetic code sets, every containment-join algorithm in the
-// repository — the seven of the paper's framework plus XR-stack and
-// the two spatial joins — must produce the identical pair multiset.
+// repository — the seven of the paper's framework plus XR-stack —
+// must produce the identical pair multiset.
 // Parameterised over seeds so each instantiation explores a different
 // document shape.
 
@@ -13,11 +13,9 @@
 
 #include "common/random.h"
 #include "framework/runner.h"
-#include "index/rtree.h"
 #include "index/xrtree.h"
 #include "join/element_set.h"
 #include "join/result_sink.h"
-#include "join/spatial_join.h"
 #include "join/xr_stack.h"
 #include "pbitree/binarize.h"
 #include "sort/external_sort.h"
@@ -100,27 +98,6 @@ TEST_P(DifferentialTest, AllAlgorithmsAgreeOnRandomDocuments) {
     EXPECT_EQ(collected.pairs(), reference) << "XR-stack";
   }
 
-  // Spatial joins, from R-trees.
-  auto a_rt = RTree::BulkLoad(bm_.get(), a.file);
-  auto d_rt = RTree::BulkLoad(bm_.get(), d.file);
-  ASSERT_TRUE(a_rt.ok() && d_rt.ok());
-  {
-    VectorSink collected;
-    VerifyingSink sink(&collected);
-    JoinContext ctx(bm_.get(), 8);
-    ASSERT_TRUE(
-        RTreeProbeJoin(&ctx, a, d, &a_rt.value(), &d_rt.value(), &sink).ok());
-    collected.Sort();
-    EXPECT_EQ(collected.pairs(), reference) << "R-tree probe";
-  }
-  {
-    VectorSink collected;
-    VerifyingSink sink(&collected);
-    JoinContext ctx(bm_.get(), 8);
-    ASSERT_TRUE(RTreeSyncJoin(&ctx, *a_rt, *d_rt, &sink).ok());
-    collected.Sort();
-    EXPECT_EQ(collected.pairs(), reference) << "R-tree sync";
-  }
   EXPECT_EQ(bm_->PinnedFrames(), 0u);
 }
 

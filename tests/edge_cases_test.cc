@@ -36,7 +36,9 @@ class EdgeCaseTest : public ::testing::Test {
     auto b = ElementSetBuilder::Create(bm_.get(), PBiTreeSpec{tree_height});
     EXPECT_TRUE(b.ok());
     for (Code c : codes) EXPECT_TRUE(b->AddCode(c).ok());
-    return b->Build();
+    auto built = b->Build();
+    EXPECT_TRUE(built.ok()) << built.status().ToString();
+    return built.value_or(ElementSet{});
   }
 
   std::unique_ptr<DiskManager> disk_;
@@ -293,7 +295,9 @@ TEST(SinkCountTest, StatsAndSinkAgreeAcrossAlgorithms) {
     ASSERT_TRUE(b1->AddCode(c).ok());
     ASSERT_TRUE(b2->AddCode(c).ok());
   }
-  ElementSet a = b1->Build(), d = b2->Build();
+  auto a = b1->Build();
+  auto d = b2->Build();
+  ASSERT_TRUE(a.ok() && d.ok());
 
   RunOptions opts;
   opts.work_pages = 16;
@@ -301,7 +305,7 @@ TEST(SinkCountTest, StatsAndSinkAgreeAcrossAlgorithms) {
                         Algorithm::kMhcjRollup, Algorithm::kStackTree,
                         Algorithm::kMpmgjn, Algorithm::kInljn, Algorithm::kAdb}) {
     CountingSink sink;
-    auto run = RunJoin(alg, &bm, a, d, &sink, opts);
+    auto run = RunJoin(alg, &bm, *a, *d, &sink, opts);
     ASSERT_TRUE(run.ok()) << AlgorithmName(alg);
     EXPECT_EQ(run->output_pairs, sink.count()) << AlgorithmName(alg);
     EXPECT_EQ(run->stats.output_pairs, sink.count()) << AlgorithmName(alg);

@@ -1,12 +1,16 @@
-// Tests for ElementSet metadata (height masks) and tag extraction from
-// binarized documents, plus the result sinks.
+// Tests for ElementSet metadata (height masks), the builder's page
+// layout, and tag extraction from binarized documents, plus the result
+// sinks.
 
 #include "join/element_set.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <vector>
 
+#include "common/random.h"
 #include "join/result_sink.h"
 #include "pbitree/binarize.h"
 #include "xml/parser.h"
@@ -32,7 +36,9 @@ TEST_F(ElementSetTest, HeightMaskTracksHeights) {
   ASSERT_TRUE(b->AddCode(4).ok());    // height 2
   ASSERT_TRUE(b->AddCode(12).ok());   // height 2
   ASSERT_TRUE(b->AddCode(32).ok());   // height 5
-  ElementSet s = b->Build();
+  auto built = b->Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ElementSet s = *built;
   EXPECT_EQ(s.num_records(), 4u);
   EXPECT_FALSE(s.SingleHeight());
   EXPECT_EQ(s.NumHeights(), 3);
@@ -46,7 +52,9 @@ TEST_F(ElementSetTest, SingleHeightDetection) {
   ASSERT_TRUE(b.ok());
   ASSERT_TRUE(b->AddCode(4).ok());
   ASSERT_TRUE(b->AddCode(12).ok());
-  ElementSet s = b->Build();
+  auto built = b->Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ElementSet s = *built;
   EXPECT_TRUE(s.SingleHeight());
   EXPECT_EQ(s.MinHeight(), 2);
   EXPECT_EQ(s.MaxHeight(), 2);
@@ -59,6 +67,87 @@ TEST_F(ElementSetTest, RejectsInvalidCodes) {
   EXPECT_EQ(b->AddCode(16).code(), StatusCode::kInvalidArgument);  // > 2^4-1
   EXPECT_TRUE(b->AddCode(15).ok());
 }
+
+// The builder appends through one Appender that keeps the tail page
+// pinned (and staged, on a compressed codec). Its pages must equal,
+// byte for byte, those of one fresh Appender per record, as the
+// mutable store's per-record append writes them.
+class BuilderLayoutTest : public ::testing::TestWithParam<PageCodecKind> {};
+
+TEST_P(BuilderLayoutTest, MatchesPerRecordAppendPageForPage) {
+  const PBiTreeSpec spec{20};
+  Random rng(17);
+  std::vector<ElementRecord> recs;
+  Code c = 1;
+  for (int i = 0; i < 2500; ++i) {  // dense ascending run: full FoR pages
+    c += 1 + rng.Uniform(8);
+    recs.push_back(ElementRecord{c, static_cast<uint32_t>(rng.Uniform(5)),
+                                 static_cast<uint32_t>(rng.Uniform(3))});
+  }
+  for (int i = 0; i < 1500; ++i) {  // scattered codes: sparse FoR pages
+    recs.push_back(ElementRecord{rng.UniformRange(1, spec.MaxCode()),
+                                 static_cast<uint32_t>(rng.Uniform(1u << 20)),
+                                 static_cast<uint32_t>(rng.Uniform(7))});
+  }
+
+  // Two identical fresh pools, so both paths allocate the same page ids.
+  std::unique_ptr<DiskManager> disk_b(DiskManager::OpenInMemory());
+  std::unique_ptr<DiskManager> disk_r(DiskManager::OpenInMemory());
+  BufferManager bm_b(disk_b.get(), 16);
+  BufferManager bm_r(disk_r.get(), 16);
+
+  auto builder = ElementSetBuilder::Create(&bm_b, spec, GetParam());
+  ASSERT_TRUE(builder.ok()) << builder.status().ToString();
+  for (const ElementRecord& rec : recs) ASSERT_TRUE(builder->Add(rec).ok());
+  auto built = builder->Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  EXPECT_EQ(bm_b.PinnedFrames(), 0u);
+
+  auto per_record = HeapFile::Create(&bm_r, GetParam());
+  ASSERT_TRUE(per_record.ok());
+  for (const ElementRecord& rec : recs) {
+    HeapFile::Appender app(&bm_r, &per_record.value());
+    ASSERT_TRUE(app.AppendElement(rec).ok());
+    ASSERT_TRUE(app.Finish().ok());
+  }
+
+  const HeapFile& got = built->file;
+  ASSERT_EQ(got.num_records(), recs.size());
+  ASSERT_EQ(got.num_records(), per_record->num_records());
+  ASSERT_EQ(got.pages(), per_record->pages());
+  EXPECT_EQ(got.codec(), GetParam());
+  for (PageId pid : got.pages()) {
+    auto pb = bm_b.FetchPage(pid);
+    auto pr = bm_r.FetchPage(pid);
+    ASSERT_TRUE(pb.ok() && pr.ok());
+    EXPECT_EQ(std::memcmp((*pb)->data(), (*pr)->data(), kPageSize), 0)
+        << "page " << pid;
+    ASSERT_TRUE(bm_b.UnpinPage(pid, false).ok());
+    ASSERT_TRUE(bm_r.UnpinPage(pid, false).ok());
+  }
+  EXPECT_EQ(bm_b.PinnedFrames(), 0u);
+}
+
+TEST_P(BuilderLayoutTest, DroppedBuilderReleasesItsTailPin) {
+  std::unique_ptr<DiskManager> disk(DiskManager::OpenInMemory());
+  BufferManager bm(disk.get(), 16);
+  {
+    auto builder = ElementSetBuilder::Create(&bm, PBiTreeSpec{8}, GetParam());
+    ASSERT_TRUE(builder.ok());
+    ASSERT_TRUE(builder->AddCode(4).ok());
+    EXPECT_EQ(bm.PinnedFrames(), 1u);
+  }
+  EXPECT_EQ(bm.PinnedFrames(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Codecs, BuilderLayoutTest,
+                         ::testing::Values(PageCodecKind::kRaw,
+                                           PageCodecKind::kFoRDelta),
+                         [](const auto& info) {
+                           return info.param == PageCodecKind::kRaw
+                                      ? "Raw"
+                                      : "FoRDelta";
+                         });
 
 TEST_F(ElementSetTest, ExtractTagSetFromBinarizedDocument) {
   DataTree tree;

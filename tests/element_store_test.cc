@@ -109,7 +109,9 @@ class MutableStoreTest : public ::testing::TestWithParam<PageCodecKind> {
     for (const ElementRecord& r : recs) {
       ASSERT_TRUE(builder->Add(r).ok());
     }
-    ElementSet set = builder->Build();
+    auto built = builder->Build();
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    ElementSet set = *built;
     auto catalog = Catalog::Load(bm_.get());
     ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
     ASSERT_TRUE(catalog->Put(name, set).ok());
@@ -494,7 +496,9 @@ TEST_P(MutableStoreTest, RandomizedMutationsMatchRebuiltFromScratch) {
   auto builder = ElementSetBuilder::Create(bm_.get(), spec, GetParam());
   ASSERT_TRUE(builder.ok());
   for (const ElementRecord& r : stored) ASSERT_TRUE(builder->Add(r).ok());
-  ElementSet rebuilt = builder->Build();
+  auto built = builder->Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ElementSet rebuilt = *built;
   VectorSink via_rebuilt;
   auto run2 = RunAuto(bm_.get(), rebuilt, rebuilt, &via_rebuilt, opts);
   ASSERT_TRUE(run2.ok()) << run2.status().ToString();
@@ -539,7 +543,9 @@ void BuildOn(BufferManager* bm, const std::string& name,
   auto builder = ElementSetBuilder::Create(bm, PBiTreeSpec{height});
   ASSERT_TRUE(builder.ok());
   for (const ElementRecord& r : recs) ASSERT_TRUE(builder->Add(r).ok());
-  ElementSet set = builder->Build();
+  auto built = builder->Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ElementSet set = *built;
   auto catalog = Catalog::Load(bm);
   ASSERT_TRUE(catalog.ok());
   ASSERT_TRUE(catalog->Put(name, set).ok());
@@ -596,18 +602,6 @@ TEST(ElementStoreFaultTest, FailedCommitCanRollBackInstead) {
 // ---------------------------------------------------------------------
 // Segmented stores: mutation is a typed refusal, never quiet damage.
 
-TEST(SegmentedMutationTest, SegmentStoreEntryPointsReturnUnimplemented) {
-  SegmentStore::Options opts;
-  opts.backend = "mem";
-  opts.pool_pages = 64;
-  auto store = SegmentStore::Open(opts);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  Status ins = (*store)->InsertRecord("any", ElementRecord{5, 0, 1});
-  EXPECT_TRUE(ins.IsUnimplemented()) << ins.ToString();
-  Status del = (*store)->DeleteRecord("any", 5);
-  EXPECT_TRUE(del.IsUnimplemented()) << del.ToString();
-}
-
 TEST(SegmentedMutationTest, ElementStoreRefusesSegmentedSets) {
   SegmentStore::Options opts;
   opts.backend = "mem";
@@ -621,7 +615,9 @@ TEST(SegmentedMutationTest, ElementStoreRefusesSegmentedSets) {
   for (Code c : {1, 5, 64, 200}) {
     ASSERT_TRUE(builder->AddCode(static_cast<Code>(c), 0, 0).ok());
   }
-  ElementSet src = builder->Build();
+  auto built = builder->Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ElementSet src = *built;
   ASSERT_TRUE((*store)->StoreSet("sharded", src, (*store)->main_bm()).ok());
   ASSERT_TRUE((*store)->SaveCatalogs().ok());
   ASSERT_TRUE(src.file.Drop((*store)->main_bm()).ok());
@@ -687,7 +683,9 @@ TEST(ElementStoreCrashTest, TornWriteSweepReplaysOrIgnoresNeverCorrupts) {
         ASSERT_TRUE(builder->AddCode(c, 1, doc++).ok());
       }
     }
-    ElementSet set = builder->Build();
+    auto built = builder->Build();
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    ElementSet set = *built;
     auto catalog = Catalog::Load(s.bm.get());
     ASSERT_TRUE(catalog.ok());
     ASSERT_TRUE(catalog->Put("data", set).ok());
@@ -815,7 +813,9 @@ TEST(ElementStoreCrashTest, StickyFaultMidCommitSweepNeverMixesStates) {
         ASSERT_TRUE(builder->AddCode(c, 1, doc++).ok());
       }
     }
-    ElementSet set = builder->Build();
+    auto built = builder->Build();
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    ElementSet set = *built;
     auto catalog = Catalog::Load(s.bm.get());
     ASSERT_TRUE(catalog.ok());
     ASSERT_TRUE(catalog->Put("data", set).ok());

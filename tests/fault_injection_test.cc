@@ -310,7 +310,9 @@ class FaultInjectionJoinTest : public ::testing::TestWithParam<FaultJoinCase> {
         ElementSetBuilder::Create(bm_.get(), PBiTreeSpec{kTreeHeight});
     EXPECT_TRUE(builder.ok());
     for (Code c : codes) EXPECT_TRUE(builder->AddCode(c).ok());
-    return builder->Build();
+    auto built = builder->Build();
+    EXPECT_TRUE(built.ok()) << built.status().ToString();
+    return built.value_or(ElementSet{});
   }
 
   std::vector<Code> RandomCodes(Random* rng, int n, int min_height,

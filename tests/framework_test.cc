@@ -43,9 +43,9 @@ TEST(PlannerTest, AlgorithmNamesMatchIgnoringCase) {
   auto vpj = AlgorithmFromName("vpj");
   ASSERT_TRUE(vpj.ok()) << vpj.status().ToString();
   EXPECT_EQ(*vpj, Algorithm::kVpj);
-  Algorithm parsed;
-  ASSERT_TRUE(ParseAlgorithm("mhcj+rollup", &parsed));
-  EXPECT_EQ(parsed, Algorithm::kMhcjRollup);
+  const AlgorithmInfo* rollup = FindAlgorithmByName("mhcj+rollup");
+  ASSERT_NE(rollup, nullptr);
+  EXPECT_EQ(rollup->alg, Algorithm::kMhcjRollup);
   EXPECT_FALSE(AlgorithmFromName("vpjx").ok());
 }
 
@@ -82,7 +82,9 @@ class RunnerTest : public ::testing::Test {
     auto b = ElementSetBuilder::Create(bm_.get(), PBiTreeSpec{14});
     EXPECT_TRUE(b.ok());
     for (Code c : codes) EXPECT_TRUE(b->AddCode(c).ok());
-    return b->Build();
+    auto built = b->Build();
+    EXPECT_TRUE(built.ok()) << built.status().ToString();
+    return built.value_or(ElementSet{});
   }
 
   std::unique_ptr<DiskManager> disk_;

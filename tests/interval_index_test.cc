@@ -97,8 +97,12 @@ TEST_F(IntervalIndexSingleTest, RejectsUnsortedInput) {
   auto file = HeapFile::Create(bm_.get());
   ASSERT_TRUE(file.ok());
   ElementRecord r1{100, 0, 0}, r2{3, 0, 0};
-  ASSERT_TRUE(file->Append(bm_.get(), &r1).ok());
-  ASSERT_TRUE(file->Append(bm_.get(), &r2).ok());
+  {
+    HeapFile::Appender app(bm_.get(), &file.value());
+    ASSERT_TRUE(app.AppendElement(r1).ok());
+    ASSERT_TRUE(app.AppendElement(r2).ok());
+    ASSERT_TRUE(app.Finish().ok());
+  }
   auto index = IntervalIndex::BulkLoad(bm_.get(), *file);
   EXPECT_FALSE(index.ok());
   EXPECT_EQ(index.status().code(), StatusCode::kInvalidArgument);

@@ -57,7 +57,9 @@ class JoinCorrectnessTest : public ::testing::TestWithParam<JoinCase> {
     auto builder = ElementSetBuilder::Create(bm_.get(), PBiTreeSpec{kTreeHeight});
     EXPECT_TRUE(builder.ok());
     for (Code c : codes) EXPECT_TRUE(builder->AddCode(c).ok()) << c;
-    return builder->Build();
+    auto built = builder->Build();
+    EXPECT_TRUE(built.ok()) << built.status().ToString();
+    return built.value_or(ElementSet{});
   }
 
   static std::vector<ResultPair> BruteForce(const std::vector<Code>& a,

@@ -214,7 +214,9 @@ class CodecFileTest : public ::testing::Test {
     auto b = ElementSetBuilder::Create(bm_.get(), PBiTreeSpec{height}, codec);
     EXPECT_TRUE(b.ok());
     for (const ElementRecord& rec : recs) EXPECT_TRUE(b->Add(rec).ok());
-    return b->Build();
+    auto built = b->Build();
+    EXPECT_TRUE(built.ok()) << built.status().ToString();
+    return built.value_or(ElementSet{});
   }
 
   Records ReadBack(const ElementSet& set) {
@@ -275,7 +277,9 @@ TEST_F(CodecFileTest, CatalogPersistsCodecFlagAcrossRestart) {
                                        PageCodecKind::kFoRDelta);
     ASSERT_TRUE(b.ok());
     for (const ElementRecord& rec : recs) ASSERT_TRUE(b->Add(rec).ok());
-    ElementSet set = b->Build();
+    auto built = b->Build();
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    ElementSet set = *built;
     fd_pages = set.num_pages();
     ASSERT_TRUE(catalog->Put("packed", set).ok());
     auto flags = catalog->EntryFlags("packed");

@@ -259,7 +259,9 @@ class CachedServeTest : public ::testing::Test {
     ASSERT_TRUE(builder.ok());
     uint32_t doc = 1;
     for (Code c : codes) ASSERT_TRUE(builder->AddCode(c, 0, doc++).ok());
-    ElementSet set = builder->Build();
+    auto built = builder->Build();
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    ElementSet set = *built;
     auto catalog = Catalog::Load(bm_.get());
     ASSERT_TRUE(catalog.ok());
     ASSERT_TRUE(catalog->Put(name, set).ok());

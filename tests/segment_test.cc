@@ -84,7 +84,9 @@ ElementSet SingleHeightCopy(BufferManager* bm, const ElementSet& in) {
       EXPECT_TRUE(builder->Add(r).ok());
     }
   }
-  ElementSet out = builder->Build();
+  auto built = builder->Build();
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  ElementSet out = built.value_or(ElementSet{});
   EXPECT_TRUE(out.SingleHeight());
   return out;
 }
@@ -152,7 +154,9 @@ ElementSet CopySet(BufferManager* src_bm, const ElementSet& src,
   for (const ElementRecord& rec : ReadAll(src_bm, src)) {
     EXPECT_TRUE(builder->Add(rec).ok());
   }
-  ElementSet out = builder->Build();
+  auto built = builder->Build();
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  ElementSet out = built.value_or(ElementSet{});
   out.sorted_by_start = src.sorted_by_start;
   return out;
 }
@@ -338,7 +342,9 @@ TEST_P(SegmentDifferentialTest, MergedViewRoundTrips) {
   auto builder = ElementSetBuilder::Create(scratch_bm_.get(), a_.spec);
   ASSERT_TRUE(builder.ok());
   for (const ElementRecord& rec : by_start) ASSERT_TRUE(builder->Add(rec).ok());
-  ElementSet sorted_set = builder->Build();
+  auto built = builder->Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ElementSet sorted_set = *built;
   sorted_set.sorted_by_start = true;
 
   for (int level : {1, 2}) {
@@ -402,7 +408,9 @@ TEST(SegmentReplicationTest, AboveCutAncestorsJoinExactly) {
         EXPECT_TRUE(builder->AddCode(c).ok());
       }
     }
-    return builder->Build();
+    auto built = builder->Build();
+    EXPECT_TRUE(built.ok()) << built.status().ToString();
+    return built.value_or(ElementSet{});
   };
   ElementSet a = build(2, 5);
   ElementSet d = build(0, 0);

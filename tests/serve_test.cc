@@ -25,6 +25,7 @@
 #include "common/random.h"
 #include "framework/planner.h"
 #include "framework/runner.h"
+#include "join/algorithm_registry.h"
 #include "join/element_set.h"
 #include "join/result_sink.h"
 #include "obs/metrics.h"
@@ -147,19 +148,17 @@ TEST(ServeProtocolTest, ParseHostPort) {
   EXPECT_FALSE(serve::ParseHostPort("host:70000", &host, &port).ok());
 }
 
-TEST(ServeProtocolTest, ParseAlgorithmCoversTheMatrix) {
+TEST(ServeProtocolTest, AlgorithmFromNameCoversTheMatrix) {
   for (Algorithm alg :
        {Algorithm::kShcj, Algorithm::kMhcj, Algorithm::kMhcjRollup,
         Algorithm::kVpj, Algorithm::kInljn, Algorithm::kStackTree,
         Algorithm::kMpmgjn, Algorithm::kAdb}) {
-    Algorithm parsed{};
-    ASSERT_TRUE(ParseAlgorithm(AlgorithmName(alg), &parsed))
-        << AlgorithmName(alg);
-    EXPECT_EQ(parsed, alg);
+    auto parsed = AlgorithmFromName(AlgorithmName(alg));
+    ASSERT_TRUE(parsed.ok()) << AlgorithmName(alg);
+    EXPECT_EQ(*parsed, alg);
   }
-  Algorithm parsed{};
-  EXPECT_FALSE(ParseAlgorithm("QUICKSORT", &parsed));
-  EXPECT_FALSE(ParseAlgorithm("", &parsed));
+  EXPECT_FALSE(AlgorithmFromName("QUICKSORT").ok());
+  EXPECT_FALSE(AlgorithmFromName("").ok());
 }
 
 // ---------------------------------------------------------------------
@@ -333,7 +332,9 @@ class ServeTest : public ::testing::Test {
         ElementSetBuilder::Create(bm_.get(), PBiTreeSpec{tree_height});
     EXPECT_TRUE(builder.ok());
     for (Code c : codes) EXPECT_TRUE(builder->AddCode(c).ok());
-    return builder->Build();
+    auto built = builder->Build();
+    EXPECT_TRUE(built.ok()) << built.status().ToString();
+    return built.value_or(ElementSet{});
   }
 
   std::vector<Code> RandomCodes(Random* rng, int n, int min_height,

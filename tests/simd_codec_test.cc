@@ -148,7 +148,9 @@ TEST_P(SimdCodecTest, SingleHeightMatrixIncludesShcj) {
       for (const ElementRecord& rec : (side == 0 ? ancs : descs)) {
         ASSERT_TRUE(b->Add(rec).ok());
       }
-      inputs[ci][side] = b->Build();
+      auto built = b->Build();
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      inputs[ci][side] = *built;
     }
   }
   ASSERT_TRUE(inputs[0][0].SingleHeight());

@@ -29,7 +29,9 @@ class StatsTest : public ::testing::Test {
     auto b = ElementSetBuilder::Create(bm_.get(), PBiTreeSpec{height});
     EXPECT_TRUE(b.ok());
     for (Code c : codes) EXPECT_TRUE(b->AddCode(c).ok());
-    return b->Build();
+    auto built = b->Build();
+    EXPECT_TRUE(built.ok()) << built.status().ToString();
+    return built.value_or(ElementSet{});
   }
 
   std::unique_ptr<DiskManager> disk_;

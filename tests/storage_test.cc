@@ -336,10 +336,15 @@ TEST_F(HeapFileTest, AppendAfterConcatGoesToTheNewTail) {
   auto f2 = HeapFile::Create(bm_.get());
   ASSERT_TRUE(f1.ok() && f2.ok());
   ElementRecord r1{1, 0, 0}, r2{2, 0, 0}, r3{3, 0, 0};
-  ASSERT_TRUE(f1->Append(bm_.get(), &r1).ok());
-  ASSERT_TRUE(f2->Append(bm_.get(), &r2).ok());
+  auto append = [&](HeapFile* f, const ElementRecord& r) {
+    HeapFile::Appender app(bm_.get(), f);
+    ASSERT_TRUE(app.AppendElement(r).ok());
+    ASSERT_TRUE(app.Finish().ok());
+  };
+  append(&f1.value(), r1);
+  append(&f2.value(), r2);
   ASSERT_TRUE(f1->Concat(bm_.get(), &f2.value()).ok());
-  ASSERT_TRUE(f1->Append(bm_.get(), &r3).ok());
+  append(&f1.value(), r3);
 
   HeapFile::Scanner scan(bm_.get(), *f1);
   ElementRecord rec;

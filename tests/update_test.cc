@@ -195,7 +195,9 @@ TEST(AllocateChildCodeTest, RandomizedInsertThenJoinDifferential) {
   ASSERT_TRUE(builder.ok());
   uint32_t doc = 1;
   for (Code c : codes) ASSERT_TRUE(builder->AddCode(c, 0, doc++).ok());
-  ElementSet set = builder->Build();
+  auto built = builder->Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ElementSet set = *built;
 
   VectorSink sink;
   RunOptions opts;

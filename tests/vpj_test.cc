@@ -30,7 +30,9 @@ class VpjTest : public ::testing::Test {
     auto b = ElementSetBuilder::Create(bm_.get(), PBiTreeSpec{kH});
     EXPECT_TRUE(b.ok());
     for (Code c : codes) EXPECT_TRUE(b->AddCode(c).ok());
-    return b->Build();
+    auto built = b->Build();
+    EXPECT_TRUE(built.ok()) << built.status().ToString();
+    return built.value_or(ElementSet{});
   }
 
   std::vector<ResultPair> Expected(const std::vector<Code>& a,
@@ -204,10 +206,12 @@ TEST_F(VpjTest, MismatchedSpecsRejected) {
   ASSERT_TRUE(b1.ok() && b2.ok());
   ASSERT_TRUE(b1->AddCode(4).ok());
   ASSERT_TRUE(b2->AddCode(4).ok());
-  ElementSet a = b1->Build(), d = b2->Build();
+  auto a = b1->Build();
+  auto d = b2->Build();
+  ASSERT_TRUE(a.ok() && d.ok());
   CountingSink sink;
   JoinContext ctx(bm_.get(), 16);
-  EXPECT_EQ(Vpj(&ctx, a, d, &sink, {}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Vpj(&ctx, *a, *d, &sink, {}).code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(VpjTest, IoCostStaysNearThreePasses) {

@@ -1,6 +1,5 @@
 // Tests for the XML layer: parser (elements, attributes, text, CDATA,
-// comments, entities, error reporting), serializer round-trips, and the
-// document-offset region encoder used as the coding-scheme baseline.
+// comments, entities, error reporting) and serializer round-trips.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +7,6 @@
 
 #include "xml/data_tree.h"
 #include "xml/parser.h"
-#include "xml/region_encoder.h"
 #include "xml/serializer.h"
 
 namespace pbitree {
@@ -150,24 +148,6 @@ TEST(DataTreeTest, DepthAndAncestry) {
   EXPECT_FALSE(tree.IsAncestorNode(g, g));
   EXPECT_EQ(tree.MaxDepth(), 2);
   EXPECT_EQ(tree.MaxFanout(), 1u);
-}
-
-TEST(RegionEncoderTest, ClassicRegionsMatchAncestry) {
-  DataTree tree;
-  ASSERT_TRUE(ParseXml(
-      "<a><b><c/><d/></b><e><f><g/></f></e><h/></a>", &tree).ok());
-  std::vector<Region> regions = EncodeRegions(tree);
-  ASSERT_EQ(regions.size(), tree.size());
-  for (size_t i = 0; i < tree.size(); ++i) {
-    EXPECT_LT(regions[i].start, regions[i].end);
-    for (size_t j = 0; j < tree.size(); ++j) {
-      if (i == j) continue;
-      bool contains = regions[i].start < regions[j].start &&
-                      regions[j].end < regions[i].end;
-      EXPECT_EQ(contains, tree.IsAncestorNode(static_cast<NodeId>(i),
-                                              static_cast<NodeId>(j)));
-    }
-  }
 }
 
 }  // namespace

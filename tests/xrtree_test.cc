@@ -62,7 +62,9 @@ class XRTreeTest : public ::testing::TestWithParam<int> {
     auto b = ElementSetBuilder::Create(bm_.get(), PBiTreeSpec{kH});
     EXPECT_TRUE(b.ok());
     for (Code c : codes) EXPECT_TRUE(b->AddCode(c).ok());
-    return b->Build();
+    auto built = b->Build();
+    EXPECT_TRUE(built.ok()) << built.status().ToString();
+    return built.value_or(ElementSet{});
   }
 
   std::unique_ptr<DiskManager> disk_;
@@ -148,8 +150,12 @@ TEST_F(XRTreeSingleTest, RejectsUnsortedInput) {
   auto file = HeapFile::Create(bm_.get());
   ASSERT_TRUE(file.ok());
   ElementRecord r1{100, 0, 0}, r2{3, 0, 0};
-  ASSERT_TRUE(file->Append(bm_.get(), &r1).ok());
-  ASSERT_TRUE(file->Append(bm_.get(), &r2).ok());
+  {
+    HeapFile::Appender app(bm_.get(), &file.value());
+    ASSERT_TRUE(app.AppendElement(r1).ok());
+    ASSERT_TRUE(app.AppendElement(r2).ok());
+    ASSERT_TRUE(app.Finish().ok());
+  }
   auto tree = XRTree::BulkLoad(bm_.get(), *file);
   EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument);
 }

@@ -356,7 +356,7 @@ int CmdQuery(const GlobalOptions& g, const std::vector<std::string>& args) {
       PBITREE_RETURN_IF_ERROR(builder.Add(rec));
     }
     PBITREE_RETURN_IF_ERROR(scan.status());
-    ElementSet copy = builder.Build();
+    PBITREE_ASSIGN_OR_RETURN(ElementSet copy, builder.Build());
     copy.sorted_by_start = stored.sorted_by_start;
     return copy;
   };
