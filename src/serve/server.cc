@@ -15,7 +15,6 @@
 #include "framework/runner.h"
 #include "join/algorithm_registry.h"
 #include "serve/socket_sink.h"
-#include "storage/disk_manager.h"
 #include "storage/element_store.h"
 
 namespace pbitree {
@@ -66,17 +65,11 @@ ServeConfig ServeConfig::FromEnv() {
   return cfg;
 }
 
-Server::Server(BufferManager* bm, Catalog catalog, ServeConfig cfg)
-    : bm_(bm),
-      catalog_(std::move(catalog)),
+Server::Server(SegmentStore* store, ServeConfig cfg)
+    : store_(store),
       cfg_(cfg),
       cache_(cfg.cache),
       admission_(cfg.max_concurrent, cfg.queue_depth) {}
-
-Server::Server(SegmentStore* store, ServeConfig cfg)
-    : Server(store->main_bm(), *store->main_catalog(), cfg) {
-  store_ = store;
-}
 
 Server::~Server() {
   if (started_.load()) (void)Shutdown();
@@ -94,8 +87,9 @@ Status Server::Start() {
   // never touches the catalog again — repeated queries hit these
   // handles and whatever pages the pool has retained. Master entries
   // of a segmented store warm as SegmentedSet handles instead.
-  for (const std::string& name : catalog_.Names()) {
-    if (store_ != nullptr && catalog_.IsSegmented(name)) {
+  const Catalog& catalog = *store_->main_catalog();
+  for (const std::string& name : catalog.Names()) {
+    if (catalog.IsSegmented(name)) {
       PBITREE_ASSIGN_OR_RETURN(SegmentedSet set, store_->Load(name));
       seg_sets_.emplace(name, std::move(set));
       continue;
@@ -103,8 +97,9 @@ Status Server::Start() {
     // An attached element store already warmed live handles for every
     // unsegmented set; joins read those (under a ReadPin) so they see
     // committed mutations — a second warm copy here would go stale.
-    if (estore_ != nullptr && !catalog_.IsSegmented(name)) continue;
-    PBITREE_ASSIGN_OR_RETURN(ElementSet set, catalog_.Get(bm_, name));
+    if (estore_ != nullptr) continue;
+    PBITREE_ASSIGN_OR_RETURN(ElementSet set,
+                             catalog.Get(store_->main_bm(), name));
     sets_.emplace(name, set);
   }
 
@@ -171,11 +166,8 @@ Status Server::Shutdown() {
   started_.store(false);
   // Durability barrier: every query ran with flush_pool=false, so the
   // pools may hold dirty pages. No queries are running now, making the
-  // pool-wide flush safe; Sync pushes it through the backend. A
-  // segment store flushes and syncs every segment file too.
-  if (store_ != nullptr) return store_->FlushAndSync();
-  PBITREE_RETURN_IF_ERROR(bm_->FlushAll());
-  return bm_->disk()->Sync();
+  // pool-wide flush safe; Sync pushes it through every backend.
+  return store_->FlushAndSync();
 }
 
 size_t Server::active_connections() const {
@@ -257,8 +249,8 @@ void Server::AcceptLoop() {
 void Server::HandleConnection(Conn* conn) {
   // All work on this connection — admission waits, join execution on
   // this thread, pool tasks it schedules — bills into the server
-  // registry, the source of the `metrics` snapshot and the QPS bench's
-  // latency histograms.
+  // registry, the source of the `metrics` snapshot and the serve_query
+  // latency histogram.
   obs::MetricScope scope(&registry_);
   const int fd = conn->fd;
   for (;;) {
@@ -276,7 +268,13 @@ void Server::HandleConnection(Conn* conn) {
     if (!HandleRequest(fd, req).ok()) break;
     if (draining_.load()) break;
   }
-  conn->done.store(true);
+  {
+    // Set under conn_mu_: Reap(all) reads `done` under the lock and then
+    // waits, so a store and notify between its check and its wait would
+    // be lost and the drain would never end.
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    conn->done.store(true);
+  }
   conn_cv_.notify_all();
 }
 
@@ -440,6 +438,7 @@ Status Server::HandleJoin(int fd, const Request& req) {
   options.shared_exec = exec_.get();
   options.flush_pool = false;  // phase op; see RunOptions::flush_pool
   options.simd = simd;
+  BufferManager* bm = store_->main_bm();
   SocketSink socket_sink(fd);
   CachingSink caching_sink(&socket_sink,
                            use_cache ? cache_.max_bytes() : 0);
@@ -447,11 +446,11 @@ Status Server::HandleJoin(int fd, const Request& req) {
                                : &socket_sink;
   StatusOr<RunResult> run =
       segmented
-          ? (is_auto ? RunSegmentedAuto(bm_, *seg_a, *seg_d, sink, options)
-                     : RunSegmentedJoin(alg, bm_, *seg_a, *seg_d, sink,
+          ? (is_auto ? RunSegmentedAuto(bm, *seg_a, *seg_d, sink, options)
+                     : RunSegmentedJoin(alg, bm, *seg_a, *seg_d, sink,
                                         options))
-          : (is_auto ? RunAuto(bm_, *a, *d, sink, options)
-                     : RunJoin(alg, bm_, *a, *d, sink, options));
+          : (is_auto ? RunAuto(bm, *a, *d, sink, options)
+                     : RunJoin(alg, bm, *a, *d, sink, options));
   if (!run.ok()) {
     // If the sink died the socket is gone — fail the connection; any
     // other failure is reported to the (still healthy) client.
@@ -485,7 +484,7 @@ Status Server::HandleUpdate(int fd, const Request& req) {
     // Typed refusal, never a silently corrupted database: a segmented
     // server has no mutable store to attach (see segment_store.h).
     return reply_error(Status::Unimplemented(
-        store_ != nullptr
+        store_->level() > 0
             ? "live updates of a segmented database are not supported; "
               "mutate an unsegmented database (or rebuild the segments "
               "offline)"

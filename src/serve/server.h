@@ -19,8 +19,6 @@
 #include "serve/admission.h"
 #include "serve/protocol.h"
 #include "serve/result_cache.h"
-#include "storage/buffer_manager.h"
-#include "storage/catalog.h"
 #include "storage/segment_store.h"
 
 namespace pbitree {
@@ -64,18 +62,19 @@ struct ServeConfig {
   static ServeConfig FromEnv();
 };
 
-/// \brief The long-lived query service: loads the catalog once, keeps
-/// the buffer pool and element-set handles warm across queries, and
+/// \brief The long-lived query service: opens nothing itself — it
+/// serves a database opened through SegmentStore::Open — keeps the
+/// buffer pools and element-set handles warm across queries, and
 /// serves containment joins to concurrent clients over the
 /// serve/protocol.h wire format, streaming results through a
 /// SocketSink with no server-side materialisation.
 ///
-/// Lifecycle: construct with a warm BufferManager and a loaded
-/// Catalog, Start() (binds, preloads every catalogued element set,
-/// spawns the accept loop), serve until BeginShutdown()/Shutdown().
-/// Shutdown drains: the listener closes first, in-flight queries run
-/// to completion and flush their sinks, queued admissions are
-/// cancelled, and the backend gets a final FlushAll + Sync barrier.
+/// Lifecycle: construct over an open SegmentStore, Start() (binds,
+/// preloads every catalogued element set, spawns the accept loop),
+/// serve until BeginShutdown()/Shutdown(). Shutdown drains: the
+/// listener closes first, in-flight queries run to completion and
+/// flush their sinks, queued admissions are cancelled, and every pool
+/// of the store gets a final flush + Sync barrier.
 ///
 /// Concurrency model: one thread per connection (bounded by
 /// max_clients), queries gated by the AdmissionController, segment
@@ -86,12 +85,13 @@ struct ServeConfig {
 /// the serve_query latency histogram is the p50/p99 source.
 class Server {
  public:
-  Server(BufferManager* bm, Catalog catalog, ServeConfig cfg);
-  /// Serves a (possibly code-space-sharded) SegmentStore: master-entry
-  /// sets are warmed as SegmentedSet handles and joined through the
-  /// scatter-gather path; ordinary entries behave as before. The caller
-  /// keeps ownership and must keep the store alive for the server's
-  /// lifetime; Shutdown's durability barrier covers every segment file.
+  /// Serves `store` at any level: master-entry sets are warmed as
+  /// SegmentedSet handles and joined through the scatter-gather path;
+  /// ordinary entries (every set at level 0) run a plain join on the
+  /// main pool. The server reads the store's main catalog in place.
+  /// The caller keeps ownership and must keep the store alive for the
+  /// server's lifetime; Shutdown's durability barrier covers every
+  /// segment file.
   Server(SegmentStore* store, ServeConfig cfg);
   ~Server();
 
@@ -158,12 +158,10 @@ class Server {
   /// Pass `all` to block until every connection is done first.
   void Reap(bool all);
 
-  BufferManager* bm_;
-  Catalog catalog_;
+  /// Borrowed store: its main pool and catalog serve plain sets, its
+  /// per-segment pools the segmented joins.
+  SegmentStore* store_;
   ServeConfig cfg_;
-  /// Borrowed segment store (null when constructed from a bare pool +
-  /// catalog). Owns the per-segment pools the segmented joins run on.
-  SegmentStore* store_ = nullptr;
   /// Borrowed mutable element store (null for a static database).
   ElementSetStore* estore_ = nullptr;
   ResultCache cache_;

@@ -70,7 +70,11 @@ class RawPageCodec final : public PageCodec {
       return Status::InvalidArgument("raw codec: too many records for page");
     }
     std::memset(payload, 0, kCodecPayloadSize);
-    std::memcpy(payload, recs.data(), recs.size() * sizeof(ElementRecord));
+    // An empty span may carry a null data(); memcpy from null is
+    // undefined even for zero bytes.
+    if (!recs.empty()) {
+      std::memcpy(payload, recs.data(), recs.size() * sizeof(ElementRecord));
+    }
     return Status::OK();
   }
 
@@ -79,7 +83,7 @@ class RawPageCodec final : public PageCodec {
     if (count > kRawMaxRecords) {
       return Status::Corruption("raw codec: page count out of range");
     }
-    std::memcpy(out, payload, count * sizeof(ElementRecord));
+    if (count > 0) std::memcpy(out, payload, count * sizeof(ElementRecord));
     return Status::OK();
   }
 };
@@ -115,8 +119,10 @@ class FoRDeltaPageCodec final : public PageCodec {
     }
     if (recs.size() <= kRaw16MaxRecords) {
       payload[0] = 0;  // mode: raw16 fallback
-      std::memcpy(payload + 1, recs.data(),
-                  recs.size() * sizeof(ElementRecord));
+      if (!recs.empty()) {
+        std::memcpy(payload + 1, recs.data(),
+                    recs.size() * sizeof(ElementRecord));
+      }
       return Status::OK();
     }
     return Status::InvalidArgument(

@@ -92,6 +92,11 @@ Status SegmentStore::StoreSet(const std::string& name, const ElementSet& src,
   if (!src.file.valid()) {
     return Status::InvalidArgument("cannot store an invalid element set");
   }
+  // Refuse before writing a page: a name the catalog cannot hold would
+  // leave every copied page unreachable.
+  if (name.empty() || name.size() > Catalog::kMaxNameLen) {
+    return Status::InvalidArgument("catalog name must be 1..31 bytes");
+  }
 
   if (level_ == 0) {
     // Pre-sharding layout: one source-order copy into the main file.

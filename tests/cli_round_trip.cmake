@@ -1,0 +1,88 @@
+# CLI round trip over tests/cli_round_trip.xml, run by ctest as
+# CliRoundTrip:
+#
+#   cmake -DCLI=<pbitree_cli> -DFIXTURE=<doc.xml> -DWORK_DIR=<dir>
+#         -P cli_round_trip.cmake
+#
+# 1. The fixture encoded plain and with --segments 1 answers three path
+#    queries with equal match counts.
+# 2. Re-encoding into the level-1 database without --segments keeps it
+#    at level 1, so its sets stay immutable (update -> Unimplemented).
+# 3. On the plain database an insert under the root (code 32768 in the
+#    fixture's height-16 PBiTree) adds one //doc//b match, and deleting
+#    the printed code takes it away again.
+
+foreach(var CLI FIXTURE WORK_DIR)
+  if(NOT DEFINED ${var})
+    message(FATAL_ERROR "cli_round_trip.cmake: -D${var}=... is required")
+  endif()
+endforeach()
+
+file(REMOVE_RECURSE "${WORK_DIR}")
+file(MAKE_DIRECTORY "${WORK_DIR}")
+set(plain "${WORK_DIR}/plain.db")
+set(seg "${WORK_DIR}/seg.db")
+
+# Runs the CLI with the remaining arguments; stdout+stderr land in
+# `out_var`, and the exit code must equal `want_rc`.
+function(run_cli want_rc out_var)
+  execute_process(COMMAND "${CLI}" ${ARGN}
+                  RESULT_VARIABLE rc
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE out)
+  if(NOT rc EQUAL want_rc)
+    string(REPLACE ";" " " cmd "${ARGN}")
+    message(FATAL_ERROR
+            "pbitree_cli ${cmd}: exit ${rc}, want ${want_rc}\n${out}")
+  endif()
+  set(${out_var} "${out}" PARENT_SCOPE)
+endfunction()
+
+# Match count that `query <db> <path>` prints.
+function(query_count db path out_var)
+  run_cli(0 out query "${db}" "${path}")
+  if(NOT out MATCHES "^([0-9]+) matches")
+    message(FATAL_ERROR "query ${db} ${path}: no match count in\n${out}")
+  endif()
+  set(${out_var} "${CMAKE_MATCH_1}" PARENT_SCOPE)
+endfunction()
+
+# 1. Plain and segmented encodes agree.
+run_cli(0 out encode "${FIXTURE}" "${plain}")
+run_cli(0 out encode --segments 1 "${FIXTURE}" "${seg}")
+foreach(path "//a//b" "//a[//c]//b" "//doc//b//c")
+  query_count("${plain}" "${path}" n_plain)
+  query_count("${seg}" "${path}" n_seg)
+  if(NOT n_plain EQUAL n_seg OR n_plain EQUAL 0)
+    message(FATAL_ERROR "${path}: plain ${n_plain} vs segmented ${n_seg}")
+  endif()
+endforeach()
+
+# 2. A re-encode keeps the database's level.
+run_cli(0 out encode "${FIXTURE}" "${seg}")
+run_cli(0 out list "${seg}")
+if(NOT out MATCHES "segmented database: level 1")
+  message(FATAL_ERROR "re-encoded database lost its level:\n${out}")
+endif()
+run_cli(1 out update "${seg}" insert b 32768 1 0)
+if(NOT out MATCHES "Unimplemented")
+  message(FATAL_ERROR "update of a segmented set: want Unimplemented\n${out}")
+endif()
+
+# 3. Insert, then delete, on the plain database.
+query_count("${plain}" "//doc//b" n_before)
+run_cli(0 out update "${plain}" insert b 32768 1 0)
+if(NOT out MATCHES "inserted code=([0-9]+)")
+  message(FATAL_ERROR "insert printed no code:\n${out}")
+endif()
+set(code "${CMAKE_MATCH_1}")
+query_count("${plain}" "//doc//b" n_inserted)
+math(EXPR n_want "${n_before} + 1")
+if(NOT n_inserted EQUAL n_want)
+  message(FATAL_ERROR "//doc//b after insert: ${n_inserted}, want ${n_want}")
+endif()
+run_cli(0 out update "${plain}" delete b "${code}")
+query_count("${plain}" "//doc//b" n_deleted)
+if(NOT n_deleted EQUAL n_before)
+  message(FATAL_ERROR "//doc//b after delete: ${n_deleted}, want ${n_before}")
+endif()

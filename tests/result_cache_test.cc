@@ -2,10 +2,10 @@
 // order, duplicate keys, stale-epoch reclaim, obs counters), the
 // CachingSink tee (abandon-over-budget semantics), the checked env
 // knobs (invalid values abort), and the serving layer end to end — a
-// repeated join must be a cache hit with a byte-identical reply, a
-// committed update must bump the epoch and invalidate, and a server
-// without a mutable store must answer updates with the typed
-// Unimplemented condition.
+// repeated join must be a cache hit with a byte-identical reply (at the
+// opening epoch and after a commit), a committed update must bump the
+// epoch and invalidate, and a server without a mutable store must
+// answer updates with the typed Unimplemented condition.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -26,8 +27,8 @@
 #include "serve/server.h"
 #include "storage/buffer_manager.h"
 #include "storage/catalog.h"
-#include "storage/disk_manager.h"
 #include "storage/element_store.h"
+#include "storage/segment_store.h"
 
 namespace pbitree {
 namespace {
@@ -222,8 +223,14 @@ constexpr int kTreeHeight = 10;
 class CachedServeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    disk_.reset(DiskManager::OpenInMemory());
-    bm_ = std::make_unique<BufferManager>(disk_.get(), 512);
+    SegmentStore::Options opts;
+    opts.backend = "mem";
+    opts.pool_pages = 512;
+    opts.create_level = 0;
+    auto store = SegmentStore::Open(opts);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    store_ = std::move(*store);
+    bm_ = store_->main_bm();
 
     Random rng(404);
     PBiTreeSpec spec{kTreeHeight};
@@ -241,31 +248,31 @@ class CachedServeTest : public ::testing::Test {
     BuildSet("anc", anc_codes_);
     BuildSet("desc", desc_codes_);
 
-    auto estore = ElementSetStore::Open(bm_.get());
+    // The mutable path reads its sets through the store, so the catalog
+    // must be durable before the store opens.
+    ASSERT_TRUE(store_->main_catalog()->Save(bm_).ok());
+    auto estore = ElementSetStore::Open(bm_);
     ASSERT_TRUE(estore.ok()) << estore.status().ToString();
     estore_ = std::move(*estore);
   }
 
   void TearDown() override {
-    if (server_ != nullptr) EXPECT_TRUE(server_->Shutdown().ok());
+    if (server_ != nullptr) {
+      EXPECT_TRUE(server_->Shutdown().ok());
+    }
     server_.reset();
     estore_.reset();
     EXPECT_EQ(bm_->PinnedFrames(), 0u);
   }
 
   void BuildSet(const std::string& name, const std::vector<Code>& codes) {
-    auto builder =
-        ElementSetBuilder::Create(bm_.get(), PBiTreeSpec{kTreeHeight});
+    auto builder = ElementSetBuilder::Create(bm_, PBiTreeSpec{kTreeHeight});
     ASSERT_TRUE(builder.ok());
     uint32_t doc = 1;
     for (Code c : codes) ASSERT_TRUE(builder->AddCode(c, 0, doc++).ok());
     auto built = builder->Build();
     ASSERT_TRUE(built.ok()) << built.status().ToString();
-    ElementSet set = *built;
-    auto catalog = Catalog::Load(bm_.get());
-    ASSERT_TRUE(catalog.ok());
-    ASSERT_TRUE(catalog->Put(name, set).ok());
-    ASSERT_TRUE(catalog->Save(bm_.get()).ok());
+    ASSERT_TRUE(store_->main_catalog()->Put(name, *built).ok());
   }
 
   void StartServer(bool attach_store = true) {
@@ -275,9 +282,7 @@ class CachedServeTest : public ::testing::Test {
     cfg.max_concurrent = 2;
     cfg.queue_depth = 4;
     cfg.work_pages = 64;
-    auto catalog = Catalog::Load(bm_.get());
-    ASSERT_TRUE(catalog.ok());
-    server_ = std::make_unique<Server>(bm_.get(), *catalog, cfg);
+    server_ = std::make_unique<Server>(store_.get(), cfg);
     if (attach_store) server_->AttachElementStore(estore_.get());
     ASSERT_TRUE(server_->Start().ok());
   }
@@ -304,8 +309,10 @@ class CachedServeTest : public ::testing::Test {
     return server_->registry()->Snapshot().counter(c);
   }
 
-  std::unique_ptr<DiskManager> disk_;
-  std::unique_ptr<BufferManager> bm_;
+  /// The served database: a level-0 store on the mem backend, opened
+  /// the one way every server opens one.
+  std::unique_ptr<SegmentStore> store_;
+  BufferManager* bm_ = nullptr;
   std::unique_ptr<ElementSetStore> estore_;
   std::unique_ptr<Server> server_;
   std::vector<Code> anc_codes_, desc_codes_;
@@ -402,6 +409,33 @@ TEST_F(CachedServeTest, CommittedUpdateBumpsEpochAndInvalidates) {
   EXPECT_EQ(estore_->epoch(), 2u);
 }
 
+TEST_F(CachedServeTest, RepeatedJoinAfterCommitHitsTheCacheByteIdentically) {
+  // Parity holds at every epoch, not only the opening one: after a
+  // commit, the first join at the new epoch computes and the repeat
+  // replays the same pair sequence.
+  StartServer();
+  Client c = Connect();
+  auto up = c.InsertChild("desc", anc_codes_[0], 0, 9002);
+  ASSERT_TRUE(up.ok()) << up.status().ToString();
+  ASSERT_EQ(up->epoch, 1u);
+
+  VectorSink miss;
+  auto s1 = c.Join("anc", "desc", "MHCJ", &miss);
+  ASSERT_TRUE(s1.ok()) << s1.status().ToString();
+  VectorSink hit;
+  auto s2 = c.Join("anc", "desc", "MHCJ", &hit);
+  ASSERT_TRUE(s2.ok()) << s2.status().ToString();
+  EXPECT_EQ(Counter(obs::Counter::kServeCacheMisses), 1u);
+  EXPECT_EQ(Counter(obs::Counter::kServeCacheHits), 1u);
+  EXPECT_EQ(hit.pairs(), miss.pairs());
+  EXPECT_EQ(s2->pairs, s1->pairs);
+
+  std::vector<Code> desc_now = desc_codes_;
+  desc_now.push_back(up->code);
+  hit.Sort();
+  EXPECT_EQ(hit.pairs(), BruteForce(anc_codes_, desc_now));
+}
+
 TEST_F(CachedServeTest, ServerWithoutMutableStoreRefusesUpdatesTyped) {
   StartServer(/*attach_store=*/false);
   Client c = Connect();
@@ -460,9 +494,7 @@ TEST_F(CachedServeTest, CacheDisabledByConfigServesEveryQueryFresh) {
   cfg.queue_depth = 4;
   cfg.work_pages = 64;
   cfg.cache.enabled = false;
-  auto catalog = Catalog::Load(bm_.get());
-  ASSERT_TRUE(catalog.ok());
-  server_ = std::make_unique<Server>(bm_.get(), *catalog, cfg);
+  server_ = std::make_unique<Server>(store_.get(), cfg);
   server_->AttachElementStore(estore_.get());
   ASSERT_TRUE(server_->Start().ok());
 

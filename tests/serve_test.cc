@@ -20,6 +20,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -274,8 +275,16 @@ constexpr int kTreeHeight = 16;
 class ServeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    disk_.reset(DiskManager::OpenInMemory());
-    bm_ = std::make_unique<BufferManager>(disk_.get(), 512);
+    SegmentStore::Options opts;
+    opts.backend = "mem";
+    opts.pool_pages = 512;
+    opts.create_level = 0;
+    auto store = SegmentStore::Open(opts);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    store_ = std::move(*store);
+    bm_ = store_->main_bm();
+    disk_ = bm_->disk();
+    catalog_ = store_->main_catalog();
 
     Random rng(2026);
     // A single-height ancestor set (SHCJ requires one; height 6 of a
@@ -287,8 +296,8 @@ class ServeTest : public ::testing::Test {
     d_ = MakeSet(d_codes_);
     expect_sorted_ = BruteForce(a_codes_, d_codes_);
 
-    ASSERT_TRUE(catalog_.Put("anc", a_).ok());
-    ASSERT_TRUE(catalog_.Put("desc", d_).ok());
+    ASSERT_TRUE(catalog_->Put("anc", a_).ok());
+    ASSERT_TRUE(catalog_->Put("desc", d_).ok());
   }
 
   void TearDown() override {
@@ -296,14 +305,14 @@ class ServeTest : public ::testing::Test {
       EXPECT_TRUE(server_->Shutdown().ok());
     }
     EXPECT_EQ(bm_->PinnedFrames(), 0u);
-    EXPECT_TRUE(a_.file.Drop(bm_.get()).ok());
-    EXPECT_TRUE(d_.file.Drop(bm_.get()).ok());
+    EXPECT_TRUE(a_.file.Drop(bm_).ok());
+    EXPECT_TRUE(d_.file.Drop(bm_).ok());
   }
 
   /// Starts the fixture server (ephemeral port) with `cfg` defaults
   /// tuned for tests; returns a connected client.
   void StartServer(ServeConfig cfg = TestConfig()) {
-    server_ = std::make_unique<Server>(bm_.get(), catalog_, cfg);
+    server_ = std::make_unique<Server>(store_.get(), cfg);
     ASSERT_TRUE(server_->Start().ok());
     ASSERT_GT(server_->port(), 0);
     baseline_live_pages_ = disk_->num_live_pages();
@@ -329,7 +338,7 @@ class ServeTest : public ::testing::Test {
   ElementSet MakeSet(const std::vector<Code>& codes,
                      int tree_height = kTreeHeight) {
     auto builder =
-        ElementSetBuilder::Create(bm_.get(), PBiTreeSpec{tree_height});
+        ElementSetBuilder::Create(bm_, PBiTreeSpec{tree_height});
     EXPECT_TRUE(builder.ok());
     for (Code c : codes) EXPECT_TRUE(builder->AddCode(c).ok());
     auto built = builder->Build();
@@ -375,9 +384,12 @@ class ServeTest : public ::testing::Test {
     EXPECT_EQ(server_->active_connections(), 0u);
   }
 
-  std::unique_ptr<DiskManager> disk_;
-  std::unique_ptr<BufferManager> bm_;
-  Catalog catalog_;
+  /// The served database: a level-0 store on the mem backend, opened
+  /// the one way every server opens one.
+  std::unique_ptr<SegmentStore> store_;
+  BufferManager* bm_ = nullptr;
+  DiskManager* disk_ = nullptr;
+  Catalog* catalog_ = nullptr;
   std::unique_ptr<Server> server_;
   std::vector<Code> a_codes_, d_codes_;
   ElementSet a_, d_;
@@ -421,7 +433,7 @@ TEST_F(ServeTest, JoinMatrixMatchesDirectRunByteForByte) {
     RunOptions opts;
     opts.work_pages = server_->PerQueryWorkPages();
     VectorSink direct;
-    auto run = RunJoin(alg, bm_.get(), a_, d_, &direct, opts);
+    auto run = RunJoin(alg, bm_, a_, d_, &direct, opts);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
     EXPECT_EQ(via_server.pairs(), direct.pairs());
 
@@ -520,8 +532,8 @@ TEST_F(ServeTest, WarmServerNeverReloadsTheCatalogOrRereadsPages) {
   ElementSet d2 = MakeSet(d_sorted);
   a2.sorted_by_start = true;
   d2.sorted_by_start = true;
-  ASSERT_TRUE(catalog_.Put("anc2", a2).ok());
-  ASSERT_TRUE(catalog_.Put("desc2", d2).ok());
+  ASSERT_TRUE(catalog_->Put("anc2", a2).ok());
+  ASSERT_TRUE(catalog_->Put("desc2", d2).ok());
 
   StartServer();
   Client c = Connect();
@@ -546,8 +558,8 @@ TEST_F(ServeTest, WarmServerNeverReloadsTheCatalogOrRereadsPages) {
   EXPECT_EQ(delta.counter(obs::Counter::kPageReads), 0u);
   EXPECT_EQ(delta.counter(obs::Counter::kServeQueries), 3u);
 
-  EXPECT_TRUE(a2.file.Drop(bm_.get()).ok());
-  EXPECT_TRUE(d2.file.Drop(bm_.get()).ok());
+  EXPECT_TRUE(a2.file.Drop(bm_).ok());
+  EXPECT_TRUE(d2.file.Drop(bm_).ok());
 }
 
 TEST_F(ServeTest, GracefulShutdownDrainsInFlightAndCancelsQueued) {
@@ -599,8 +611,8 @@ TEST_F(ServeTest, ClientDisconnectMidStreamAbortsWithoutLeaks) {
   std::vector<Code> big_d = RandomCodes(&rng, 400000, 0, 6, kBigHeight);
   ElementSet a_big = MakeSet(big_a, kBigHeight);
   ElementSet d_big = MakeSet(big_d, kBigHeight);
-  ASSERT_TRUE(catalog_.Put("bigA", a_big).ok());
-  ASSERT_TRUE(catalog_.Put("bigD", d_big).ok());
+  ASSERT_TRUE(catalog_->Put("bigA", a_big).ok());
+  ASSERT_TRUE(catalog_->Put("bigD", d_big).ok());
   StartServer();
 
   {
@@ -638,8 +650,8 @@ TEST_F(ServeTest, ClientDisconnectMidStreamAbortsWithoutLeaks) {
 
   EXPECT_TRUE(server_->Shutdown().ok());
   server_.reset();
-  EXPECT_TRUE(a_big.file.Drop(bm_.get()).ok());
-  EXPECT_TRUE(d_big.file.Drop(bm_.get()).ok());
+  EXPECT_TRUE(a_big.file.Drop(bm_).ok());
+  EXPECT_TRUE(d_big.file.Drop(bm_).ok());
 }
 
 TEST_F(ServeTest, SharedExecPoolServesParallelPartitionedQueries) {
@@ -652,8 +664,8 @@ TEST_F(ServeTest, SharedExecPoolServesParallelPartitionedQueries) {
   store_opts.create_level = 1;
   auto store = SegmentStore::Open(store_opts);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  ASSERT_TRUE((*store)->StoreSet("anc", a_, bm_.get()).ok());
-  ASSERT_TRUE((*store)->StoreSet("desc", d_, bm_.get()).ok());
+  ASSERT_TRUE((*store)->StoreSet("anc", a_, bm_).ok());
+  ASSERT_TRUE((*store)->StoreSet("desc", d_, bm_).ok());
 
   ServeConfig cfg = TestConfig();
   cfg.threads = 2;  // one shared pool for every query

@@ -66,7 +66,7 @@ struct GlobalOptions {
   std::string server;            // host:port — route to pbitree_serverd
   std::string alg = "auto";      // server mode: algorithm to request
   int segments = -1;   // encode: code-space sharding level l (2^l segment
-                       // files); -1/0 = unsegmented single-file layout
+                       // files); -1 = the database's level (0 if new)
   int simd = -1;       // query: -1 = process default, 0 = scalar, 1 = AVX2
   std::string page_codec_name;  // encode: raw string from --page-codec
   std::optional<PageCodecKind> page_codec;  // parsed; nullopt = ambient
@@ -84,67 +84,60 @@ int Usage(const char* msg) {
   return 2;
 }
 
-/// Opens the database through the IoBackend factory. The file backend
-/// restores the allocation frontier from the existing file; the mem
-/// backend starts empty every run.
-StatusOr<DiskManager*> OpenDb(const GlobalOptions& g,
-                              const std::string& db_path) {
-  auto backend = MakeIoBackend(g.backend, db_path);
-  PBITREE_RETURN_IF_ERROR(backend.status());
-  PBITREE_ASSIGN_OR_RETURN(
-      DiskManager * disk,
-      DiskManager::OpenWithBackend(
-          std::move(*backend),
-          /*restore_frontier=*/IsFileBackend(g.backend)));
-  // Replay a mutable database's commit log before anything caches a
-  // page (no-op on fresh or log-free databases).
-  if (Status st = ElementSetStore::Recover(disk); !st.ok()) {
-    delete disk;
-    return st;
-  }
-  return disk;
-}
-
-/// Tags of `tree` ordered most frequent first (the catalog holds 42
-/// entries, so the frequent tags win the slots).
-std::vector<std::pair<size_t, TagId>> TagsByFrequency(const DataTree& tree) {
-  std::vector<std::pair<size_t, TagId>> tags;
-  for (TagId t = 0; t < tree.num_tags(); ++t) {
-    tags.emplace_back(tree.NodesWithTag(t).size(), t);
-  }
-  std::sort(tags.rbegin(), tags.rend());
-  return tags;
-}
-
-/// `encode --segments=l`: route every tag set through a SegmentStore,
-/// which shards it over 2^l segment files by code space (ancestor
-/// replication at the cut keeps per-segment joins exact). Each set is
-/// extracted into a scratch in-memory database first so the routing
-/// pass reads cheap memory pages, not half-written segment files.
-int CmdEncodeSegmented(const GlobalOptions& g, const std::string& db_path,
-                       const DataTree& tree, const PBiTreeSpec& spec) {
+/// Every subcommand opens its database the same way: SegmentStore::Open
+/// replays a pending commit log, then opens the main file and, at level
+/// l > 0, the 2^l segment files next to it. `create_level` -1 keeps the
+/// database's own level (0 for a new file).
+SegmentStore::Options StoreOptions(const GlobalOptions& g,
+                                   const std::string& db_path,
+                                   int create_level = -1) {
   SegmentStore::Options sopts;
   sopts.backend = g.backend;
   sopts.path = db_path;
   sopts.pool_pages = kPoolPages;
-  sopts.create_level = g.segments;
+  sopts.create_level = create_level;
   sopts.page_codec = g.page_codec;
-  auto store = SegmentStore::Open(sopts);
+  return sopts;
+}
+
+/// Stores one element set per tag, most frequent first (the catalog
+/// holds 42 entries, so the frequent tags win the slots). Each set is
+/// extracted into a scratch in-memory database first; StoreSet then
+/// copies it into the main file (level 0) or shards it over the 2^l
+/// segment files by code space, with ancestor replication at the cut
+/// keeping per-segment joins exact.
+int CmdEncode(const GlobalOptions& g, const std::vector<std::string>& args) {
+  const std::string& xml_path = args[0];
+  const std::string& db_path = args[1];
+  DataTree tree;
+  if (Status st = ParseXmlFile(xml_path, &tree); !st.ok()) return Fail(st);
+  PBiTreeSpec spec;
+  BinarizeOptions bopts;
+  bopts.slack_levels = 2;  // leave update headroom in the stored codes
+  if (Status st = BinarizeTree(&tree, &spec, bopts); !st.ok()) return Fail(st);
+  std::printf("parsed %zu elements, %zu tags, PBiTree height %d\n",
+              tree.size(), tree.num_tags(), spec.height);
+
+  auto store = SegmentStore::Open(StoreOptions(g, db_path, g.segments));
   if (!store.ok()) return Fail(store.status());
 
   std::unique_ptr<DiskManager> scratch(DiskManager::OpenInMemory());
   BufferManager scratch_bm(scratch.get(), kPoolPages);
 
+  std::vector<std::pair<size_t, TagId>> tags;
+  for (TagId t = 0; t < tree.num_tags(); ++t) {
+    tags.emplace_back(tree.NodesWithTag(t).size(), t);
+  }
+  std::sort(tags.rbegin(), tags.rend());
   size_t stored = 0;
-  std::vector<std::pair<size_t, TagId>> tags = TagsByFrequency(tree);
   for (const auto& [count, tag] : tags) {
     if ((*store)->main_catalog()->size() >= Catalog::kMaxEntries) {
       std::printf("catalog full; skipping %zu less frequent tags\n",
                   tags.size() - stored);
       break;
     }
-    // The scratch copy is routing input only — keep it raw; StoreSet
-    // writes the persistent segment pieces with the requested codec.
+    // The scratch copy is StoreSet's input only — keep it raw; StoreSet
+    // writes the persistent set with the requested codec.
     auto set = ExtractTagSet(&scratch_bm, tree, spec, tag, /*doc=*/0,
                              PageCodecKind::kRaw);
     if (!set.ok()) return Fail(set.status());
@@ -160,54 +153,11 @@ int CmdEncodeSegmented(const GlobalOptions& g, const std::string& db_path,
     ++stored;
   }
   if (Status st = (*store)->SaveCatalogs(); !st.ok()) return Fail(st);
-  std::printf("stored %zu element sets in %s (%zu segment files)\n", stored,
-              db_path.c_str(), (*store)->num_segments());
-  return 0;
-}
-
-int CmdEncode(const GlobalOptions& g, const std::vector<std::string>& args) {
-  const std::string& xml_path = args[0];
-  const std::string& db_path = args[1];
-  DataTree tree;
-  if (Status st = ParseXmlFile(xml_path, &tree); !st.ok()) return Fail(st);
-  PBiTreeSpec spec;
-  BinarizeOptions bopts;
-  bopts.slack_levels = 2;  // leave update headroom in the stored codes
-  if (Status st = BinarizeTree(&tree, &spec, bopts); !st.ok()) return Fail(st);
-  std::printf("parsed %zu elements, %zu tags, PBiTree height %d\n",
-              tree.size(), tree.num_tags(), spec.height);
-
-  if (g.segments > 0) return CmdEncodeSegmented(g, db_path, tree, spec);
-
-  auto opened = OpenDb(g, db_path);
-  if (!opened.ok()) return Fail(opened.status());
-  std::unique_ptr<DiskManager> disk(*opened);
-  BufferManager bm(disk.get(), kPoolPages);
-  auto catalog = Catalog::Load(&bm);
-  if (!catalog.ok()) return Fail(catalog.status());
-
-  // Store one element set per tag, most frequent first (the catalog
-  // holds 42 entries).
-  std::vector<std::pair<size_t, TagId>> tags = TagsByFrequency(tree);
-  size_t stored = 0;
-  for (const auto& [count, tag] : tags) {
-    if (catalog->size() >= Catalog::kMaxEntries) {
-      std::printf("catalog full; skipping %zu less frequent tags\n",
-                  tags.size() - stored);
-      break;
-    }
-    auto set = ExtractTagSet(&bm, tree, spec, tag, /*doc=*/0, g.page_codec);
-    if (!set.ok()) return Fail(set.status());
-    if (Status st = catalog->Put(tree.tag_name(tag), *set); !st.ok()) {
-      std::fprintf(stderr, "skipping '%s': %s\n",
-                   tree.tag_name(tag).c_str(), st.ToString().c_str());
-      if (Status drop = set->file.Drop(&bm); !drop.ok()) return Fail(drop);
-      continue;
-    }
-    ++stored;
+  std::printf("stored %zu element sets in %s", stored, db_path.c_str());
+  if ((*store)->level() > 0) {
+    std::printf(" (%zu segment files)", (*store)->num_segments());
   }
-  if (Status st = catalog->Save(&bm); !st.ok()) return Fail(st);
-  std::printf("stored %zu element sets in %s\n", stored, db_path.c_str());
+  std::printf("\n");
   return 0;
 }
 
@@ -231,38 +181,25 @@ int CmdList(const GlobalOptions& g, const std::vector<std::string>& args) {
     return 0;
   }
   if (args.empty()) return Usage("list needs <db> (or --server host:port)");
-  // A SegmentStore opens any database (level 0 = the plain single-file
-  // layout), so one path serves both; master entries list from their
-  // aggregate metadata without touching the segment files.
-  SegmentStore::Options sopts;
-  sopts.backend = g.backend;
-  sopts.path = args[0];
-  sopts.pool_pages = kPoolPages;
-  auto store = SegmentStore::Open(sopts);
+  // Load reads catalog metadata only; no segment page is touched.
+  auto store = SegmentStore::Open(StoreOptions(g, args[0]));
   if (!store.ok()) return Fail(store.status());
-  Catalog* catalog = (*store)->main_catalog();
   if ((*store)->level() > 0) {
     std::printf("segmented database: level %d (%zu segment files)\n",
                 (*store)->level(), (*store)->num_segments());
   }
   std::printf("%-32s %12s %10s %8s\n", "name", "elements", "pages", "heights");
-  for (const std::string& name : catalog->Names()) {
-    if (catalog->IsSegmented(name)) {
-      auto info = catalog->GetMaster(name);
-      if (!info.ok()) return Fail(info.status());
-      std::printf("%-32s %12llu %10llu %8d\n", name.c_str(),
-                  static_cast<unsigned long long>(info->num_records),
-                  static_cast<unsigned long long>(info->num_pages),
-                  std::popcount(info->height_mask));
-      continue;
-    }
-    auto set = catalog->Get((*store)->main_bm(), name);
+  for (const std::string& name : (*store)->Names()) {
+    auto set = (*store)->Load(name);
     if (!set.ok()) return Fail(set.status());
+    uint64_t pages = 0;
+    for (const SegmentedSet::Segment& seg : set->segments) {
+      pages += seg.set.num_pages();
+    }
     std::printf("%-32s %12llu %10llu %8d\n", name.c_str(),
-                static_cast<unsigned long long>(set->num_records()),
-                static_cast<unsigned long long>(set->num_pages()),
-                set->NumHeights());
-    // Handles only; nothing to drop persistently.
+                static_cast<unsigned long long>(set->num_records),
+                static_cast<unsigned long long>(pages),
+                std::popcount(set->height_mask));
   }
   return 0;
 }
@@ -312,28 +249,16 @@ int CmdQuery(const GlobalOptions& g, const std::vector<std::string>& args) {
   auto parsed = ParseTwigQuery(query_text);
   if (!parsed.ok()) return Fail(parsed.status());
 
-  SegmentStore::Options sopts;
-  sopts.backend = g.backend;
-  sopts.path = db_path;
-  sopts.pool_pages = kPoolPages;
-  auto opened_store = SegmentStore::Open(sopts);
+  auto opened_store = SegmentStore::Open(StoreOptions(g, db_path));
   if (!opened_store.ok()) return Fail(opened_store.status());
   SegmentStore* store = opened_store->get();
   BufferManager& bm = *store->main_bm();
   Catalog* catalog = store->main_catalog();
 
   // The PBiTree spec comes from the first step's stored set.
-  PBiTreeSpec spec;
-  const std::string& first_tag = parsed->steps.front().tag;
-  if (catalog->IsSegmented(first_tag)) {
-    auto info = catalog->GetMaster(first_tag);
-    if (!info.ok()) return Fail(info.status());
-    spec.height = info->tree_height;
-  } else {
-    auto first = catalog->Get(&bm, first_tag);
-    if (!first.ok()) return Fail(first.status());
-    spec = first->spec;
-  }
+  auto first = store->Load(parsed->steps.front().tag);
+  if (!first.ok()) return Fail(first.status());
+  const PBiTreeSpec spec = first->spec;
 
   RunOptions opts;
   opts.work_pages = kPoolPages / 2;
@@ -405,112 +330,100 @@ bool ParseU32Arg(const std::string& s, uint32_t* out) {
   return true;
 }
 
-/// `update --server`: route the mutation to a running daemon (which
-/// commits it and invalidates its result cache).
-int CmdUpdateServer(const GlobalOptions& g,
-                    const std::vector<std::string>& args) {
-  auto client = ConnectServer(g);
-  if (!client.ok()) return Fail(client.status());
-  const std::string& action = args[0];
-  if (action == "insert") {
-    if (args.size() < 5) {
-      return Usage("update insert needs <set> <parent> <tag> <doc>");
+/// One mutation: `insert <set> <parent> <tag> <doc>` or
+/// `delete <set> <code>`.
+struct UpdateArgs {
+  bool insert = false;
+  std::string set;
+  Code parent = 0;            // insert
+  uint32_t tag = 0, doc = 0;  // insert
+  Code code = 0;              // delete
+};
+
+/// Parses the words after `update [<db>]`. Returns the usage message of
+/// the first problem, or nullptr.
+const char* ParseUpdateArgs(const std::vector<std::string>& w,
+                            UpdateArgs* u) {
+  if (w[0] == "insert") {
+    if (w.size() < 5) return "update insert needs <set> <parent> <tag> <doc>";
+    if (!ParseU64Arg(w[2], &u->parent) || !ParseU32Arg(w[3], &u->tag) ||
+        !ParseU32Arg(w[4], &u->doc)) {
+      return "update insert takes numeric <parent> <tag> <doc> "
+             "(tag and doc must fit in 32 bits)";
     }
-    uint64_t parent = 0;
-    uint32_t tag = 0, doc = 0;
-    if (!ParseU64Arg(args[2], &parent) || !ParseU32Arg(args[3], &tag) ||
-        !ParseU32Arg(args[4], &doc)) {
-      return Usage(
-          "update insert takes numeric <parent> <tag> <doc> "
-          "(tag and doc must fit in 32 bits)");
+    u->insert = true;
+  } else if (w[0] == "delete") {
+    if (w.size() < 3) return "update delete needs <set> <code>";
+    if (!ParseU64Arg(w[2], &u->code)) {
+      return "update delete takes a numeric <code>";
     }
-    auto r = (*client)->InsertChild(args[1], parent, tag, doc);
-    if (!r.ok()) return Fail(r.status());
-    std::printf("inserted code=%llu into '%s' (epoch %llu)\n",
-                static_cast<unsigned long long>(r->code), args[1].c_str(),
-                static_cast<unsigned long long>(r->epoch));
-    return 0;
+  } else {
+    return "update action must be insert or delete";
   }
-  if (action == "delete") {
-    if (args.size() < 3) return Usage("update delete needs <set> <code>");
-    uint64_t code = 0;
-    if (!ParseU64Arg(args[2], &code)) {
-      return Usage("update delete takes a numeric <code>");
-    }
-    auto r = (*client)->DeleteElement(args[1], code);
-    if (!r.ok()) return Fail(r.status());
-    std::printf("deleted code=%llu from '%s' (epoch %llu)\n",
-                static_cast<unsigned long long>(code), args[1].c_str(),
-                static_cast<unsigned long long>(r->epoch));
-    return 0;
+  u->set = w[1];
+  return nullptr;
+}
+
+/// Applies `u` as one durable epoch-bumping commit, opening the database
+/// the way pbitree_serverd does.
+StatusOr<serve::Client::UpdateResult> UpdateLocal(const GlobalOptions& g,
+                                                  const std::string& db_path,
+                                                  const UpdateArgs& u) {
+  PBITREE_ASSIGN_OR_RETURN(std::unique_ptr<SegmentStore> store,
+                           SegmentStore::Open(StoreOptions(g, db_path)));
+  PBITREE_ASSIGN_OR_RETURN(std::unique_ptr<ElementSetStore> estore,
+                           ElementSetStore::Open(store->main_bm()));
+  serve::Client::UpdateResult r;
+  r.code = u.code;
+  Status st;
+  if (u.insert) {
+    StatusOr<Code> code = estore->InsertChild(u.set, u.parent, u.tag, u.doc);
+    st = code.status();
+    if (code.ok()) r.code = *code;
+  } else {
+    st = estore->DeleteElement(u.set, u.code);
   }
-  return Usage("update action must be insert or delete");
+  if (st.ok()) st = estore->Commit();
+  if (!st.ok()) {
+    (void)estore->Rollback();
+    return st;
+  }
+  r.epoch = estore->epoch();
+  return r;
+}
+
+/// `update --server` routes the mutation to a running daemon, which
+/// commits it and invalidates its result cache.
+StatusOr<serve::Client::UpdateResult> UpdateServer(const GlobalOptions& g,
+                                                   const UpdateArgs& u) {
+  PBITREE_ASSIGN_OR_RETURN(std::unique_ptr<serve::Client> client,
+                           ConnectServer(g));
+  if (u.insert) return client->InsertChild(u.set, u.parent, u.tag, u.doc);
+  PBITREE_ASSIGN_OR_RETURN(serve::Client::UpdateResult r,
+                           client->DeleteElement(u.set, u.code));
+  r.code = u.code;
+  return r;
 }
 
 int CmdUpdate(const GlobalOptions& g, const std::vector<std::string>& args) {
-  if (!g.server.empty()) return CmdUpdateServer(g, args);
-  if (args.size() < 2) {
+  const bool local = g.server.empty();
+  if (local && args.size() < 2) {
     return Usage(
         "update needs <db> and insert|delete ... (or --server host:port)");
   }
-  const std::string& db_path = args[0];
-  std::vector<std::string> rest(args.begin() + 1, args.end());
-
-  // OpenDb replays any pending commit log before the pool comes up.
-  auto opened = OpenDb(g, db_path);
-  if (!opened.ok()) return Fail(opened.status());
-  std::unique_ptr<DiskManager> disk(*opened);
-  BufferManager bm(disk.get(), kPoolPages);
-  auto store = ElementSetStore::Open(&bm);
-  if (!store.ok()) return Fail(store.status());
-
-  const std::string& action = rest[0];
-  if (action == "insert") {
-    if (rest.size() < 5) {
-      return Usage("update insert needs <set> <parent> <tag> <doc>");
-    }
-    uint64_t parent = 0;
-    uint32_t tag = 0, doc = 0;
-    if (!ParseU64Arg(rest[2], &parent) || !ParseU32Arg(rest[3], &tag) ||
-        !ParseU32Arg(rest[4], &doc)) {
-      return Usage(
-          "update insert takes numeric <parent> <tag> <doc> "
-          "(tag and doc must fit in 32 bits)");
-    }
-    auto code = (*store)->InsertChild(rest[1], parent, tag, doc);
-    if (!code.ok()) {
-      (void)(*store)->Rollback();
-      return Fail(code.status());
-    }
-    if (Status st = (*store)->Commit(); !st.ok()) {
-      (void)(*store)->Rollback();
-      return Fail(st);
-    }
-    std::printf("inserted code=%llu into '%s' (epoch %llu)\n",
-                static_cast<unsigned long long>(*code), rest[1].c_str(),
-                static_cast<unsigned long long>((*store)->epoch()));
-    return 0;
+  UpdateArgs u;
+  if (const char* err = ParseUpdateArgs(
+          {args.begin() + (local ? 1 : 0), args.end()}, &u)) {
+    return Usage(err);
   }
-  if (action == "delete") {
-    if (rest.size() < 3) return Usage("update delete needs <set> <code>");
-    uint64_t code = 0;
-    if (!ParseU64Arg(rest[2], &code)) {
-      return Usage("update delete takes a numeric <code>");
-    }
-    if (Status st = (*store)->DeleteElement(rest[1], code); !st.ok()) {
-      (void)(*store)->Rollback();
-      return Fail(st);
-    }
-    if (Status st = (*store)->Commit(); !st.ok()) {
-      (void)(*store)->Rollback();
-      return Fail(st);
-    }
-    std::printf("deleted code=%llu from '%s' (epoch %llu)\n",
-                static_cast<unsigned long long>(code), rest[1].c_str(),
-                static_cast<unsigned long long>((*store)->epoch()));
-    return 0;
-  }
-  return Usage("update action must be insert or delete");
+  auto r = local ? UpdateLocal(g, args[0], u) : UpdateServer(g, u);
+  if (!r.ok()) return Fail(r.status());
+  std::printf("%s code=%llu %s '%s' (epoch %llu)\n",
+              u.insert ? "inserted" : "deleted",
+              static_cast<unsigned long long>(r->code),
+              u.insert ? "into" : "from", u.set.c_str(),
+              static_cast<unsigned long long>(r->epoch));
+  return 0;
 }
 
 /// One row of the subcommand table: dispatch + its own help surface.
@@ -537,8 +450,9 @@ const Subcommand kSubcommands[] = {
     {"encode", "<doc.xml> <db>",
      "parse + binarize one document, store an element set per tag",
      "  --segments L        shard each set over 2^L segment files by code\n"
-     "                      space (0 — the default — keeps the single-file\n"
-     "                      layout; list/query open either transparently)\n"
+     "                      space; 0 is the single-file layout (default: the\n"
+     "                      database's level, 0 for a new file; a database\n"
+     "                      keeps its level, and list/query open any level)\n"
      "  --page-codec KIND   page encoding of the stored element sets:\n"
      "                      raw|for-delta (default: PBITREE_PAGE_CODEC or\n"
      "                      raw; readers pick the codec up from the catalog)\n",
