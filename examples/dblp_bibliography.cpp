@@ -1,8 +1,9 @@
 // DBLP-like bibliography workload: generates the record collection,
-// encodes it, builds *persistent* access paths (a code-keyed B+-tree on
-// the field sets and Start-keyed B+-trees for ADB+), and contrasts the
-// indexed algorithms with the index-free partitioning algorithms on
-// the D1-D10 joins.
+// encodes it, and contrasts the index-free partitioning algorithm the
+// framework picks with the two index-based joins on the D1-D10 joins.
+// INLJN and ADB+ build their index on the fly over the unindexed
+// inputs, as in the paper's experiments, so their I/O includes the
+// build. Exits non-zero if any algorithm's result count disagrees.
 //
 //   ./dblp_bibliography [num_publications]     (default 20000)
 
@@ -15,7 +16,6 @@
 #include "join/element_set.h"
 #include "join/result_sink.h"
 #include "pbitree/binarize.h"
-#include "sort/external_sort.h"
 
 using namespace pbitree;
 
@@ -40,8 +40,10 @@ int main(int argc, char** argv) {
   std::unique_ptr<DiskManager> disk(DiskManager::OpenInMemory());
   BufferManager bm(disk.get(), 512);
 
-  std::printf("%-4s %-26s %10s | %-12s %8s | %-12s %8s\n", "id", "join",
-              "#results", "no-index", "I/Os", "with-index", "I/Os");
+  std::printf("%-4s %-26s %10s | %-12s %8s | %8s | %8s\n", "id", "join",
+              "#results", "framework", "I/Os", "INLJN", "ADB+");
+
+  bool mismatch = false;
 
   for (const TagJoinSpec& join : DblpJoins()) {
     auto a = ExtractTagSetByName(&bm, tree, spec, join.ancestor_tag);
@@ -58,38 +60,36 @@ int main(int argc, char** argv) {
     CountingSink s1;
     auto free_run = RunAuto(&bm, *a, *d, &s1, opts);
     if (!free_run.ok()) return 1;
-
-    // Indexed: build a persistent code-keyed B+-tree on the descendant
-    // set (what a DBA would maintain for hot element sets) and probe it.
-    auto sorted = ExternalSort(&bm, d->file, 128, SortOrder::kCodeOrder);
-    if (!sorted.ok()) return 1;
-    auto d_index = BPTree::BulkLoad(&bm, *sorted, KeyKind::kCode);
-    sorted->Drop(&bm);
-    if (!d_index.ok()) return 1;
-
-    RunOptions idx_opts = opts;
-    idx_opts.paths.d_code_index = &d_index.value();
     CountingSink s2;
-    auto idx_run = RunJoin(Algorithm::kInljn, &bm, *a, *d, &s2, idx_opts);
-    if (!idx_run.ok()) return 1;
+    auto inljn = RunJoin(Algorithm::kInljn, &bm, *a, *d, &s2, opts);
+    if (!inljn.ok()) return 1;
+    CountingSink s3;
+    auto adb = RunJoin(Algorithm::kAdb, &bm, *a, *d, &s3, opts);
+    if (!adb.ok()) return 1;
 
+    const bool agree = free_run->output_pairs == inljn->output_pairs &&
+                       free_run->output_pairs == adb->output_pairs;
+    mismatch = mismatch || !agree;
     std::string label = join.ancestor_tag + std::string("//") + join.descendant_tag;
-    std::printf("%-4s %-26s %10llu | %-12s %8llu | %-12s %8llu%s\n",
+    std::printf("%-4s %-26s %10llu | %-12s %8llu | %8llu | %8llu%s\n",
                 join.name.c_str(), label.c_str(),
                 static_cast<unsigned long long>(free_run->output_pairs),
                 AlgorithmName(free_run->algorithm),
-                static_cast<unsigned long long>(free_run->TotalIO()), "INLJN",
-                static_cast<unsigned long long>(idx_run->TotalIO()),
-                free_run->output_pairs == idx_run->output_pairs ? ""
-                                                                : "  MISMATCH!");
-    d_index->Drop(&bm);
+                static_cast<unsigned long long>(free_run->TotalIO()),
+                static_cast<unsigned long long>(inljn->TotalIO()),
+                static_cast<unsigned long long>(adb->TotalIO()),
+                agree ? "" : "  MISMATCH!");
     a->file.Drop(&bm);
     d->file.Drop(&bm);
   }
+  if (mismatch) {
+    std::fprintf(stderr, "result counts disagree between algorithms\n");
+    return 1;
+  }
 
   std::printf(
-      "\nTakeaway: with a prebuilt index INLJN probes beat full scans for\n"
-      "highly selective joins, while the partitioning algorithms win when\n"
-      "no access path exists — exactly Table 1 of the paper.\n");
+      "\nTakeaway: on unindexed inputs INLJN and ADB+ pay for an index\n"
+      "build on every run, so the partitioning algorithms win — row 4 of\n"
+      "Table 1 of the paper.\n");
   return 0;
 }

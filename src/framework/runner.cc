@@ -123,18 +123,6 @@ StatusOr<RunResult> RunAuto(BufferManager* bm, const ElementSet& a,
   InputProperties pa, pd;
   pa.sorted = a.sorted_by_start;
   pd.sorted = d.sorted_by_start;
-  pa.indexed = options.paths.a_interval_index != nullptr ||
-               options.paths.a_start_index != nullptr;
-  pd.indexed = options.paths.d_code_index != nullptr ||
-               options.paths.d_start_index != nullptr;
-  // ADB+ needs Start-keyed trees specifically.
-  if (options.paths.a_start_index == nullptr || options.paths.d_start_index == nullptr) {
-    if (pa.indexed && pd.indexed && (pa.sorted && pd.sorted)) {
-      // Fall back from ADB+ to INLJN when only the INLJN-style indexes
-      // exist.
-      pa.sorted = pd.sorted = false;
-    }
-  }
   Algorithm alg = ChooseAlgorithm(pa, pd, a.SingleHeight());
   return RunJoin(alg, bm, a, d, sink, options);
 }
@@ -213,8 +201,6 @@ StatusOr<RunResult> RunSegmentedJoin(Algorithm alg, BufferManager* spill_bm,
   Timer timer;
 
   const int h_cut = a.cut_height();
-  RunOptions seg_opts = options;
-  seg_opts.paths = AccessPaths{};  // store-level indexes don't cover pieces
 
   // Every segment task gets the full options.work_pages, serial or
   // parallel: each segment owns its pool (see exec/exec_context.h).
@@ -235,7 +221,7 @@ StatusOr<RunResult> RunSegmentedJoin(Algorithm alg, BufferManager* spill_bm,
     }
     Status st = Status::OK();
     if (d_view.num_records() > 0) {
-      auto run = RunJoin(alg, sa.bm, sa.set, d_view, out, seg_opts);
+      auto run = RunJoin(alg, sa.bm, sa.set, d_view, out, options);
       st = run.ok() ? Status::OK() : run.status();
       if (run.ok()) stats->Merge(run.value().stats);
     }

@@ -7,8 +7,6 @@
 
 #include "common/status.h"
 #include "framework/planner.h"
-#include "index/bptree.h"
-#include "index/interval_index.h"
 #include "join/element_set.h"
 #include "join/join_context.h"
 #include "join/mhcj_rollup.h"
@@ -20,26 +18,6 @@
 namespace pbitree {
 
 class ExecContext;
-
-/// \brief Pre-existing access paths a run may use, grouped so call
-/// sites pass one value instead of four loose pointers.
-///
-/// All pointers are borrowed (caller keeps ownership and must keep the
-/// indexes alive for the duration of the run); null means "absent".
-/// When an algorithm needs a path that is missing, the runner builds it
-/// on the fly (the "naive" mode whose cost the experiments charge to
-/// the region-based algorithms) and records the build time.
-struct AccessPaths {
-  const BPTree* d_code_index = nullptr;         // INLJN probe index on D
-  const IntervalIndex* a_interval_index = nullptr;  // ADB+ interval index on A
-  const BPTree* a_start_index = nullptr;        // Start-order index on A
-  const BPTree* d_start_index = nullptr;        // Start-order index on D
-
-  bool any() const {
-    return d_code_index != nullptr || a_interval_index != nullptr ||
-           a_start_index != nullptr || d_start_index != nullptr;
-  }
-};
 
 /// \brief Configuration for one measured join execution.
 struct RunOptions {
@@ -89,10 +67,6 @@ struct RunOptions {
   /// measurement and differential testing. The toggle is process-global
   /// so segment tasks on pool workers see it.
   std::optional<bool> simd;
-
-  /// Pre-existing access paths (see AccessPaths); missing ones are
-  /// built on the fly and their build time recorded in the stats.
-  AccessPaths paths;
 
   RollupHeightPolicy rollup_policy = RollupHeightPolicy::kMax;
   VpjOptions vpj;
@@ -147,7 +121,8 @@ StatusOr<MinRgnResult> RunMinRgn(BufferManager* bm, const ElementSet& a,
                                const ElementSet& d, const RunOptions& options);
 
 /// Framework entry point: picks the algorithm per Table 1 from the sets'
-/// metadata and the indexes present in `options`, then runs it.
+/// sortedness and height profile, then runs it. Stored sets carry no
+/// index, so the indexed rows of Table 1 never apply here.
 StatusOr<RunResult> RunAuto(BufferManager* bm, const ElementSet& a,
                           const ElementSet& d, ResultSink* sink,
                           const RunOptions& options);
@@ -173,9 +148,8 @@ StatusOr<RunResult> RunSegmentedJoin(Algorithm alg, BufferManager* spill_bm,
                                      const SegmentedSet& d, ResultSink* sink,
                                      const RunOptions& options);
 
-/// Table-1 selection over a segmented pair (segment pieces carry no
-/// prebuilt indexes, so the choice reduces to sortedness and the
-/// ancestor height profile), then RunSegmentedJoin.
+/// Table-1 selection over a segmented pair, exactly as RunAuto, then
+/// RunSegmentedJoin.
 StatusOr<RunResult> RunSegmentedAuto(BufferManager* spill_bm,
                                      const SegmentedSet& a,
                                      const SegmentedSet& d, ResultSink* sink,

@@ -1,6 +1,5 @@
 #include "index/bptree.h"
 
-#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -78,26 +77,6 @@ void InteriorWrite(Page* p, size_t i, uint64_t key, PageId child) {
   std::memcpy(InteriorEntry(p, i) + 8, &child, 4);
 }
 
-/// Child index for inserting `key`: the last separator <= key, i.e.
-/// child 0 when key < key[0], child i+1 when key[i] <= key < key[i+1].
-/// Duplicates are appended after existing equal keys.
-size_t ChildSlot(const Page* p, uint64_t key) {
-  size_t lo = 0, hi = NodeCount(p);  // answer in [0, count]
-  while (lo < hi) {
-    size_t mid = (lo + hi) / 2;
-    if (InteriorKey(p, mid) <= key) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;  // number of separators <= key
-}
-PageId ChildFor(const Page* p, uint64_t key) {
-  size_t slot = ChildSlot(p, key);
-  return slot == 0 ? InteriorChild0(p) : InteriorChild(p, slot - 1);
-}
-
 /// Child index for *searching* the first occurrence of `key`: strict
 /// comparison, so a run of duplicates spanning a node boundary is
 /// entered at its leftmost leaf (scans walk the leaf chain forward).
@@ -130,111 +109,98 @@ size_t LeafLowerBound(const Page* p, uint64_t lo) {
 
 }  // namespace
 
-StatusOr<BPTree> BPTree::CreateEmpty(BufferManager* bm, KeyKind kind) {
-  PBITREE_ASSIGN_OR_RETURN(Page * p, bm->NewPage());
-  SetNodeLeaf(p, true);
-  SetNodeCount(p, 0);
-  SetLeafNext(p, kInvalidPageId);
-  BPTree t;
-  t.root_ = p->page_id();
-  t.kind_ = kind;
-  t.num_pages_ = 1;
-  t.height_ = 1;
-  PBITREE_RETURN_IF_ERROR(bm->UnpinPage(p->page_id(), true));
-  return t;
-}
-
 StatusOr<BPTree> BPTree::BulkLoad(BufferManager* bm,
-                                  const HeapFile& sorted_input, KeyKind kind,
-                                  double fill) {
-  if (fill <= 0.0 || fill > 1.0) {
-    return Status::InvalidArgument("BulkLoad: fill must be in (0, 1]");
-  }
-  const size_t leaf_target =
-      std::max<size_t>(1, static_cast<size_t>(kLeafCapacity * fill));
-  const size_t interior_target =
-      std::max<size_t>(2, static_cast<size_t>(kInteriorCapacity * fill));
-
+                                  const HeapFile& sorted_input, KeyKind kind) {
   BPTree t;
   t.kind_ = kind;
-
-  struct LevelEntry {
-    uint64_t first_key;
-    PageId pid;
-  };
-  std::vector<LevelEntry> level;  // (first key, page) of each leaf
-
-  // ---- Leaf level.
-  HeapFile::Scanner scan(bm, sorted_input);
-  ElementRecord rec;
-  Status st;
+  // Every page allocated so far, and the leaf being filled (pinned):
+  // a failed load unpins the leaf and frees the partial tree.
+  std::vector<PageId> pages;
   Page* leaf = nullptr;
-  uint64_t prev_key = 0;
-  bool have_prev = false;
-  while (scan.NextElement(&rec, &st)) {
-    uint64_t key = KeyOf(rec, kind);
-    if (have_prev && key < prev_key) {
-      if (leaf != nullptr) bm->UnpinPage(leaf->page_id(), true);
-      return Status::InvalidArgument("BulkLoad: input not sorted by key");
-    }
-    prev_key = key;
-    have_prev = true;
-    if (leaf != nullptr && NodeCount(leaf) >= leaf_target) {
-      PBITREE_ASSIGN_OR_RETURN(Page * next, bm->NewPage());
-      SetNodeLeaf(next, true);
-      SetNodeCount(next, 0);
-      SetLeafNext(next, kInvalidPageId);
-      SetLeafNext(leaf, next->page_id());
-      PBITREE_RETURN_IF_ERROR(bm->UnpinPage(leaf->page_id(), true));
-      leaf = next;
-      ++t.num_pages_;
-    }
-    if (leaf == nullptr) {
-      PBITREE_ASSIGN_OR_RETURN(Page * first, bm->NewPage());
-      SetNodeLeaf(first, true);
-      SetNodeCount(first, 0);
-      SetLeafNext(first, kInvalidPageId);
-      leaf = first;
-      ++t.num_pages_;
-    }
-    uint16_t n = NodeCount(leaf);
-    if (n == 0) level.push_back({key, leaf->page_id()});
-    LeafWrite(leaf, n, key, rec);
-    SetNodeCount(leaf, n + 1);
-    ++t.num_entries_;
-  }
-  PBITREE_RETURN_IF_ERROR(st);
-  if (leaf != nullptr) {
-    PBITREE_RETURN_IF_ERROR(bm->UnpinPage(leaf->page_id(), true));
-  }
-  if (level.empty()) return CreateEmpty(bm, kind);
+  auto new_node = [&](bool is_leaf) -> StatusOr<Page*> {
+    PBITREE_ASSIGN_OR_RETURN(Page * p, bm->NewPage());
+    pages.push_back(p->page_id());
+    SetNodeLeaf(p, is_leaf);
+    SetNodeCount(p, 0);
+    if (is_leaf) SetLeafNext(p, kInvalidPageId);
+    return p;
+  };
+  Status st = [&]() -> Status {
+    struct LevelEntry {
+      uint64_t first_key;
+      PageId pid;
+    };
+    std::vector<LevelEntry> level;  // (first key, page) of each leaf
 
-  // ---- Build interior levels bottom-up.
-  t.height_ = 1;
-  while (level.size() > 1) {
-    std::vector<LevelEntry> parent;
-    size_t i = 0;
-    while (i < level.size()) {
-      PBITREE_ASSIGN_OR_RETURN(Page * node, bm->NewPage());
-      SetNodeLeaf(node, false);
-      SetNodeCount(node, 0);
-      ++t.num_pages_;
-      parent.push_back({level[i].first_key, node->page_id()});
-      SetInteriorChild0(node, level[i].pid);
-      ++i;
-      uint16_t n = 0;
-      while (i < level.size() && n < interior_target) {
-        InteriorWrite(node, n, level[i].first_key, level[i].pid);
-        ++n;
-        ++i;
+    // ---- Leaf level, packed full.
+    HeapFile::Scanner scan(bm, sorted_input);
+    ElementRecord rec;
+    Status scan_st;
+    uint64_t prev_key = 0;
+    bool have_prev = false;
+    while (scan.NextElement(&rec, &scan_st)) {
+      uint64_t key = KeyOf(rec, kind);
+      if (have_prev && key < prev_key) {
+        return Status::InvalidArgument("BulkLoad: input not sorted by key");
       }
-      SetNodeCount(node, n);
-      PBITREE_RETURN_IF_ERROR(bm->UnpinPage(node->page_id(), true));
+      prev_key = key;
+      have_prev = true;
+      if (leaf == nullptr || NodeCount(leaf) >= kLeafCapacity) {
+        PBITREE_ASSIGN_OR_RETURN(Page * next, new_node(/*is_leaf=*/true));
+        Status un = Status::OK();
+        if (leaf != nullptr) {
+          SetLeafNext(leaf, next->page_id());
+          un = bm->UnpinPage(leaf->page_id(), true);
+        }
+        leaf = next;
+        PBITREE_RETURN_IF_ERROR(un);
+      }
+      uint16_t n = NodeCount(leaf);
+      if (n == 0) level.push_back({key, leaf->page_id()});
+      LeafWrite(leaf, n, key, rec);
+      SetNodeCount(leaf, n + 1);
+      ++t.num_entries_;
     }
-    level = std::move(parent);
-    ++t.height_;
+    PBITREE_RETURN_IF_ERROR(scan_st);
+    if (leaf == nullptr) {
+      // Empty input: the tree is one empty leaf.
+      PBITREE_ASSIGN_OR_RETURN(leaf, new_node(/*is_leaf=*/true));
+      level.push_back({0, leaf->page_id()});
+    }
+    Status un = bm->UnpinPage(leaf->page_id(), true);
+    leaf = nullptr;
+    PBITREE_RETURN_IF_ERROR(un);
+
+    // ---- Build interior levels bottom-up.
+    while (level.size() > 1) {
+      std::vector<LevelEntry> parent;
+      size_t i = 0;
+      while (i < level.size()) {
+        PBITREE_ASSIGN_OR_RETURN(Page * node, new_node(/*is_leaf=*/false));
+        parent.push_back({level[i].first_key, node->page_id()});
+        SetInteriorChild0(node, level[i].pid);
+        ++i;
+        uint16_t n = 0;
+        while (i < level.size() && n < kInteriorCapacity) {
+          InteriorWrite(node, n, level[i].first_key, level[i].pid);
+          ++n;
+          ++i;
+        }
+        SetNodeCount(node, n);
+        PBITREE_RETURN_IF_ERROR(bm->UnpinPage(node->page_id(), true));
+      }
+      level = std::move(parent);
+      ++t.height_;
+    }
+    t.root_ = level[0].pid;
+    return Status::OK();
+  }();
+  if (!st.ok()) {
+    if (leaf != nullptr) (void)bm->UnpinPage(leaf->page_id(), true);
+    for (PageId pid : pages) (void)bm->DeletePage(pid);
+    return st;
   }
-  t.root_ = level[0].pid;
+  t.pages_ = std::move(pages);
   return t;
 }
 
@@ -248,209 +214,13 @@ StatusOr<Page*> BPTree::DescendToLeaf(BufferManager* bm, uint64_t key) const {
   return p;
 }
 
-Status BPTree::PointSearch(BufferManager* bm, uint64_t key,
-                           ElementRecord* out) const {
-  ElementRecord rec;
-  PBITREE_ASSIGN_OR_RETURN(bool found, SeekCeil(bm, key, &rec));
-  if (found && KeyOf(rec, kind_) == key) {
-    *out = rec;
-    return Status::OK();
-  }
-  return Status::NotFound("key " + std::to_string(key) + " not in index");
-}
-
-Status BPTree::Insert(BufferManager* bm, const ElementRecord& rec) {
-  const uint64_t key = KeyOf(rec, kind_);
-
-  // Descend remembering the path for splits.
-  struct PathEntry {
-    PageId pid;
-  };
-  std::vector<PathEntry> path;
-  PBITREE_ASSIGN_OR_RETURN(Page * p, bm->FetchPage(root_));
-  while (!NodeIsLeaf(p)) {
-    path.push_back({p->page_id()});
-    PageId child = ChildFor(p, key);
-    PBITREE_RETURN_IF_ERROR(bm->UnpinPage(p->page_id(), false));
-    PBITREE_ASSIGN_OR_RETURN(p, bm->FetchPage(child));
-  }
-
-  // Insert into the leaf, splitting as needed and propagating the new
-  // separator upward.
-  uint64_t up_key = 0;
-  PageId up_child = kInvalidPageId;
-
-  {
-    uint16_t n = NodeCount(p);
-    size_t pos = LeafLowerBound(p, key);
-    // Place duplicates after existing equal keys.
-    while (pos < n && LeafKey(p, pos) == key) ++pos;
-    if (n < kLeafCapacity) {
-      std::memmove(LeafEntry(p, pos + 1), LeafEntry(p, pos),
-                   (n - pos) * kLeafEntrySize);
-      LeafWrite(p, pos, key, rec);
-      SetNodeCount(p, n + 1);
-      ++num_entries_;
-      return bm->UnpinPage(p->page_id(), true);
-    }
-    // Split the leaf.
-    PBITREE_ASSIGN_OR_RETURN(Page * right, bm->NewPage());
-    SetNodeLeaf(right, true);
-    ++num_pages_;
-    size_t mid = (n + 1) / 2;
-    size_t right_n = n - mid;
-    std::memcpy(LeafEntry(right, 0), LeafEntry(p, mid),
-                right_n * kLeafEntrySize);
-    SetNodeCount(right, static_cast<uint16_t>(right_n));
-    SetNodeCount(p, static_cast<uint16_t>(mid));
-    SetLeafNext(right, LeafNext(p));
-    SetLeafNext(p, right->page_id());
-    // Insert into the proper half.
-    Page* target = pos <= mid ? p : right;
-    size_t tpos = pos <= mid ? pos : pos - mid;
-    uint16_t tn = NodeCount(target);
-    std::memmove(LeafEntry(target, tpos + 1), LeafEntry(target, tpos),
-                 (tn - tpos) * kLeafEntrySize);
-    LeafWrite(target, tpos, key, rec);
-    SetNodeCount(target, tn + 1);
-    ++num_entries_;
-    up_key = LeafKey(right, 0);
-    up_child = right->page_id();
-    PBITREE_RETURN_IF_ERROR(bm->UnpinPage(right->page_id(), true));
-    PBITREE_RETURN_IF_ERROR(bm->UnpinPage(p->page_id(), true));
-  }
-
-  // Propagate splits up the path.
-  while (up_child != kInvalidPageId && !path.empty()) {
-    PageId pid = path.back().pid;
-    path.pop_back();
-    PBITREE_ASSIGN_OR_RETURN(Page * node, bm->FetchPage(pid));
-    uint16_t n = NodeCount(node);
-    size_t slot = ChildSlot(node, up_key);
-    if (n < kInteriorCapacity) {
-      std::memmove(InteriorEntry(node, slot + 1), InteriorEntry(node, slot),
-                   (n - slot) * kInteriorEntrySize);
-      InteriorWrite(node, slot, up_key, up_child);
-      SetNodeCount(node, n + 1);
-      up_child = kInvalidPageId;
-      PBITREE_RETURN_IF_ERROR(bm->UnpinPage(pid, true));
-      break;
-    }
-    // Split interior node: materialise the n+1 separators and n+2
-    // children with (up_key, up_child) inserted at `slot`.
-    std::vector<uint64_t> keys(n + 1, 0);
-    std::vector<PageId> ch(n + 2, kInvalidPageId);
-    ch[0] = InteriorChild0(node);
-    size_t ki = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (i == slot) {
-        keys[ki] = up_key;
-        ch[ki + 1] = up_child;
-        ++ki;
-      }
-      keys[ki] = InteriorKey(node, i);
-      ch[ki + 1] = InteriorChild(node, i);
-      ++ki;
-    }
-    if (slot == n) {
-      keys[ki] = up_key;
-      ch[ki + 1] = up_child;
-    }
-    // Split point: middle separator moves up.
-    size_t total = n + 1;  // separators now
-    size_t mid = total / 2;
-    uint64_t promote = keys[mid];
-    // Left node keeps separators [0, mid) and children [0, mid].
-    SetNodeCount(node, static_cast<uint16_t>(mid));
-    SetInteriorChild0(node, ch[0]);
-    for (size_t i = 0; i < mid; ++i) InteriorWrite(node, i, keys[i], ch[i + 1]);
-    // Right node gets separators (mid, total) and children [mid+1, total+1).
-    PBITREE_ASSIGN_OR_RETURN(Page * right, bm->NewPage());
-    SetNodeLeaf(right, false);
-    ++num_pages_;
-    size_t rn = total - mid - 1;
-    SetInteriorChild0(right, ch[mid + 1]);
-    for (size_t i = 0; i < rn; ++i) {
-      InteriorWrite(right, i, keys[mid + 1 + i], ch[mid + 2 + i]);
-    }
-    SetNodeCount(right, static_cast<uint16_t>(rn));
-    up_key = promote;
-    up_child = right->page_id();
-    PBITREE_RETURN_IF_ERROR(bm->UnpinPage(right->page_id(), true));
-    PBITREE_RETURN_IF_ERROR(bm->UnpinPage(pid, true));
-  }
-
-  // Root split.
-  if (up_child != kInvalidPageId) {
-    PBITREE_ASSIGN_OR_RETURN(Page * new_root, bm->NewPage());
-    SetNodeLeaf(new_root, false);
-    SetNodeCount(new_root, 1);
-    SetInteriorChild0(new_root, root_);
-    InteriorWrite(new_root, 0, up_key, up_child);
-    root_ = new_root->page_id();
-    ++num_pages_;
-    ++height_;
-    PBITREE_RETURN_IF_ERROR(bm->UnpinPage(new_root->page_id(), true));
-  }
-  return Status::OK();
-}
-
-Status BPTree::Remove(BufferManager* bm, const ElementRecord& rec) {
-  const uint64_t key = KeyOf(rec, kind_);
-  // Walk from the first occurrence of `key` across the leaf chain
-  // (duplicates may span leaves) until the exact record is found.
-  PBITREE_ASSIGN_OR_RETURN(Page * leaf, DescendToLeaf(bm, key));
-  size_t pos = LeafLowerBound(leaf, key);
-  while (true) {
-    if (pos < NodeCount(leaf)) {
-      if (LeafKey(leaf, pos) > key) break;
-      ElementRecord cur;
-      LeafRead(leaf, pos, &cur);
-      if (cur == rec) {
-        uint16_t n = NodeCount(leaf);
-        std::memmove(LeafEntry(leaf, pos), LeafEntry(leaf, pos + 1),
-                     (n - pos - 1) * kLeafEntrySize);
-        SetNodeCount(leaf, n - 1);
-        --num_entries_;
-        return bm->UnpinPage(leaf->page_id(), /*dirty=*/true);
-      }
-      ++pos;
-      continue;
-    }
-    PageId next = LeafNext(leaf);
-    PBITREE_RETURN_IF_ERROR(bm->UnpinPage(leaf->page_id(), false));
-    if (next == kInvalidPageId) {
-      return Status::NotFound("record not in index");
-    }
-    PBITREE_ASSIGN_OR_RETURN(leaf, bm->FetchPage(next));
-    pos = 0;
-  }
-  PBITREE_RETURN_IF_ERROR(bm->UnpinPage(leaf->page_id(), false));
-  return Status::NotFound("record not in index");
-}
-
 Status BPTree::Drop(BufferManager* bm) {
-  if (root_ == kInvalidPageId) return Status::OK();
-  // Iterative post-order free via an explicit stack of page ids.
-  std::vector<PageId> stack = {root_};
-  while (!stack.empty()) {
-    PageId pid = stack.back();
-    stack.pop_back();
-    {
-      PBITREE_ASSIGN_OR_RETURN(Page * p, bm->FetchPage(pid));
-      if (!NodeIsLeaf(p)) {
-        stack.push_back(InteriorChild0(p));
-        for (size_t i = 0; i < NodeCount(p); ++i) {
-          stack.push_back(InteriorChild(p, i));
-        }
-      }
-      PBITREE_RETURN_IF_ERROR(bm->UnpinPage(pid, false));
-    }
-    PBITREE_RETURN_IF_ERROR(bm->DeletePage(pid));
-  }
+  // Frees the pages recorded by BulkLoad without reading any of them,
+  // so a drop on an error path needs no frame and no write-back.
+  for (PageId pid : pages_) PBITREE_RETURN_IF_ERROR(bm->DeletePage(pid));
+  pages_.clear();
   root_ = kInvalidPageId;
   num_entries_ = 0;
-  num_pages_ = 0;
   height_ = 1;
   return Status::OK();
 }

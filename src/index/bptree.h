@@ -2,6 +2,7 @@
 #define PBITREE_INDEX_BPTREE_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "common/status.h"
 #include "pbitree/code.h"
@@ -26,9 +27,12 @@ inline uint64_t KeyOf(const ElementRecord& rec, KeyKind kind) {
 /// module stand-in.
 ///
 /// Keys are uint64 (duplicates allowed); leaf entries carry the full
-/// 16-byte ElementRecord. Supports one-pass bulk loading from key-sorted
-/// input (what the naive index-on-the-fly wrappers use) and incremental
-/// insertion (splits), point/range search via a chained-leaf scanner.
+/// 16-byte ElementRecord. A tree is built once, by a one-pass bulk load
+/// from key-sorted input with every node packed full, and then only
+/// read: range scans over the chained leaves and SeekCeil. The joins
+/// that use one (INLJN, Anc_Des_B+) build it on the fly over their
+/// input and drop it when they finish; nothing keeps a tree across
+/// runs, so the tree has no insert or delete.
 ///
 /// Node layout (4 KiB pages):
 ///  - byte 0: 1 = leaf, 0 = interior; bytes 2-3: entry count;
@@ -43,33 +47,18 @@ class BPTree {
 
   BPTree() = default;
 
-  /// Creates an empty tree (a single empty leaf).
-  static StatusOr<BPTree> CreateEmpty(BufferManager* bm, KeyKind kind);
-
-  /// Bulk loads from input already sorted by the key (ascending).
-  /// Leaves are packed to `fill` of capacity (0 < fill <= 1).
+  /// Bulk loads from input already sorted by the key (ascending),
+  /// packing every node full; empty input gives one empty leaf. On
+  /// failure every page the load allocated is freed and none is left
+  /// pinned.
   static StatusOr<BPTree> BulkLoad(BufferManager* bm,
-                                   const HeapFile& sorted_input, KeyKind kind,
-                                   double fill = 1.0);
+                                   const HeapFile& sorted_input, KeyKind kind);
 
   bool valid() const { return root_ != kInvalidPageId; }
   KeyKind key_kind() const { return kind_; }
   uint64_t num_entries() const { return num_entries_; }
-  uint64_t num_pages() const { return num_pages_; }
+  uint64_t num_pages() const { return pages_.size(); }
   int tree_height() const { return height_; }
-
-  /// Inserts one entry (duplicates allowed).
-  Status Insert(BufferManager* bm, const ElementRecord& rec);
-
-  /// Removes one entry whose key AND record match `rec` exactly;
-  /// NotFound if absent. Uses lazy deletion (leaves may underflow but
-  /// empty leaves stay chained; the root collapses when a single child
-  /// remains) — the classic simplification for index workloads whose
-  /// deletes are rare relative to scans, trading space for simplicity.
-  Status Remove(BufferManager* bm, const ElementRecord& rec);
-
-  /// Copies some entry with exactly `key` into `out`; NotFound if none.
-  Status PointSearch(BufferManager* bm, uint64_t key, ElementRecord* out) const;
 
   /// Frees every page of the index.
   Status Drop(BufferManager* bm);
@@ -121,7 +110,7 @@ class BPTree {
   PageId root_ = kInvalidPageId;
   KeyKind kind_ = KeyKind::kCode;
   uint64_t num_entries_ = 0;
-  uint64_t num_pages_ = 0;
+  std::vector<PageId> pages_;  // every page of the tree, from BulkLoad
   int height_ = 1;  // number of levels (1 = root is a leaf)
 };
 

@@ -51,98 +51,101 @@ void WriteInterior(Page* p, size_t i, const InteriorEntry& e) {
 StatusOr<IntervalIndex> IntervalIndex::BulkLoad(
     BufferManager* bm, const HeapFile& sorted_by_start) {
   IntervalIndex idx;
-
-  struct LevelEntry {
-    uint64_t min_start;
-    uint64_t max_end;
-    PageId pid;
-  };
-  std::vector<LevelEntry> level;
-
-  // ---- Leaf level.
-  HeapFile::Scanner scan(bm, sorted_by_start);
-  ElementRecord rec;
-  Status st;
+  // Every page allocated so far, and the leaf being filled (pinned):
+  // a failed load unpins the leaf and frees the partial index.
+  std::vector<PageId> pages;
   Page* leaf = nullptr;
-  uint64_t leaf_min = 0, leaf_max = 0;
-  uint64_t prev_start = 0;
-  bool have_prev = false;
-  auto close_leaf = [&]() -> Status {
-    if (leaf == nullptr) return Status::OK();
-    level.push_back({leaf_min, leaf_max, leaf->page_id()});
-    Status s = bm->UnpinPage(leaf->page_id(), true);
-    leaf = nullptr;
-    return s;
-  };
-  while (scan.NextElement(&rec, &st)) {
-    uint64_t start = StartOf(rec.code);
-    uint64_t end = EndOf(rec.code);
-    if (have_prev && start < prev_start) {
-      if (leaf != nullptr) bm->UnpinPage(leaf->page_id(), true);
-      return Status::InvalidArgument(
-          "IntervalIndex::BulkLoad: input not sorted by Start");
-    }
-    prev_start = start;
-    have_prev = true;
-    if (leaf != nullptr && NodeCount(leaf) >= kLeafCapacity) {
-      PBITREE_RETURN_IF_ERROR(close_leaf());
-    }
-    if (leaf == nullptr) {
-      PBITREE_ASSIGN_OR_RETURN(Page * p, bm->NewPage());
-      SetNodeLeaf(p, true);
-      SetNodeCount(p, 0);
-      leaf = p;
-      ++idx.num_pages_;
-      leaf_min = start;
-      leaf_max = end;
-    }
-    uint16_t n = NodeCount(leaf);
-    LeafWrite(leaf, n, rec);
-    SetNodeCount(leaf, n + 1);
-    leaf_max = std::max(leaf_max, end);
-    ++idx.num_entries_;
-  }
-  PBITREE_RETURN_IF_ERROR(st);
-  PBITREE_RETURN_IF_ERROR(close_leaf());
-
-  if (level.empty()) {
-    // Empty index: a single empty leaf.
+  auto new_node = [&](bool is_leaf) -> StatusOr<Page*> {
     PBITREE_ASSIGN_OR_RETURN(Page * p, bm->NewPage());
-    SetNodeLeaf(p, true);
+    pages.push_back(p->page_id());
+    SetNodeLeaf(p, is_leaf);
     SetNodeCount(p, 0);
-    idx.root_ = p->page_id();
-    idx.num_pages_ = 1;
-    PBITREE_RETURN_IF_ERROR(bm->UnpinPage(p->page_id(), true));
-    return idx;
-  }
+    return p;
+  };
+  Status st = [&]() -> Status {
+    struct LevelEntry {
+      uint64_t min_start;
+      uint64_t max_end;
+      PageId pid;
+    };
+    std::vector<LevelEntry> level;
 
-  // ---- Interior levels.
-  idx.height_ = 1;
-  while (level.size() > 1) {
-    std::vector<LevelEntry> parent;
-    size_t i = 0;
-    while (i < level.size()) {
-      PBITREE_ASSIGN_OR_RETURN(Page * node, bm->NewPage());
-      SetNodeLeaf(node, false);
-      ++idx.num_pages_;
-      uint16_t n = 0;
-      uint64_t min_start = level[i].min_start;
-      uint64_t max_end = 0;
-      while (i < level.size() && n < kInteriorCapacity) {
-        WriteInterior(node, n,
-                      {level[i].min_start, level[i].max_end, level[i].pid});
-        max_end = std::max(max_end, level[i].max_end);
-        ++n;
-        ++i;
+    // ---- Leaf level.
+    HeapFile::Scanner scan(bm, sorted_by_start);
+    ElementRecord rec;
+    Status scan_st;
+    uint64_t leaf_min = 0, leaf_max = 0;
+    uint64_t prev_start = 0;
+    bool have_prev = false;
+    auto close_leaf = [&]() -> Status {
+      if (leaf == nullptr) return Status::OK();
+      level.push_back({leaf_min, leaf_max, leaf->page_id()});
+      Status s = bm->UnpinPage(leaf->page_id(), true);
+      leaf = nullptr;
+      return s;
+    };
+    while (scan.NextElement(&rec, &scan_st)) {
+      uint64_t start = StartOf(rec.code);
+      uint64_t end = EndOf(rec.code);
+      if (have_prev && start < prev_start) {
+        return Status::InvalidArgument(
+            "IntervalIndex::BulkLoad: input not sorted by Start");
       }
-      SetNodeCount(node, n);
-      parent.push_back({min_start, max_end, node->page_id()});
-      PBITREE_RETURN_IF_ERROR(bm->UnpinPage(node->page_id(), true));
+      prev_start = start;
+      have_prev = true;
+      if (leaf != nullptr && NodeCount(leaf) >= kLeafCapacity) {
+        PBITREE_RETURN_IF_ERROR(close_leaf());
+      }
+      if (leaf == nullptr) {
+        PBITREE_ASSIGN_OR_RETURN(leaf, new_node(/*is_leaf=*/true));
+        leaf_min = start;
+        leaf_max = end;
+      }
+      uint16_t n = NodeCount(leaf);
+      LeafWrite(leaf, n, rec);
+      SetNodeCount(leaf, n + 1);
+      leaf_max = std::max(leaf_max, end);
+      ++idx.num_entries_;
     }
-    level = std::move(parent);
-    ++idx.height_;
+    PBITREE_RETURN_IF_ERROR(scan_st);
+    if (leaf == nullptr) {
+      // Empty index: a single empty leaf.
+      PBITREE_ASSIGN_OR_RETURN(leaf, new_node(/*is_leaf=*/true));
+    }
+    PBITREE_RETURN_IF_ERROR(close_leaf());
+
+    // ---- Interior levels.
+    while (level.size() > 1) {
+      std::vector<LevelEntry> parent;
+      size_t i = 0;
+      while (i < level.size()) {
+        PBITREE_ASSIGN_OR_RETURN(Page * node, new_node(/*is_leaf=*/false));
+        uint16_t n = 0;
+        uint64_t min_start = level[i].min_start;
+        uint64_t max_end = 0;
+        while (i < level.size() && n < kInteriorCapacity) {
+          WriteInterior(node, n,
+                        {level[i].min_start, level[i].max_end, level[i].pid});
+          max_end = std::max(max_end, level[i].max_end);
+          ++n;
+          ++i;
+        }
+        SetNodeCount(node, n);
+        parent.push_back({min_start, max_end, node->page_id()});
+        PBITREE_RETURN_IF_ERROR(bm->UnpinPage(node->page_id(), true));
+      }
+      level = std::move(parent);
+      ++idx.height_;
+    }
+    idx.root_ = level[0].pid;
+    return Status::OK();
+  }();
+  if (!st.ok()) {
+    if (leaf != nullptr) (void)bm->UnpinPage(leaf->page_id(), true);
+    for (PageId pid : pages) (void)bm->DeletePage(pid);
+    return st;
   }
-  idx.root_ = level[0].pid;
+  idx.pages_ = std::move(pages);
   return idx;
 }
 
@@ -177,25 +180,12 @@ Status IntervalIndex::Stab(
 }
 
 Status IntervalIndex::Drop(BufferManager* bm) {
-  if (root_ == kInvalidPageId) return Status::OK();
-  std::vector<PageId> stack = {root_};
-  while (!stack.empty()) {
-    PageId pid = stack.back();
-    stack.pop_back();
-    {
-      PBITREE_ASSIGN_OR_RETURN(Page * p, bm->FetchPage(pid));
-      if (!NodeIsLeaf(p)) {
-        for (size_t i = 0; i < NodeCount(p); ++i) {
-          stack.push_back(ReadInterior(p, i).child);
-        }
-      }
-      PBITREE_RETURN_IF_ERROR(bm->UnpinPage(pid, false));
-    }
-    PBITREE_RETURN_IF_ERROR(bm->DeletePage(pid));
-  }
+  // Frees the pages recorded by BulkLoad without reading any of them,
+  // so a drop on an error path needs no frame and no write-back.
+  for (PageId pid : pages_) PBITREE_RETURN_IF_ERROR(bm->DeletePage(pid));
+  pages_.clear();
   root_ = kInvalidPageId;
   num_entries_ = 0;
-  num_pages_ = 0;
   height_ = 1;
   return Status::OK();
 }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "common/status.h"
 #include "pbitree/code.h"
@@ -43,7 +44,7 @@ class IntervalIndex {
 
   bool valid() const { return root_ != kInvalidPageId; }
   uint64_t num_entries() const { return num_entries_; }
-  uint64_t num_pages() const { return num_pages_; }
+  uint64_t num_pages() const { return pages_.size(); }
   int tree_height() const { return height_; }
 
   /// Invokes `emit` for every indexed element whose region contains
@@ -58,7 +59,7 @@ class IntervalIndex {
  private:
   PageId root_ = kInvalidPageId;
   uint64_t num_entries_ = 0;
-  uint64_t num_pages_ = 0;
+  std::vector<PageId> pages_;  // every page of the tree, from BulkLoad
   int height_ = 1;
 };
 

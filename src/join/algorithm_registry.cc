@@ -104,13 +104,22 @@ Status RunSortedMerge(Algorithm alg, JoinContext* ctx, const ElementSet& a,
         sa, SortedCopy(bm, a, ctx->work_pages, &ctx->stats));
     tmp_a = sa;
   }
+  Status st = Status::OK();
   if (!sd.sorted_by_start) {
-    PBITREE_ASSIGN_OR_RETURN(
-        sd, SortedCopy(bm, d, ctx->work_pages, &ctx->stats));
-    tmp_d = sd;
+    // A failed sort of D falls through, so A's copy is still dropped.
+    StatusOr<ElementSet> sorted =
+        SortedCopy(bm, d, ctx->work_pages, &ctx->stats);
+    if (sorted.ok()) {
+      sd = *sorted;
+      tmp_d = sd;
+    } else {
+      st = sorted.status();
+    }
   }
-  Status st = alg == Algorithm::kStackTree ? StackTreeJoin(ctx, sa, sd, sink)
-                                           : Mpmgjn(ctx, sa, sd, sink);
+  if (st.ok()) {
+    st = alg == Algorithm::kStackTree ? StackTreeJoin(ctx, sa, sd, sink)
+                                      : Mpmgjn(ctx, sa, sd, sink);
+  }
   if (tmp_a.has_value()) {
     Status s = tmp_a->file.Drop(bm);
     if (st.ok()) st = s;
@@ -136,16 +145,13 @@ Status RunMpmgjn(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
 
 Status RunInljn(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
                 ResultSink* sink, const RunOptions& options) {
+  (void)options;
   BufferManager* bm = ctx->bm;
   InljnIndexes idx;
-  idx.d_code_index = options.paths.d_code_index;
-  idx.a_interval_index = options.paths.a_interval_index;
-  if (idx.d_code_index != nullptr || idx.a_interval_index != nullptr) {
-    return Inljn(ctx, a, d, idx, sink);
-  }
-  // Naive mode: build the index on the side the paper's heuristic
-  // makes the inner one (the larger set's index is probed, so the
-  // smaller set stays the outer scan).
+  // The inputs are never indexed (as in the paper's experiments), so
+  // build the index on the side the paper's heuristic makes the inner
+  // one (the larger set's index is probed, so the smaller set stays the
+  // outer scan), use it, and drop it.
   if (a.num_records() <= d.num_records()) {
     PBITREE_ASSIGN_OR_RETURN(
         BPTree d_index,
@@ -169,34 +175,21 @@ Status RunInljn(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
 
 Status RunAdb(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
               ResultSink* sink, const RunOptions& options) {
+  (void)options;
   BufferManager* bm = ctx->bm;
-  const BPTree* a_idx = options.paths.a_start_index;
-  const BPTree* d_idx = options.paths.d_start_index;
-  std::optional<BPTree> tmp_a, tmp_d;
-  if (a_idx == nullptr) {
-    PBITREE_ASSIGN_OR_RETURN(
-        BPTree built,
-        BuildIndexOnTheFly(bm, a, KeyKind::kStart, ctx->work_pages,
-                           &ctx->stats));
-    tmp_a = built;
-    a_idx = &tmp_a.value();
-  }
-  if (d_idx == nullptr) {
-    PBITREE_ASSIGN_OR_RETURN(
-        BPTree built,
-        BuildIndexOnTheFly(bm, d, KeyKind::kStart, ctx->work_pages,
-                           &ctx->stats));
-    tmp_d = built;
-    d_idx = &tmp_d.value();
-  }
-  Status st = AdbJoin(ctx, a, d, *a_idx, *d_idx, sink);
-  if (tmp_a.has_value()) {
-    Status s = tmp_a->Drop(bm);
-    if (st.ok()) st = s;
-  }
-  if (tmp_d.has_value()) {
-    Status s = tmp_d->Drop(bm);
-    if (st.ok()) st = s;
+  PBITREE_ASSIGN_OR_RETURN(
+      BPTree a_idx,
+      BuildIndexOnTheFly(bm, a, KeyKind::kStart, ctx->work_pages,
+                         &ctx->stats));
+  StatusOr<BPTree> d_idx = BuildIndexOnTheFly(
+      bm, d, KeyKind::kStart, ctx->work_pages, &ctx->stats);
+  Status st = d_idx.ok() ? AdbJoin(ctx, a, d, a_idx, *d_idx, sink)
+                         : d_idx.status();
+  Status drop = a_idx.Drop(bm);
+  if (st.ok()) st = drop;
+  if (d_idx.ok()) {
+    drop = d_idx->Drop(bm);
+    if (st.ok()) st = drop;
   }
   return st;
 }

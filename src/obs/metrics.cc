@@ -8,7 +8,7 @@ namespace pbitree {
 namespace obs {
 
 namespace internal {
-thread_local MetricRegistry* current_registry = nullptr;
+thread_local constinit MetricRegistry* current_registry = nullptr;
 }  // namespace internal
 
 const char* CounterName(Counter c) {

@@ -223,7 +223,10 @@ class MetricRegistry {
 };
 
 namespace internal {
-extern thread_local MetricRegistry* current_registry;
+/// constinit tells every includer that the variable has no dynamic
+/// initializer, so reads skip the TLS init-wrapper call that UBSan
+/// reports as a null load.
+extern thread_local constinit MetricRegistry* current_registry;
 }  // namespace internal
 
 /// The registry the current thread bills to, or null outside any scope.

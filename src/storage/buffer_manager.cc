@@ -145,8 +145,14 @@ StatusOr<Page*> BufferManager::FetchPage(PageId page_id) {
     obs::LatencyTimer io_wait(obs::Latency::kIoWait);
     st = disk_->WritePage(write_back, f->data_);
     io_wait.Finish();
+    if (!st.ok()) {
+      lk.lock();
+      page_table_.erase(page_id);
+      RestoreVictimLocked(idx, write_back);
+      return st;
+    }
   }
-  if (st.ok()) {
+  {
     obs::LatencyTimer io_wait(obs::Latency::kIoWait);
     st = disk_->ReadPage(page_id, f->data_);
     io_wait.Finish();
@@ -165,6 +171,22 @@ StatusOr<Page*> BufferManager::FetchPage(PageId page_id) {
   return f;
 }
 
+void BufferManager::RestoreVictimLocked(size_t idx, PageId victim) {
+  // The frame still holds the victim's bytes, the only up-to-date copy
+  // of that page: map it back, unpinned and dirty, before waking the
+  // threads that wait on the victim's write-back, so they find it
+  // cached instead of reading the stale disk copy.
+  Page* f = frames_[idx].get();
+  f->page_id_ = victim;
+  f->pin_count_ = 0;
+  f->is_dirty_ = true;
+  f->referenced_ = false;
+  f->io_pending_ = false;
+  page_table_[victim] = idx;
+  writebacks_.erase(victim);
+  io_cv_.notify_all();
+}
+
 StatusOr<Page*> BufferManager::NewPage() {
   PBITREE_ASSIGN_OR_RETURN(PageId page_id, disk_->AllocatePage());
   std::unique_lock<std::mutex> lk(latch_);
@@ -180,24 +202,23 @@ StatusOr<Page*> BufferManager::NewPage() {
   page_table_[page_id] = idx;
   lk.unlock();
 
-  Status st;
   if (write_back != kInvalidPageId) {
     obs::LatencyTimer io_wait(obs::Latency::kIoWait);
-    st = disk_->WritePage(write_back, f->data_);
+    Status st = disk_->WritePage(write_back, f->data_);
     io_wait.Finish();
+    if (!st.ok()) {
+      lk.lock();
+      page_table_.erase(page_id);
+      RestoreVictimLocked(idx, write_back);
+      (void)disk_->FreePage(page_id);  // don't leak the fresh id
+      return st;
+    }
   }
   std::memset(f->data_, 0, kPageSize);
 
   lk.lock();
   f->io_pending_ = false;
   if (write_back != kInvalidPageId) writebacks_.erase(write_back);
-  if (!st.ok()) {
-    page_table_.erase(page_id);
-    f->Reset();
-    (void)disk_->FreePage(page_id);  // don't leak the fresh id
-    io_cv_.notify_all();
-    return st;
-  }
   f->is_dirty_ = true;  // a new page must reach disk even if untouched
   io_cv_.notify_all();
   return f;

@@ -128,6 +128,11 @@ class BufferManager {
   /// kInvalidPageId when nothing needs writing).
   PageId DetachFrameLocked(size_t idx);
 
+  /// Undoes DetachFrameLocked after the victim's write-back failed
+  /// (latch held): maps frame `idx` back to `victim`, unpinned and
+  /// still dirty, and wakes the threads waiting on its write-back.
+  void RestoreVictimLocked(size_t idx, PageId victim);
+
   DiskManager* disk_;
   std::vector<std::unique_ptr<Page>> frames_;
   std::unordered_map<PageId, size_t> page_table_;

@@ -185,10 +185,6 @@ ElementSetStore::~ElementSetStore() {
     batch_open_.store(false, std::memory_order_release);
     mu_.unlock();
   }
-  for (auto& [name, st] : sets_) {
-    if (st.code_index) (void)st.code_index->Drop(bm_);
-    if (st.interval_index) (void)st.interval_index->Drop(bm_);
-  }
 }
 
 StatusOr<const ElementSet*> ElementSetStore::GetSet(
@@ -275,7 +271,6 @@ void ElementSetStore::SnapshotSet(const std::string& name, SetState* s) {
   SetSnapshot snap;
   snap.set = s->set;
   snap.meta = s->meta;
-  snap.interval_stale = s->interval_stale;
   snapshots_.emplace(name, std::move(snap));
 }
 
@@ -326,10 +321,6 @@ Status ElementSetStore::AppendToSet(const std::string& name, SetState* s,
   s->set.height_mask |= uint64_t{1} << h;
   s->set.min_start = std::min(s->set.min_start, StartOf(rec.code));
   s->set.max_end = std::max(s->set.max_end, EndOf(rec.code));
-  if (s->code_index) {
-    PBITREE_RETURN_IF_ERROR(s->code_index->Insert(bm_, rec));
-  }
-  s->interval_stale = true;
   s->dirty = true;
   return Status::OK();
 }
@@ -383,10 +374,6 @@ Status ElementSetStore::DeleteElement(const std::string& name, Code code) {
   if (s->meta.height_counts[h] == 0) {
     s->set.height_mask &= ~(uint64_t{1} << h);
   }
-  if (s->code_index) {
-    PBITREE_RETURN_IF_ERROR(s->code_index->Remove(bm_, loc.rec));
-  }
-  s->interval_stale = true;
   s->dirty = true;
   if (StartOf(code) == s->set.min_start || EndOf(code) == s->set.max_end) {
     s->needs_rescan = true;  // extremum gone; exact range needs a rescan
@@ -603,11 +590,6 @@ StatusOr<Code> ElementSetStore::Rebinarize(const std::string& name,
         st->set.file.RewriteRecordAt(bm_, loc.page_index, loc.slot, nr));
     st->dirty = true;
     st->needs_rescan = true;  // heights/ranges/sortedness all changed
-    st->interval_stale = true;
-    if (st->code_index) {  // keys changed wholesale: rebuild lazily
-      PBITREE_RETURN_IF_ERROR(st->code_index->Drop(bm_));
-      st->code_index.reset();
-    }
   }
   for (auto& [nm, st] : sets_) {
     if (st.needs_rescan && st.dirty) {
@@ -850,13 +832,8 @@ Status ElementSetStore::Rollback() {
     SetState& st = sets_[nm];
     st.set = snap.set;
     st.meta = snap.meta;
-    st.interval_stale = snap.interval_stale;
     st.dirty = false;
     st.needs_rescan = false;
-    if (st.code_index) {  // saw uncommitted inserts/removes: rebuild lazily
-      note(st.code_index->Drop(bm_));
-      st.code_index.reset();
-    }
   }
   tracked_.clear();
   batch_new_pages_.clear();
@@ -865,76 +842,6 @@ Status ElementSetStore::Rollback() {
   batch_open_.store(false, std::memory_order_release);
   mu_.unlock();
   return first;
-}
-
-StatusOr<BPTree*> ElementSetStore::EnsureCodeIndex(const std::string& name) {
-  // Index builds write pages, and even the set lookup reads state a
-  // concurrent Commit mutates (catalog_, sets_): take the writer lock
-  // before touching either, unless this thread's batch already holds it.
-  std::unique_lock<std::shared_mutex> guard;
-  if (!OwnsBatch()) guard = std::unique_lock<std::shared_mutex>(mu_);
-  PBITREE_ASSIGN_OR_RETURN(SetState * s, MutableSet(name));
-  if (s->code_index) return &*s->code_index;
-  PBITREE_ASSIGN_OR_RETURN(BPTree tree,
-                           BPTree::CreateEmpty(bm_, KeyKind::kCode));
-  std::vector<ElementRecord> recs;
-  const size_t n_pages = s->set.file.pages().size();
-  for (size_t pi = 0; pi < n_pages; ++pi) {
-    PBITREE_RETURN_IF_ERROR(s->set.file.ReadPageRecords(bm_, pi, &recs));
-    for (const ElementRecord& r : recs) {
-      PBITREE_RETURN_IF_ERROR(tree.Insert(bm_, r));
-    }
-  }
-  s->code_index = tree;
-  return &*s->code_index;
-}
-
-StatusOr<IntervalIndex*> ElementSetStore::EnsureIntervalIndex(
-    const std::string& name) {
-  // Same lock-before-lookup discipline as EnsureCodeIndex.
-  std::unique_lock<std::shared_mutex> guard;
-  if (!OwnsBatch()) guard = std::unique_lock<std::shared_mutex>(mu_);
-  PBITREE_ASSIGN_OR_RETURN(SetState * s, MutableSet(name));
-  if (s->interval_index && !s->interval_stale) return &*s->interval_index;
-  if (s->interval_index) {
-    PBITREE_RETURN_IF_ERROR(s->interval_index->Drop(bm_));
-    s->interval_index.reset();
-  }
-  if (s->set.file.num_records() == 0) {
-    return Status::InvalidArgument("cannot build an interval index over an "
-                                   "empty element set");
-  }
-  if (s->set.sorted_by_start) {
-    PBITREE_ASSIGN_OR_RETURN(IntervalIndex idx,
-                             IntervalIndex::BulkLoad(bm_, s->set.file));
-    s->interval_index = idx;
-  } else {
-    // The static index wants Start-sorted input; stage a sorted copy.
-    std::vector<ElementRecord> all;
-    std::vector<ElementRecord> recs;
-    const size_t n_pages = s->set.file.pages().size();
-    for (size_t pi = 0; pi < n_pages; ++pi) {
-      PBITREE_RETURN_IF_ERROR(s->set.file.ReadPageRecords(bm_, pi, &recs));
-      all.insert(all.end(), recs.begin(), recs.end());
-    }
-    std::stable_sort(all.begin(), all.end(),
-                     [](const ElementRecord& a, const ElementRecord& b) {
-                       return DocBefore(a.code, b.code);
-                     });
-    PBITREE_ASSIGN_OR_RETURN(HeapFile tmp, HeapFile::Create(bm_));
-    {
-      HeapFile::Appender app(bm_, &tmp);
-      PBITREE_RETURN_IF_ERROR(app.AppendElements(all));
-      PBITREE_RETURN_IF_ERROR(app.Finish());
-    }
-    StatusOr<IntervalIndex> idx = IntervalIndex::BulkLoad(bm_, tmp);
-    Status drop = tmp.Drop(bm_);
-    PBITREE_RETURN_IF_ERROR(idx.status());
-    PBITREE_RETURN_IF_ERROR(drop);
-    s->interval_index = *idx;
-  }
-  s->interval_stale = false;
-  return &*s->interval_index;
 }
 
 }  // namespace pbitree

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <shared_mutex>
 #include <string>
@@ -14,8 +13,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "index/bptree.h"
-#include "index/interval_index.h"
 #include "pbitree/code.h"
 #include "storage/buffer_manager.h"
 #include "storage/catalog.h"
@@ -26,19 +23,18 @@
 namespace pbitree {
 
 /// \brief Mutable view over a database of catalogued element sets:
-/// epoch-based incremental updates with index maintenance and crash
-/// consistency — the store that turns the build-once pipeline into a
-/// live one.
+/// epoch-based incremental updates with crash consistency — the store
+/// that turns the build-once pipeline into a live one.
 ///
 /// The paper's Section 2.3.2 observes that virtual PBiTree nodes act as
 /// placeholders for future insertions: a new element takes a free code
 /// inside its parent's subtree (AllocateChildCode) and *nothing else is
 /// re-encoded*. This class carries that observation through the storage
 /// stack: elements are inserted into / deleted from the backing heap
-/// files in place (both page codecs), maintained B+-tree / interval
-/// indexes follow along, and each committed batch of mutations advances
-/// a monotone snapshot *epoch* that readers pin at query start and the
-/// serve layer uses to key its result cache (serve/result_cache.h).
+/// files in place (both page codecs), and each committed batch of
+/// mutations advances a monotone snapshot *epoch* that readers pin at
+/// query start and the serve layer uses to key its result cache
+/// (serve/result_cache.h).
 ///
 /// ## Transactions
 ///
@@ -94,8 +90,8 @@ namespace pbitree {
 /// Only unsegmented databases are mutable; mutating a set that lives in
 /// a SegmentStore returns the typed Unimplemented condition (never a
 /// silently corrupted segmented database — see segment_store.h).
-/// Maintained index pages are transient: they are rebuilt after a
-/// restart, never catalogued, and deliberately outside the commit log.
+/// The store keeps no index: joins that want one (INLJN, Anc_Des_B+)
+/// build it over the current records and drop it when they finish.
 class ElementSetStore {
  public:
   /// Replays the commit log of a mutable database, if one is present
@@ -181,15 +177,6 @@ class ElementSetStore {
   /// pre-batch state and closes the batch. No-op without an open batch.
   Status Rollback();
 
-  /// Maintained code-keyed B+-tree over a set, built on first use and
-  /// kept in step with every later insert/delete of the set.
-  StatusOr<BPTree*> EnsureCodeIndex(const std::string& name);
-
-  /// Interval (stabbing) index over a set, built on first use; static,
-  /// so a mutation of the set marks it stale and the next call rebuilds
-  /// it against the current records.
-  StatusOr<IntervalIndex*> EnsureIntervalIndex(const std::string& name);
-
  private:
   /// Exact per-set bookkeeping, loaded lazily by one scan: how many
   /// records of each PBiTree height exist (so deletes maintain
@@ -205,9 +192,6 @@ class ElementSetStore {
     std::string name;
     ElementSet set;
     SetMeta meta;
-    std::optional<BPTree> code_index;
-    std::optional<IntervalIndex> interval_index;
-    bool interval_stale = false;
     bool dirty = false;         // mutated in the open batch
     bool needs_rescan = false;  // metadata must be rescanned at commit
   };
@@ -216,7 +200,6 @@ class ElementSetStore {
   struct SetSnapshot {
     ElementSet set;
     SetMeta meta;
-    bool interval_stale = false;
   };
 
   /// Location of a stored record.
@@ -255,8 +238,8 @@ class ElementSetStore {
   Status TrackPage(PageId pid);
   void ReleaseTrackedPins();
 
-  /// Appends `rec` to the set, maintaining metadata, sortedness and the
-  /// code index; registers pages the append allocates with the batch.
+  /// Appends `rec` to the set, maintaining metadata and sortedness;
+  /// registers pages the append allocates with the batch.
   Status AppendToSet(const std::string& name, SetState* s,
                      const ElementRecord& rec);
 

@@ -1,14 +1,13 @@
-// Tests for the disk-based B+-tree: bulk loading, incremental inserts
-// with splits, point/range search and the ADB+ seek primitive —
-// validated against std::multimap as the reference.
+// Tests for the disk-based B+-tree: bulk loading, range search and the
+// ADB+ seek primitive.
 
 #include "index/bptree.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "common/random.h"
@@ -99,49 +98,6 @@ TEST_F(BPTreeSingleTest, BulkLoadRejectsUnsortedInput) {
   EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(BPTreeSingleTest, InsertsWithSplitsMatchMultimap) {
-  auto tree = BPTree::CreateEmpty(bm_.get(), KeyKind::kCode);
-  ASSERT_TRUE(tree.ok());
-  Random rng(5);
-  std::multimap<uint64_t, uint64_t> ref;
-  for (int i = 0; i < 20000; ++i) {
-    uint64_t key = rng.UniformRange(1, 4000);  // duplicates guaranteed
-    ASSERT_TRUE(tree->Insert(bm_.get(), ElementRecord{key, 0, 0}).ok());
-    ref.emplace(key, key);
-  }
-  EXPECT_EQ(tree->num_entries(), ref.size());
-  EXPECT_GT(tree->tree_height(), 1);
-
-  std::vector<uint64_t> got = RangeViaScanner(*tree, 0, UINT64_MAX);
-  std::vector<uint64_t> expect;
-  for (auto& [k, v] : ref) expect.push_back(k);
-  EXPECT_EQ(got, expect);
-
-  // Range queries over the duplicate-heavy key space.
-  for (int q = 0; q < 30; ++q) {
-    uint64_t lo = rng.UniformRange(0, 4000);
-    uint64_t hi = lo + rng.Uniform(500);
-    std::vector<uint64_t> want;
-    for (auto it = ref.lower_bound(lo); it != ref.end() && it->first <= hi; ++it) {
-      want.push_back(it->first);
-    }
-    EXPECT_EQ(RangeViaScanner(*tree, lo, hi), want);
-  }
-}
-
-TEST_F(BPTreeSingleTest, PointSearchFindsExistingAndRejectsMissing) {
-  std::vector<uint64_t> codes;
-  for (int i = 0; i < 1000; ++i) codes.push_back(3 * i + 1);
-  HeapFile file = MakeFile(codes);
-  auto tree = BPTree::BulkLoad(bm_.get(), file, KeyKind::kCode);
-  ASSERT_TRUE(tree.ok());
-  ElementRecord rec;
-  EXPECT_TRUE(tree->PointSearch(bm_.get(), 301, &rec).ok());
-  EXPECT_EQ(rec.code, 301u);
-  EXPECT_EQ(tree->PointSearch(bm_.get(), 302, &rec).code(),
-            StatusCode::kNotFound);
-}
-
 TEST_F(BPTreeSingleTest, SeekCeilFindsFirstKeyAtOrAfter) {
   std::vector<uint64_t> codes = {10, 20, 30, 40, 50};
   HeapFile file = MakeFile(codes);
@@ -195,76 +151,31 @@ TEST_F(BPTreeSingleTest, DropFreesEveryPage) {
   EXPECT_EQ(disk_->num_live_pages(), live_before);
 }
 
-TEST_F(BPTreeSingleTest, BulkLoadWithFillFactorMakesDeeperTrees) {
-  std::vector<uint64_t> codes;
-  for (int i = 0; i < 20000; ++i) codes.push_back(i + 1);
-  HeapFile file = MakeFile(codes);
-  auto full = BPTree::BulkLoad(bm_.get(), file, KeyKind::kCode, 1.0);
-  auto half = BPTree::BulkLoad(bm_.get(), file, KeyKind::kCode, 0.5);
-  ASSERT_TRUE(full.ok() && half.ok());
-  EXPECT_GE(half->num_pages(), full->num_pages() * 2 - 2);
-  EXPECT_EQ(RangeViaScanner(*half, 100, 200), RangeViaScanner(*full, 100, 200));
-}
-
-
-TEST_F(BPTreeSingleTest, RemoveMatchesMultimapSemantics) {
-  auto tree = BPTree::CreateEmpty(bm_.get(), KeyKind::kCode);
-  ASSERT_TRUE(tree.ok());
-  Random rng(77);
-  std::multimap<uint64_t, ElementRecord> ref;
-  std::vector<ElementRecord> inserted;
-  for (int i = 0; i < 8000; ++i) {
-    ElementRecord rec{rng.UniformRange(1, 900),
-                      static_cast<uint32_t>(rng.Uniform(1000)), 0};
-    ASSERT_TRUE(tree->Insert(bm_.get(), rec).ok());
-    ref.emplace(rec.code, rec);
-    inserted.push_back(rec);
-  }
-  // Delete half, randomly chosen.
-  for (int i = 0; i < 4000; ++i) {
-    size_t at = rng.Uniform(inserted.size());
-    ElementRecord victim = inserted[at];
-    inserted.erase(inserted.begin() + at);
-    ASSERT_TRUE(tree->Remove(bm_.get(), victim).ok()) << i;
-    auto range = ref.equal_range(victim.code);
-    for (auto it = range.first; it != range.second; ++it) {
-      if (it->second == victim) {
-        ref.erase(it);
-        break;
-      }
+TEST_F(BPTreeSingleTest, DuplicateRunSpanningLeavesScansFromItsFirstLeaf) {
+  // 500 duplicates of one key span three full leaves; a range scan on
+  // that key must enter the run at its leftmost leaf and walk it all.
+  auto file = HeapFile::Create(bm_.get());
+  ASSERT_TRUE(file.ok());
+  {
+    HeapFile::Appender app(bm_.get(), &file.value());
+    ASSERT_TRUE(app.AppendElement(ElementRecord{7, 0, 0}).ok());
+    for (uint32_t i = 0; i < 500; ++i) {
+      ASSERT_TRUE(app.AppendElement(ElementRecord{42, i, 0}).ok());
     }
+    ASSERT_TRUE(app.AppendElement(ElementRecord{99, 0, 0}).ok());
+    ASSERT_TRUE(app.Finish().ok());
   }
-  EXPECT_EQ(tree->num_entries(), ref.size());
-
-  std::vector<uint64_t> got = RangeViaScanner(*tree, 0, UINT64_MAX);
-  std::vector<uint64_t> expect;
-  for (auto& [k, v] : ref) expect.push_back(k);
-  std::sort(expect.begin(), expect.end());
-  EXPECT_EQ(got, expect);
-
-  // Removing something absent is NotFound.
-  ElementRecord ghost{5000, 1, 2};
-  EXPECT_EQ(tree->Remove(bm_.get(), ghost).code(), StatusCode::kNotFound);
-  EXPECT_EQ(bm_->PinnedFrames(), 0u);
-}
-
-TEST_F(BPTreeSingleTest, RemoveAcrossDuplicateRunSpanningLeaves) {
-  auto tree = BPTree::CreateEmpty(bm_.get(), KeyKind::kCode);
+  auto tree = BPTree::BulkLoad(bm_.get(), *file, KeyKind::kCode);
   ASSERT_TRUE(tree.ok());
-  // 500 duplicates of one key (spans multiple leaves) with distinct
-  // payloads; remove a specific payload from the middle.
-  for (uint32_t i = 0; i < 500; ++i) {
-    ASSERT_TRUE(tree->Insert(bm_.get(), ElementRecord{42, i, 0}).ok());
-  }
-  ASSERT_TRUE(tree->Remove(bm_.get(), ElementRecord{42, 377, 0}).ok());
-  EXPECT_EQ(tree->num_entries(), 499u);
+  EXPECT_GT(tree->tree_height(), 1);
   BPTree::RangeScanner scan(bm_.get(), *tree, 42, 42);
   ElementRecord rec;
   std::set<uint32_t> tags;
   while (scan.Next(&rec)) tags.insert(rec.tag);
   EXPECT_TRUE(scan.status().ok()) << scan.status().ToString();
-  EXPECT_EQ(tags.size(), 499u);
-  EXPECT_EQ(tags.count(377), 0u);
+  EXPECT_EQ(tags.size(), 500u);
+  scan.Close();
+  EXPECT_EQ(bm_->PinnedFrames(), 0u);
 }
 
 }  // namespace

@@ -188,7 +188,7 @@ TEST(EnvCheckedDeathTest, OutOfRangeAborts) {
 TEST(TimerTest, MeasuresElapsedTime) {
   Timer t;
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(t.ElapsedSeconds(), 0.0);
   EXPECT_GE(t.ElapsedMillis(), 0.0);
   t.Reset();

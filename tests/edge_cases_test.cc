@@ -51,7 +51,6 @@ TEST_F(EdgeCaseTest, HashJoinSurvivesSingleKeySkew) {
   // split the build side — the block-nested-loop fallback must kick in
   // and still produce the exact result.
   const int kH = 24;
-  PBiTreeSpec spec{kH};
   Code big = AncestorAtHeight(1, 20);  // huge subtree
   CodeInterval iv = SubtreeInterval(big);
 

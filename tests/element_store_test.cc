@@ -1,13 +1,13 @@
 // Mutable element-store suite: epoch-based incremental updates over
 // catalogued sets. Covers the batch lifecycle (insert/delete, commit,
-// rollback), epoch bumps and reader pins, maintained B+-tree / interval
-// indexes, the re-binarization fallback (cross-set containment must
-// survive a re-embedding), a randomized mutate-then-join differential
-// against a rebuilt-from-scratch set for both page codecs, the typed
-// Unimplemented guards on segmented stores, and crash consistency: a
-// torn-write sweep across the commit sequence where every reopened
-// database must be exactly the old or the new committed state — never
-// corruption.
+// rollback), epoch bumps and reader pins, the re-binarization fallback
+// (cross-set containment must survive a re-embedding), a randomized
+// mutate-then-join differential (every registry algorithm over the
+// mutated handle, plus a rebuilt-from-scratch set) for both page
+// codecs, the typed Unimplemented guards on segmented stores, and
+// crash consistency: a torn-write sweep across the commit sequence
+// where every reopened database must be exactly the old or the new
+// committed state — never corruption.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +25,7 @@
 
 #include "common/random.h"
 #include "framework/runner.h"
+#include "join/algorithm_registry.h"
 #include "join/element_set.h"
 #include "join/result_sink.h"
 #include "pbitree/code.h"
@@ -66,10 +67,11 @@ std::multiset<Code> CodeBag(const std::vector<ElementRecord>& recs) {
   return bag;
 }
 
-std::vector<ResultPair> BruteForceSelfJoin(const std::vector<Code>& codes) {
+std::vector<ResultPair> BruteForceJoin(const std::vector<Code>& a,
+                                      const std::vector<Code>& d) {
   std::vector<ResultPair> out;
-  for (Code x : codes) {
-    for (Code y : codes) {
+  for (Code x : a) {
+    for (Code y : d) {
       if (IsAncestor(x, y)) out.push_back(ResultPair{x, y});
     }
   }
@@ -268,66 +270,6 @@ TEST_P(MutableStoreTest, ReadPinSnapshotsTheEpoch) {
   }
 }
 
-TEST_P(MutableStoreTest, CodeIndexFollowsMutations) {
-  Random rng(47);
-  std::vector<ElementRecord> recs = MakeRandomRecords(&rng, 200);
-  BuildSet("data", recs);
-  OpenStore();
-
-  auto index = store_->EnsureCodeIndex("data");
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
-  ElementRecord found{};
-  ASSERT_TRUE(
-      (*index)->PointSearch(bm_.get(), recs[5].code, &found).ok());
-  EXPECT_EQ(found.doc, recs[5].doc);
-
-  std::multiset<Code> have = CodeBag(recs);
-  Code fresh = 0;
-  PBiTreeSpec spec{kHeight};
-  while (fresh == 0 || have.count(fresh)) {
-    fresh = rng.UniformRange(1, spec.MaxCode());
-  }
-  ASSERT_TRUE(store_->InsertRecord("data", ElementRecord{fresh, 2, 555}).ok());
-  ASSERT_TRUE(store_->DeleteElement("data", recs[5].code).ok());
-  ASSERT_TRUE(store_->Commit().ok());
-
-  // Same index object, maintained in place — no rebuild.
-  ASSERT_TRUE((*index)->PointSearch(bm_.get(), fresh, &found).ok());
-  EXPECT_EQ(found.doc, 555u);
-  EXPECT_EQ((*index)->PointSearch(bm_.get(), recs[5].code, &found).code(),
-            StatusCode::kNotFound);
-}
-
-TEST_P(MutableStoreTest, IntervalIndexRebuildsWhenStale) {
-  // A root-adjacent ancestor guarantees a known stab result.
-  std::vector<ElementRecord> recs = {{2, 0, 1}, {9, 0, 2}, {33, 0, 3}};
-  BuildSet("data", recs);
-  OpenStore();
-
-  auto index = store_->EnsureIntervalIndex("data");
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
-  std::vector<uint32_t> hits;
-  ASSERT_TRUE((*index)
-                  ->Stab(bm_.get(), 1,
-                         [&](const ElementRecord& r) { hits.push_back(r.doc); })
-                  .ok());
-  EXPECT_EQ(hits, std::vector<uint32_t>{1});  // only [1,3] contains 1
-
-  const Code root = PBiTreeSpec{kHeight}.RootCode();
-  ASSERT_TRUE(store_->InsertRecord("data", ElementRecord{root, 0, 4}).ok());
-  ASSERT_TRUE(store_->Commit().ok());
-
-  auto rebuilt = store_->EnsureIntervalIndex("data");
-  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
-  hits.clear();
-  ASSERT_TRUE((*rebuilt)
-                  ->Stab(bm_.get(), 1,
-                         [&](const ElementRecord& r) { hits.push_back(r.doc); })
-                  .ok());
-  std::sort(hits.begin(), hits.end());
-  EXPECT_EQ(hits, (std::vector<uint32_t>{1, 4}));  // the root now covers 1
-}
-
 TEST_P(MutableStoreTest, InsertChildAllocatesInsideTheParent) {
   Random rng(59);
   BuildSet("data", MakeRandomRecords(&rng, 50));
@@ -449,7 +391,9 @@ TEST_P(MutableStoreTest, RandomizedMutationsMatchRebuiltFromScratch) {
       ASSERT_TRUE(store_->DeleteElement("data", it->first).ok()) << op;
       live.erase(it);
     }
-    if (op % 25 == 24) ASSERT_TRUE(store_->Commit().ok()) << op;
+    if (op % 25 == 24) {
+      ASSERT_TRUE(store_->Commit().ok()) << op;
+    }
   }
   ASSERT_TRUE(store_->Commit().ok());
 
@@ -477,16 +421,51 @@ TEST_P(MutableStoreTest, RandomizedMutationsMatchRebuiltFromScratch) {
   EXPECT_EQ((*set)->height_mask, mask);
   EXPECT_EQ((*set)->min_start, min_start);
   EXPECT_EQ((*set)->max_end, max_end);
-  if ((*set)->sorted_by_start) EXPECT_TRUE(actually_sorted);
+  if ((*set)->sorted_by_start) {
+    EXPECT_TRUE(actually_sorted);
+  }
 
-  // Differential join: the mutated handle, a rebuilt-from-scratch set
-  // over the same records, and brute force must agree pairwise.
-  std::vector<Code> codes;
+  // Differential join: every registry algorithm over the mutated handle,
+  // the planner's pick, a rebuilt-from-scratch set over the same
+  // records, and brute force must agree pairwise. The handle joins
+  // itself and, as the larger A side, a rebuilt third of its records,
+  // so INLJN builds both its code B+-tree and its interval index over
+  // mutated pages (ADB+ builds its Start trees either way). No run may
+  // leak a page.
+  std::vector<Code> codes, third_codes;
   for (const ElementRecord& r : stored) codes.push_back(r.code);
-  const std::vector<ResultPair> expect = BruteForceSelfJoin(codes);
+  auto third_builder = ElementSetBuilder::Create(bm_.get(), spec, GetParam());
+  ASSERT_TRUE(third_builder.ok());
+  for (size_t i = 0; i < stored.size(); i += 3) {
+    ASSERT_TRUE(third_builder->Add(stored[i]).ok());
+    third_codes.push_back(stored[i].code);
+  }
+  auto third = third_builder->Build();
+  ASSERT_TRUE(third.ok()) << third.status().ToString();
+  const std::vector<ResultPair> expect = BruteForceJoin(codes, codes);
+  const std::vector<ResultPair> expect_third =
+      BruteForceJoin(codes, third_codes);
 
   RunOptions opts;
   opts.work_pages = 64;
+  const uint64_t live_pages = disk_->num_live_pages();
+  for (const AlgorithmInfo& info : AllAlgorithms()) {
+    // SHCJ joins single-height ancestor sets only.
+    if (info.alg == Algorithm::kShcj && !(*set)->SingleHeight()) continue;
+    VectorSink self;
+    auto run = RunJoin(info.alg, bm_.get(), **set, **set, &self, opts);
+    ASSERT_TRUE(run.ok()) << info.name << ": " << run.status().ToString();
+    self.Sort();
+    EXPECT_EQ(self.pairs(), expect) << info.name;
+    VectorSink with_third;
+    run = RunJoin(info.alg, bm_.get(), **set, *third, &with_third, opts);
+    ASSERT_TRUE(run.ok()) << info.name << ": " << run.status().ToString();
+    with_third.Sort();
+    EXPECT_EQ(with_third.pairs(), expect_third) << info.name;
+    EXPECT_EQ(disk_->num_live_pages(), live_pages) << info.name;
+  }
+  EXPECT_TRUE(third->file.Drop(bm_.get()).ok());
+
   VectorSink via_store;
   auto run = RunAuto(bm_.get(), **set, **set, &via_store, opts);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
@@ -776,7 +755,7 @@ TEST(ElementStoreCrashTest, TornWriteSweepReplaysOrIgnoresNeverCorrupts) {
   auto run = RunAuto(s.bm.get(), **set, **set, &sink, run_opts);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   sink.Sort();
-  EXPECT_EQ(sink.pairs(), BruteForceSelfJoin(codes));
+  EXPECT_EQ(sink.pairs(), BruteForceJoin(codes, codes));
   opened->reset();
   EXPECT_EQ(s.bm->PinnedFrames(), 0u);
   std::remove(path.c_str());

@@ -295,7 +295,10 @@ class FaultInjectionJoinTest : public ::testing::TestWithParam<FaultJoinCase> {
     d_codes_ = RandomCodes(&rng, 6000, 0, kTreeHeight - 2);
     a_ = MakeSet(a_codes_);
     d_ = MakeSet(d_codes_);
-    expect_ = BruteForce(a_codes_, d_codes_);
+    // Every case draws the same inputs: compute the answer once.
+    static const std::vector<ResultPair> kExpect =
+        BruteForce(a_codes_, d_codes_);
+    expect_ = kExpect;
     baseline_live_pages_ = disk_->num_live_pages();
   }
 
@@ -416,13 +419,48 @@ TEST_P(FaultInjectionJoinTest, TornWritesSurfaceAsCorruption) {
   EXPECT_EQ(disk_->num_live_pages(), baseline_live_pages_);
 }
 
+TEST_P(FaultInjectionJoinTest, PermanentFaultSweepLeavesNoPinsOrPages) {
+  // A sticky write fault at positions strided across the whole run:
+  // wherever the run dies (sorting, index build, partitioning, the
+  // join, the final flush), it must unpin every frame and free every
+  // temp page — the sorted copies and indexes built on the fly
+  // included. The inputs are flushed first so every faulted write is
+  // the join's own.
+  ASSERT_TRUE(bm_->FlushAll().ok());
+  ASSERT_TRUE(bm_->PurgeAll().ok());
+  CountingSink clean_sink;
+  auto clean = RunJoin(GetParam().algorithm, bm_.get(), a_, d_, &clean_sink,
+                       Opts());
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  const uint64_t writes = clean->page_writes;
+  ASSERT_GT(writes, 0u);
+  const uint64_t stride = std::max<uint64_t>(1, writes / 16);
+  for (uint64_t at = 1; at <= writes; at += stride) {
+    // A cold pool makes every run issue the same write sequence.
+    ASSERT_TRUE(bm_->PurgeAll().ok());
+    fb_->Arm(MustParse("write_every=" + std::to_string(at) + ",transient=0"));
+    CountingSink sink;
+    auto run = RunJoin(GetParam().algorithm, bm_.get(), a_, d_, &sink, Opts());
+    fb_->Disarm();
+    ASSERT_FALSE(run.ok()) << "write " << at;
+    EXPECT_EQ(run.status().code(), StatusCode::kRetryExhausted)
+        << "write " << at << ": " << run.status().ToString();
+    ASSERT_EQ(bm_->PinnedFrames(), 0u) << "write " << at;
+    ASSERT_EQ(disk_->num_live_pages(), baseline_live_pages_) << "write " << at;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Algorithms, FaultInjectionJoinTest,
     ::testing::Values(FaultJoinCase{Algorithm::kMhcj, 1},
                       FaultJoinCase{Algorithm::kMhcj, 2},
                       FaultJoinCase{Algorithm::kMhcjRollup, 1},
                       FaultJoinCase{Algorithm::kVpj, 1},
-                      FaultJoinCase{Algorithm::kVpj, 2}),
+                      FaultJoinCase{Algorithm::kVpj, 2},
+                      FaultJoinCase{Algorithm::kInljn, 1},
+                      FaultJoinCase{Algorithm::kStackTree, 1},
+                      FaultJoinCase{Algorithm::kMpmgjn, 1},
+                      FaultJoinCase{Algorithm::kAdb, 1}),
     FaultCaseName);
 
 }  // namespace

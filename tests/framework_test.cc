@@ -1,6 +1,6 @@
 // Tests for the query-processing framework: Table 1 algorithm
 // selection, the naive on-the-fly wrappers (sort / index build charged
-// to the run), prebuilt-index fast paths, MIN_RGN, and RunAuto.
+// to the run), MIN_RGN, and RunAuto.
 
 #include <gtest/gtest.h>
 
@@ -134,23 +134,6 @@ TEST_F(RunnerTest, NaiveInljnChargesIndexBuild) {
   EXPECT_EQ(run->output_pairs, expected_);
   EXPECT_GT(run->stats.index_build_seconds, 0.0);
   EXPECT_GT(run->stats.index_probes, 0u);
-}
-
-TEST_F(RunnerTest, PrebuiltIndexInljnIsCheaper) {
-  auto sorted_d = ExternalSort(bm_.get(), d_.file, 16, SortOrder::kCodeOrder);
-  ASSERT_TRUE(sorted_d.ok());
-  auto d_index = BPTree::BulkLoad(bm_.get(), *sorted_d, KeyKind::kCode);
-  ASSERT_TRUE(d_index.ok());
-  ASSERT_TRUE(sorted_d->Drop(bm_.get()).ok());
-
-  CountingSink sink;
-  RunOptions opts;
-  opts.work_pages = 16;
-  opts.paths.d_code_index = &d_index.value();
-  auto run = RunJoin(Algorithm::kInljn, bm_.get(), a_, d_, &sink, opts);
-  ASSERT_TRUE(run.ok());
-  EXPECT_EQ(run->output_pairs, expected_);
-  EXPECT_EQ(run->stats.index_build_seconds, 0.0);
 }
 
 TEST_F(RunnerTest, MinRgnRunsAllThreeAndAgrees) {

@@ -12,6 +12,7 @@
 #include "storage/buffer_manager.h"
 #include "storage/disk_manager.h"
 #include "storage/heap_file.h"
+#include "storage/io_backend.h"
 
 namespace pbitree {
 namespace {
@@ -234,6 +235,69 @@ TEST_F(BufferManagerTest, DeletePinnedPageRejected) {
   EXPECT_EQ(bm_->DeletePage(pid).code(), StatusCode::kInvalidArgument);
   ASSERT_TRUE(bm_->UnpinPage(pid, false).ok());
   EXPECT_TRUE(bm_->DeletePage(pid).ok());
+}
+
+TEST(BufferManagerFaultTest, FailedEvictionWriteBackKeepsTheDirtyVictim) {
+  auto fault = std::make_unique<FaultInjectingBackend>(
+      std::make_unique<MemIoBackend>(), FaultSchedule{});
+  FaultInjectingBackend* fb = fault.get();
+  auto dm = DiskManager::OpenWithBackend(std::move(fault),
+                                         /*restore_frontier=*/false);
+  ASSERT_TRUE(dm.ok()) << dm.status().ToString();
+  std::unique_ptr<DiskManager> disk(*dm);
+  BufferManager bm(disk.get(), 3);
+  auto sticky = FaultSchedule::Parse("write_every=1,transient=0");
+  ASSERT_TRUE(sticky.ok());
+
+  // Two pinned pages and one clean page on disk; the dirty page then
+  // takes the clean page's frame and is the pool's only victim.
+  std::vector<PageId> ids;
+  for (int i = 0; i < 3; ++i) {
+    auto p = bm.NewPage();
+    ASSERT_TRUE(p.ok());
+    ids.push_back((*p)->page_id());
+  }
+  ASSERT_TRUE(bm.UnpinPage(ids[2], false).ok());
+  ASSERT_TRUE(bm.FlushAll().ok());
+  auto page = bm.NewPage();
+  ASSERT_TRUE(page.ok());
+  const PageId dirty = (*page)->page_id();
+  std::vector<char> bytes(kPageSize);
+  for (size_t i = 0; i < kPageSize; ++i) bytes[i] = static_cast<char>(i * 13);
+  std::memcpy((*page)->data(), bytes.data(), kPageSize);
+  ASSERT_TRUE(bm.UnpinPage(dirty, true).ok());
+
+  // Fetch path: the miss evicts the dirty page and its write-back fails.
+  fb->Arm(*sticky);
+  auto miss = bm.FetchPage(ids[2]);
+  fb->Disarm();
+  ASSERT_FALSE(miss.ok());
+  EXPECT_EQ(miss.status().code(), StatusCode::kRetryExhausted);
+  EXPECT_EQ(bm.PinnedFrames(), 2u);
+  auto back = bm.FetchPage(dirty);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(0, std::memcmp((*back)->data(), bytes.data(), kPageSize));
+  for (char& c : bytes) c = static_cast<char>(~c);
+  std::memcpy((*back)->data(), bytes.data(), kPageSize);
+  ASSERT_TRUE(bm.UnpinPage(dirty, true).ok());
+
+  // Allocation path: the same, and the fresh page id is not leaked.
+  const uint64_t live = disk->num_live_pages();
+  fb->Arm(*sticky);
+  auto fresh = bm.NewPage();
+  fb->Disarm();
+  ASSERT_FALSE(fresh.ok());
+  EXPECT_EQ(fresh.status().code(), StatusCode::kRetryExhausted);
+  EXPECT_EQ(disk->num_live_pages(), live);
+  EXPECT_EQ(bm.PinnedFrames(), 2u);
+  back = bm.FetchPage(dirty);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(0, std::memcmp((*back)->data(), bytes.data(), kPageSize));
+  ASSERT_TRUE(bm.UnpinPage(dirty, false).ok());
+
+  ASSERT_TRUE(bm.UnpinPage(ids[0], false).ok());
+  ASSERT_TRUE(bm.UnpinPage(ids[1], false).ok());
+  EXPECT_EQ(bm.PinnedFrames(), 0u);
 }
 
 class HeapFileTest : public ::testing::Test {

@@ -20,9 +20,9 @@
 // object.
 //
 // The database file survives restarts: `encode` once, `query` many
-// times. Queries run on whatever access paths exist — freshly loaded
-// sets are neither sorted nor indexed, so the framework picks the
-// partitioning algorithms (Table 1, last row).
+// times. Stored sets are never indexed, and freshly loaded ones are not
+// sorted either, so the framework picks the partitioning algorithms
+// (Table 1, last row).
 //
 // Exit codes: 0 success, 1 a Status failure (I/O error, corruption,
 // bad query), 2 usage error.
