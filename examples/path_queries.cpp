@@ -14,7 +14,7 @@
 #include "datagen/xmark_gen.h"
 #include "framework/planner.h"
 #include "pbitree/binarize.h"
-#include "query/path_query.h"
+#include "query/twig_query.h"
 
 using namespace pbitree;
 
@@ -22,7 +22,7 @@ namespace {
 
 void RunOne(BufferManager* bm, const DataTree& tree, const PBiTreeSpec& spec,
             const std::string& text) {
-  auto query = ParsePathQuery(text);
+  auto query = ParseTwigQuery(text);
   if (!query.ok()) {
     std::fprintf(stderr, "%s: %s\n", text.c_str(),
                  query.status().ToString().c_str());
@@ -30,8 +30,8 @@ void RunOne(BufferManager* bm, const DataTree& tree, const PBiTreeSpec& spec,
   }
   RunOptions opts;
   opts.work_pages = 128;
-  PathQueryStats stats;
-  auto result = EvaluatePathQuery(bm, tree, spec, *query, opts, &stats);
+  TwigQueryStats stats;
+  auto result = EvaluateTwigQuery(bm, tree, spec, *query, opts, &stats);
   if (!result.ok()) {
     std::printf("%-44s -> %s\n", text.c_str(),
                 result.status().ToString().c_str());

@@ -6,7 +6,6 @@
 #include "exec/exec_context.h"
 #include "exec/partition_exec.h"
 #include "join/algorithm_registry.h"
-#include "pbitree/simd.h"
 
 namespace pbitree {
 
@@ -44,16 +43,7 @@ StatusOr<RunResult> RunJoin(Algorithm alg, BufferManager* bm,
   // One unsegmented pair always joins serially on this thread; the
   // parallel unit is the segment (RunSegmentedJoin).
   JoinContext ctx(bm, options.work_pages);
-  {
-    // The SIMD override is process-global (segment tasks running on
-    // pool workers must see it), so concurrent runs with conflicting
-    // overrides race benignly: the kernels are exact either way, only
-    // the instruction selection differs.
-    std::optional<simd::ScopedEnable> simd_scope;
-    if (options.simd.has_value()) simd_scope.emplace(*options.simd);
-    PBITREE_RETURN_IF_ERROR(
-        GetAlgorithmInfo(alg).run(&ctx, a, d, sink, options));
-  }
+  PBITREE_RETURN_IF_ERROR(GetAlgorithmInfo(alg).run(&ctx, a, d, sink, options));
   if (options.flush_pool) {
     // Force dirty pages out so writes are charged to this run.
     obs::ObsSpan flush_span(obs::Phase::kFlush);

@@ -1,7 +1,6 @@
 #ifndef PBITREE_FRAMEWORK_RUNNER_H_
 #define PBITREE_FRAMEWORK_RUNNER_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,15 +57,6 @@ struct RunOptions {
   /// paper's raw-disk protocol where no algorithm benefits from pages a
   /// previous run left behind. Benchmarks enable this.
   bool cold_cache = false;
-
-  /// Overrides the SIMD kernel toggle for the duration of this run
-  /// (restored afterwards): false forces the scalar fallbacks, true
-  /// enables the AVX2 paths where the host supports them. Unset
-  /// inherits the process setting (PBITREE_SIMD, default on). Join
-  /// output is byte-identical either way — this knob exists for A/B
-  /// measurement and differential testing. The toggle is process-global
-  /// so segment tasks on pool workers see it.
-  std::optional<bool> simd;
 
   RollupHeightPolicy rollup_policy = RollupHeightPolicy::kMax;
   VpjOptions vpj;

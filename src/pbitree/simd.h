@@ -41,14 +41,15 @@ bool Avx2Available();
 /// non-zero = on, "0" = off) and can be overridden at runtime.
 bool Enabled();
 
-/// Overrides the process-global enable flag (visible to all threads —
-/// segment tasks on pool workers must observe a per-run override). Returns the previous
-/// value. Enabling has no effect when Avx2Available() is false.
+/// Overrides the process-global enable flag (visible to all threads).
+/// Returns the previous value. Enabling has no effect when
+/// Avx2Available() is false.
 bool SetEnabled(bool on);
 
-/// RAII override of the enable flag for one scope — how
-/// `RunOptions::simd` is applied around a join without leaking into the
-/// next request.
+/// RAII override of the enable flag for one scope — how the
+/// differential tests run the same join on both kernel sets. It
+/// restores the value it saw on entry, so overlapping scopes on
+/// different threads are not safe.
 class ScopedEnable {
  public:
   explicit ScopedEnable(bool on) : prev_(SetEnabled(on)) {}

@@ -1,6 +1,7 @@
 #include "query/twig_query.h"
 
-#include "query/path_query.h"
+#include <utility>
+
 #include "sort/external_sort.h"
 
 namespace pbitree {
@@ -71,164 +72,17 @@ class TwigParser {
   size_t pos_ = 0;
 };
 
-/// Forward declaration: match set of a full (sub-)pattern.
-StatusOr<ElementSet> MatchSet(BufferManager* bm,
-                              const ElementSetProvider& provider,
-                              const PBiTreeSpec& spec, const TwigQuery& query,
-                              const RunOptions& options,
-                              TwigQueryStats* stats);
+/// The column of a containment join's pair file that a fold keeps.
+enum class Keep { kAncestors, kDescendants };
 
-/// Elements of `candidates` that have at least one descendant in
-/// `needles` — a containment join kept as a semijoin. Drops neither
-/// input; the result is a new set.
-StatusOr<ElementSet> SemijoinHavingDescendant(BufferManager* bm,
-                                              const ElementSet& candidates,
-                                              const ElementSet& needles,
-                                              const RunOptions& options,
-                                              TwigQueryStats* stats) {
-  PBITREE_ASSIGN_OR_RETURN(HeapFile pairs, HeapFile::Create(bm));
-  Status join_status;
-  {
-    MaterializeSink sink(bm, &pairs);
-    auto run = RunAuto(bm, candidates, needles, &sink, options);
-    Status fin = sink.Finish();
-    join_status = run.ok() ? fin : run.status();
-    if (run.ok() && stats != nullptr) ++stats->joins;
-  }
-  if (!join_status.ok()) {
-    pairs.Drop(bm);
-    return join_status;
-  }
-  auto filtered =
-      DistinctAncestors(bm, pairs, candidates.spec, options.work_pages);
-  Status drop = pairs.Drop(bm);
-  if (!filtered.ok()) return filtered.status();
-  PBITREE_RETURN_IF_ERROR(drop);
-  if (stats != nullptr) ++stats->semijoins;
-  return filtered;
-}
-
-/// Applies a step's predicates to `set` (consuming it), returning the
-/// filtered set.
-StatusOr<ElementSet> ApplyPredicates(BufferManager* bm,
-                                     const ElementSetProvider& provider,
-                                     const PBiTreeSpec& spec,
-                                     const TwigStep& step, ElementSet set,
-                                     const RunOptions& options,
-                                     TwigQueryStats* stats) {
-  for (const TwigQuery& pred : step.predicates) {
-    auto needles = MatchSet(bm, provider, spec, pred, options, stats);
-    if (!needles.ok()) {
-      set.file.Drop(bm);
-      return needles.status();
-    }
-    auto filtered = SemijoinHavingDescendant(bm, set, *needles, options, stats);
-    needles->file.Drop(bm);
-    set.file.Drop(bm);
-    if (!filtered.ok()) return filtered.status();
-    set = *filtered;
-    if (set.num_records() == 0) break;  // nothing can match further
-  }
-  return set;
-}
-
-StatusOr<ElementSet> MatchSet(BufferManager* bm,
-                              const ElementSetProvider& provider,
-                              const PBiTreeSpec& spec, const TwigQuery& query,
-                              const RunOptions& options,
-                              TwigQueryStats* stats) {
-  if (query.steps.empty()) {
-    return Status::InvalidArgument("empty twig pattern");
-  }
-  // Evaluate the spine back to front: the match set of step i is its
-  // predicate-filtered tag set semijoined with the match set of step
-  // i+1 (it must contain a matching descendant chain). The spine's
-  // LAST step's matches under the filtered ancestors are the answer,
-  // so the forward pass below re-derives descendants; here we only
-  // need the first step's filtered set for recursion — build both.
-  //
-  // Implementation: compute filtered tag sets per step, then fold from
-  // the back with semijoins to get M(step0); finally walk forward with
-  // joins keeping distinct descendants to get the answer set of the
-  // last step.
-  std::vector<ElementSet> filtered(query.steps.size());
-  for (size_t i = 0; i < query.steps.size(); ++i) {
-    auto tag_set = provider(query.steps[i].tag);
-    if (!tag_set.ok()) {
-      for (size_t j = 0; j < i; ++j) filtered[j].file.Drop(bm);
-      return tag_set.status();
-    }
-    auto f = ApplyPredicates(bm, provider, spec, query.steps[i], *tag_set,
-                             options, stats);
-    if (!f.ok()) {
-      for (size_t j = 0; j < i; ++j) filtered[j].file.Drop(bm);
-      return f.status();
-    }
-    filtered[i] = *f;
-  }
-
-  // Backward semijoin pass: step i must have a descendant matching the
-  // rest of the spine.
-  for (size_t i = query.steps.size() - 1; i-- > 0;) {
-    auto narrowed = SemijoinHavingDescendant(bm, filtered[i], filtered[i + 1],
-                                             options, stats);
-    Status drop = filtered[i].file.Drop(bm);
-    if (!narrowed.ok()) {
-      for (size_t j = 0; j <= i; ++j) {
-        if (j < i) filtered[j].file.Drop(bm);
-      }
-      for (size_t j = i + 1; j < filtered.size(); ++j) {
-        filtered[j].file.Drop(bm);
-      }
-      return narrowed.status();
-    }
-    PBITREE_RETURN_IF_ERROR(drop);
-    filtered[i] = *narrowed;
-  }
-
-  // Forward pass: distinct descendants under the narrowed ancestors.
-  ElementSet current = filtered[0];
-  for (size_t i = 1; i < query.steps.size(); ++i) {
-    PBITREE_ASSIGN_OR_RETURN(HeapFile pairs, HeapFile::Create(bm));
-    Status join_status;
-    {
-      MaterializeSink sink(bm, &pairs);
-      auto run = RunAuto(bm, current, filtered[i], &sink, options);
-      Status fin = sink.Finish();
-      join_status = run.ok() ? fin : run.status();
-      if (run.ok() && stats != nullptr) ++stats->joins;
-    }
-    current.file.Drop(bm);
-    filtered[i].file.Drop(bm);
-    if (!join_status.ok()) {
-      for (size_t j = i + 1; j < filtered.size(); ++j) {
-        filtered[j].file.Drop(bm);
-      }
-      pairs.Drop(bm);
-      return join_status;
-    }
-    auto next = DistinctDescendants(bm, pairs, spec, options.work_pages);
-    Status drop = pairs.Drop(bm);
-    if (!next.ok()) return next.status();
-    PBITREE_RETURN_IF_ERROR(drop);
-    current = *next;
-  }
-  return current;
-}
-
-}  // namespace
-
-StatusOr<TwigQuery> ParseTwigQuery(std::string_view text) {
-  if (text.empty()) return Status::InvalidArgument("empty twig pattern");
-  TwigParser parser(text);
-  PBITREE_ASSIGN_OR_RETURN(TwigQuery q, parser.Parse());
-  if (q.steps.empty()) return Status::InvalidArgument("empty twig pattern");
-  return q;
-}
-
-StatusOr<ElementSet> DistinctAncestors(BufferManager* bm,
-                                       const HeapFile& pair_file,
-                                       PBiTreeSpec spec, size_t work_pages) {
+/// Deduplicates one column of a join-result pair file into an element
+/// set ordered by code (not document order). The pair file is not
+/// dropped.
+StatusOr<ElementSet> DistinctColumn(BufferManager* bm,
+                                    const HeapFile& pair_file, Keep keep,
+                                    PBiTreeSpec spec, size_t work_pages) {
+  // Rewrite the column as element records, sort by code, then emit
+  // each code once.
   PBITREE_ASSIGN_OR_RETURN(HeapFile column, HeapFile::Create(bm));
   {
     HeapFile::Appender app(bm, &column);
@@ -236,8 +90,9 @@ StatusOr<ElementSet> DistinctAncestors(BufferManager* bm,
     for (auto batch = scan.NextPairBatch(); !batch.empty();
          batch = scan.NextPairBatch()) {
       for (const ResultPair& pair : batch) {
-        PBITREE_RETURN_IF_ERROR(
-            app.AppendElement(ElementRecord{pair.ancestor_code, 0, 0}));
+        const Code code = keep == Keep::kAncestors ? pair.ancestor_code
+                                                   : pair.descendant_code;
+        PBITREE_RETURN_IF_ERROR(app.AppendElement(ElementRecord{code, 0, 0}));
       }
     }
     PBITREE_RETURN_IF_ERROR(scan.status());
@@ -267,15 +122,144 @@ StatusOr<ElementSet> DistinctAncestors(BufferManager* bm,
   return builder.Build();
 }
 
-StatusOr<ElementSet> EvaluateTwigQuery(BufferManager* bm, const DataTree& tree,
-                                       const PBiTreeSpec& spec,
-                                       const TwigQuery& query,
-                                       const RunOptions& options,
-                                       TwigQueryStats* stats) {
-  ElementSetProvider provider = [bm, &tree, &spec](const std::string& tag) {
-    return ExtractTagSetByName(bm, tree, spec, tag);
-  };
-  return EvaluateTwigQuery(bm, provider, spec, query, options, stats);
+/// A fresh copy of `set`, for a one-step answer that would otherwise be
+/// the provider's own set.
+StatusOr<ElementSet> CopySet(BufferManager* bm, const ElementSet& set) {
+  PBITREE_ASSIGN_OR_RETURN(ElementSetBuilder builder,
+                           ElementSetBuilder::Create(bm, set.spec));
+  HeapFile::Scanner scan(bm, set.file);
+  for (auto batch = scan.NextElementBatch(); !batch.empty();
+       batch = scan.NextElementBatch()) {
+    for (const ElementRecord& rec : batch) {
+      PBITREE_RETURN_IF_ERROR(builder.Add(rec));
+    }
+  }
+  PBITREE_RETURN_IF_ERROR(scan.status());
+  PBITREE_ASSIGN_OR_RETURN(ElementSet copy, builder.Build());
+  copy.sorted_by_start = set.sorted_by_start;
+  return copy;
+}
+
+/// A fold operand: provider sets are borrowed, sets the evaluator built
+/// are owned and dropped as soon as they are consumed.
+struct Operand {
+  ElementSet set;
+  bool owned = false;
+};
+
+class Evaluator {
+ public:
+  Evaluator(BufferManager* bm, const ElementSetProvider& provider,
+            const PBiTreeSpec& spec, const RunOptions& options)
+      : bm_(bm), provider_(provider), spec_(spec), options_(options) {}
+
+  /// Folds the spine of `q` into one set. Front to back (the answer),
+  /// the current set joins the next step's set as ancestors and the
+  /// distinct descendants go on. Back to front (a predicate's heads),
+  /// the previous step's set joins the current set as ancestors and the
+  /// distinct ancestors go on.
+  StatusOr<Operand> Fold(const TwigQuery& q, bool forward) {
+    const size_t n = q.steps.size();
+    if (n == 0) return Status::InvalidArgument("empty twig pattern");
+    auto step = [&](size_t k) -> const TwigStep& {
+      return q.steps[forward ? k : n - 1 - k];
+    };
+    PBITREE_ASSIGN_OR_RETURN(Operand acc, StepSet(step(0)));
+    for (size_t k = 1; k < n; ++k) {
+      auto next = StepSet(step(k));
+      if (!next.ok()) {
+        Release(acc);
+        return next.status();
+      }
+      PBITREE_ASSIGN_OR_RETURN(
+          acc, forward ? JoinAndRelease(acc, *next, Keep::kDescendants)
+                       : JoinAndRelease(*next, acc, Keep::kAncestors));
+    }
+    return acc;
+  }
+
+  TwigQueryStats& stats() { return stats_; }
+
+ private:
+  /// The elements of `step`'s tag that have a descendant among each
+  /// predicate's heads.
+  StatusOr<Operand> StepSet(const TwigStep& step) {
+    PBITREE_ASSIGN_OR_RETURN(ElementSet tag_set, provider_(step.tag));
+    Operand set{tag_set, /*owned=*/false};
+    for (const TwigQuery& pred : step.predicates) {
+      auto heads = Fold(pred, /*forward=*/false);
+      if (!heads.ok()) {
+        Release(set);
+        return heads.status();
+      }
+      PBITREE_ASSIGN_OR_RETURN(set,
+                               JoinAndRelease(set, *heads, Keep::kAncestors));
+    }
+    return set;
+  }
+
+  /// Joins `a` (ancestors) with `d` (descendants) and keeps the distinct
+  /// `keep` column as a new owned set. Releases both inputs, also on
+  /// failure.
+  StatusOr<Operand> JoinAndRelease(Operand a, Operand d, Keep keep) {
+    auto kept = JoinDistinct(a.set, d.set, keep);
+    Status release_a = Release(a);
+    Status release_d = Release(d);
+    if (!kept.ok()) return kept.status();
+    Status released = release_a.ok() ? release_d : release_a;
+    if (!released.ok()) {
+      kept->file.Drop(bm_);
+      return released;
+    }
+    return Operand{*kept, /*owned=*/true};
+  }
+
+  StatusOr<ElementSet> JoinDistinct(const ElementSet& a, const ElementSet& d,
+                                    Keep keep) {
+    PBITREE_ASSIGN_OR_RETURN(HeapFile pairs, HeapFile::Create(bm_));
+    Status join_status;
+    {
+      MaterializeSink sink(bm_, &pairs);
+      auto run = RunAuto(bm_, a, d, &sink, options_);
+      // A failed close means the pair file lost its tail page — as
+      // fatal as the join itself failing.
+      Status fin = sink.Finish();
+      join_status = run.ok() ? fin : run.status();
+      if (run.ok()) stats_.joins.push_back(*std::move(run));
+    }
+    StatusOr<ElementSet> kept =
+        join_status.ok()
+            ? DistinctColumn(bm_, pairs, keep, spec_, options_.work_pages)
+            : StatusOr<ElementSet>(join_status);
+    Status drop = pairs.Drop(bm_);
+    if (!kept.ok()) return kept.status();
+    if (!drop.ok()) {
+      kept->file.Drop(bm_);
+      return drop;
+    }
+    if (keep == Keep::kAncestors) ++stats_.semijoins;
+    return kept;
+  }
+
+  Status Release(Operand& op) {
+    return op.owned ? op.set.file.Drop(bm_) : Status::OK();
+  }
+
+  BufferManager* bm_;
+  const ElementSetProvider& provider_;
+  const PBiTreeSpec& spec_;
+  const RunOptions& options_;
+  TwigQueryStats stats_;
+};
+
+}  // namespace
+
+StatusOr<TwigQuery> ParseTwigQuery(std::string_view text) {
+  if (text.empty()) return Status::InvalidArgument("empty twig pattern");
+  TwigParser parser(text);
+  PBITREE_ASSIGN_OR_RETURN(TwigQuery q, parser.Parse());
+  if (q.steps.empty()) return Status::InvalidArgument("empty twig pattern");
+  return q;
 }
 
 StatusOr<ElementSet> EvaluateTwigQuery(BufferManager* bm,
@@ -284,10 +268,39 @@ StatusOr<ElementSet> EvaluateTwigQuery(BufferManager* bm,
                                        const TwigQuery& query,
                                        const RunOptions& options,
                                        TwigQueryStats* stats) {
-  PBITREE_ASSIGN_OR_RETURN(
-      ElementSet result,
-      MatchSet(bm, provider, spec, query, options, stats));
-  if (stats != nullptr) stats->final_count = result.num_records();
+  Evaluator evaluator(bm, provider, spec, options);
+  PBITREE_ASSIGN_OR_RETURN(Operand answer,
+                           evaluator.Fold(query, /*forward=*/true));
+  StatusOr<ElementSet> result =
+      answer.owned ? answer.set : CopySet(bm, answer.set);
+  if (result.ok() && stats != nullptr) {
+    *stats = std::move(evaluator.stats());
+    stats->final_count = result->num_records();
+  }
+  return result;
+}
+
+StatusOr<ElementSet> EvaluateTwigQuery(BufferManager* bm, const DataTree& tree,
+                                       const PBiTreeSpec& spec,
+                                       const TwigQuery& query,
+                                       const RunOptions& options,
+                                       TwigQueryStats* stats) {
+  std::vector<ElementSet> extracted;
+  ElementSetProvider provider =
+      [&](const std::string& tag) -> StatusOr<ElementSet> {
+    PBITREE_ASSIGN_OR_RETURN(ElementSet set,
+                             ExtractTagSetByName(bm, tree, spec, tag));
+    extracted.push_back(set);
+    return set;
+  };
+  auto result = EvaluateTwigQuery(bm, provider, spec, query, options, stats);
+  for (ElementSet& set : extracted) {
+    Status drop = set.file.Drop(bm);
+    if (!drop.ok() && result.ok()) {
+      result->file.Drop(bm);
+      result = drop;
+    }
+  }
   return result;
 }
 

@@ -14,8 +14,10 @@
 namespace pbitree {
 
 /// Source of element sets by tag name — a binarized DataTree, a
-/// Catalog, or anything else. Each call returns a fresh set the query
-/// evaluator takes ownership of (and drops).
+/// Catalog, or anything else. The returned sets are borrowed: the
+/// evaluator reads them and never drops them, so a provider may hand
+/// out stored sets directly. Whatever a provider creates, it (or its
+/// owner) drops after the evaluation.
 using ElementSetProvider =
     std::function<StatusOr<ElementSet>(const std::string& tag)>;
 
@@ -31,42 +33,40 @@ struct TwigStep {
 
 /// \brief A branching (twig) path pattern over the descendant axis —
 /// the general query class the containment-join decomposition of
-/// Li & Moon [12] serves. Linear paths are the special case with no
-/// predicates (see query/path_query.h).
+/// Li & Moon [12] serves. A linear path (`//a//b//c`) is the special
+/// case with no predicates.
 struct TwigQuery {
   std::vector<TwigStep> steps;  // the spine, outermost first
 };
 
 /// Parses `//name[pred]...//name[pred]...` where every predicate is
 /// itself a full twig pattern in brackets. Only the descendant axis is
-/// supported (child-axis parenthood is not derivable from PBiTree
-/// codes; see ParsePathQuery).
+/// supported: the child axis needs data-tree parenthood, which PBiTree
+/// codes alone do not encode (binarization places children several
+/// PBiTree levels below their parent).
 StatusOr<TwigQuery> ParseTwigQuery(std::string_view text);
 
-/// Per-join measurements of one evaluation.
+/// Measurements of one evaluation.
 struct TwigQueryStats {
-  uint64_t joins = 0;        // containment joins executed
-  uint64_t semijoins = 0;    // predicate filters applied
+  std::vector<RunResult> joins;  // every containment join, in run order
+  uint64_t semijoins = 0;  // joins that kept their ancestor column
   uint64_t final_count = 0;  // distinct matches of the spine's last step
 };
 
-/// \brief Evaluates a twig pattern bottom-up:
-///  - a predicate filters its step's element set to those elements
-///    having at least one descendant matching the predicate pattern
-///    (a containment join used as a semijoin, keeping the distinct
-///    ancestor column);
-///  - the spine then proceeds like a linear path query over the
-///    filtered sets.
+/// \brief Evaluates a twig pattern with two folds of containment joins.
+///
+/// A pattern node maps to a proper descendant of its parent's image,
+/// and a step's set is its tag's elements that satisfy every predicate.
+///  - The answer is a front-to-back fold over the spine: join the
+///    current set (as ancestors) with the next step's set and keep the
+///    distinct descendants. A predicate-free pattern of n steps runs
+///    exactly n-1 joins.
+///  - A predicate keeps the elements of its step that have a descendant
+///    among the predicate's heads: the first-step elements that head a
+///    full chain of the predicate pattern, found by a back-to-front
+///    fold that keeps distinct ancestors (semijoins).
 /// Returns the distinct elements matching the spine's last step (the
-/// XPath answer set); the caller drops the returned set's file.
-StatusOr<ElementSet> EvaluateTwigQuery(BufferManager* bm, const DataTree& tree,
-                                       const PBiTreeSpec& spec,
-                                       const TwigQuery& query,
-                                       const RunOptions& options,
-                                       TwigQueryStats* stats = nullptr);
-
-/// Provider-based overload: evaluates against any source of element
-/// sets (e.g. a persistent Catalog — what pbitree_cli uses).
+/// XPath answer set, ordered by code); the caller drops its file.
 StatusOr<ElementSet> EvaluateTwigQuery(BufferManager* bm,
                                        const ElementSetProvider& provider,
                                        const PBiTreeSpec& spec,
@@ -74,11 +74,13 @@ StatusOr<ElementSet> EvaluateTwigQuery(BufferManager* bm,
                                        const RunOptions& options,
                                        TwigQueryStats* stats = nullptr);
 
-/// Deduplicates the *ancestor* column of a join-result pair file into an
-/// element set (the semijoin primitive; mirror of DistinctDescendants).
-StatusOr<ElementSet> DistinctAncestors(BufferManager* bm,
-                                       const HeapFile& pair_file,
-                                       PBiTreeSpec spec, size_t work_pages);
+/// DataTree overload: extracts each step's tag set from a binarized
+/// document and drops the extracted sets afterwards.
+StatusOr<ElementSet> EvaluateTwigQuery(BufferManager* bm, const DataTree& tree,
+                                       const PBiTreeSpec& spec,
+                                       const TwigQuery& query,
+                                       const RunOptions& options,
+                                       TwigQueryStats* stats = nullptr);
 
 }  // namespace pbitree
 

@@ -377,22 +377,6 @@ Status Server::HandleJoin(int fd, const Request& req) {
     alg = *parsed;
   }
 
-  // Optional per-query SIMD override ("simd=off" forces the scalar
-  // kernels — join output is identical, this is a measurement knob).
-  std::optional<bool> simd;
-  if (auto it = req.params.find("simd"); it != req.params.end()) {
-    const std::string& v = it->second;
-    if (v == "on" || v == "1") {
-      simd = true;
-    } else if (v == "off" || v == "0") {
-      simd = false;
-    } else {
-      return WriteFrame(fd, FrameType::kError,
-                        EncodeError(Status::InvalidArgument(
-                            "bad simd value '" + v + "' (want on|off)")));
-    }
-  }
-
   // Queue wait counts toward the client-observed query latency.
   obs::LatencyTimer query_timer(obs::Latency::kServeQuery);
 
@@ -409,11 +393,9 @@ Status Server::HandleJoin(int fd, const Request& req) {
   // Result cache: a hit replays the stored pairs through a fresh
   // SocketSink, whose chunking depends only on the pair sequence — the
   // pair stream is byte-identical to the uncached one at the same
-  // epoch. A per-query simd override is a measurement knob, so those
-  // queries bypass the cache entirely (neither served from nor
-  // inserted).
+  // epoch.
   ResultCache::Key cache_key{a_it->second, d_it->second, alg_name, epoch};
-  const bool use_cache = cache_.enabled() && !simd.has_value();
+  const bool use_cache = cache_.enabled();
   if (use_cache) {
     if (std::shared_ptr<const ResultCache::Entry> hit =
             cache_.Lookup(cache_key)) {
@@ -437,7 +419,6 @@ Status Server::HandleJoin(int fd, const Request& req) {
   options.work_pages = PerQueryWorkPages();
   options.shared_exec = exec_.get();
   options.flush_pool = false;  // phase op; see RunOptions::flush_pool
-  options.simd = simd;
   BufferManager* bm = store_->main_bm();
   SocketSink socket_sink(fd);
   CachingSink caching_sink(&socket_sink,

@@ -62,10 +62,8 @@ PageId BufferManager::DetachFrameLocked(size_t idx) {
   Page* f = frames_[idx].get();
   if (f->page_id_ == kInvalidPageId) return kInvalidPageId;
   page_table_.erase(f->page_id_);
-  ++stats_.evictions;
   obs::Count(obs::Counter::kBufEvictions);
   if (!f->is_dirty_) return kInvalidPageId;
-  ++stats_.dirty_writes;
   obs::Count(obs::Counter::kBufDirtyWrites);
   return f->page_id_;
 }
@@ -74,7 +72,6 @@ StatusOr<Page*> BufferManager::FetchPage(PageId page_id) {
   obs::LatencyTimer latch_wait(obs::Latency::kLatchWait);
   std::unique_lock<std::mutex> lk(latch_);
   latch_wait.Finish();
-  ++stats_.fetches;
   obs::Count(obs::Counter::kBufFetches);
   size_t idx;
   for (;;) {
@@ -83,7 +80,6 @@ StatusOr<Page*> BufferManager::FetchPage(PageId page_id) {
       if (writebacks_.count(page_id) == 0) {
         auto victim = AcquireVictimLocked(lk);
         if (!victim.ok()) {
-          ++stats_.misses;
           obs::Count(obs::Counter::kBufMisses);
           return victim.status();
         }
@@ -116,13 +112,11 @@ StatusOr<Page*> BufferManager::FetchPage(PageId page_id) {
       io_wait.Finish();
       continue;
     }
-    ++stats_.hits;
     obs::Count(obs::Counter::kBufHits);
     ++f->pin_count_;
     f->referenced_ = true;
     return f;
   }
-  ++stats_.misses;
   obs::Count(obs::Counter::kBufMisses);
   Page* f = frames_[idx].get();
   const PageId write_back = DetachFrameLocked(idx);
@@ -254,7 +248,6 @@ Status BufferManager::FlushPage(PageId page_id) {
   if (f->page_id_ != page_id) return Status::OK();  // evicted meanwhile
   if (f->is_dirty_) {
     PBITREE_RETURN_IF_ERROR(disk_->WritePage(f->page_id_, f->data_));
-    ++stats_.dirty_writes;
     obs::Count(obs::Counter::kBufDirtyWrites);
     f->is_dirty_ = false;
   }
@@ -274,7 +267,6 @@ Status BufferManager::FlushAll() {
     }
     if (f->page_id_ != kInvalidPageId && f->is_dirty_) {
       PBITREE_RETURN_IF_ERROR(disk_->WritePage(f->page_id_, f->data_));
-      ++stats_.dirty_writes;
       obs::Count(obs::Counter::kBufDirtyWrites);
       f->is_dirty_ = false;
     }

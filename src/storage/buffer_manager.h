@@ -15,19 +15,6 @@
 
 namespace pbitree {
 
-/// \brief Buffer-pool statistics (logical requests vs physical I/O).
-struct BufferStats {
-  uint64_t fetches = 0;      // FetchPage calls
-  uint64_t hits = 0;         // served from the pool
-  uint64_t misses = 0;       // required a disk read
-  uint64_t evictions = 0;    // victim frames reclaimed
-  uint64_t dirty_writes = 0; // evictions/flushes that wrote back
-
-  double HitRate() const {
-    return fetches == 0 ? 0.0 : static_cast<double>(hits) / fetches;
-  }
-};
-
 /// \brief Fixed-size page cache with clock replacement — the Minibase
 /// buffer-manager stand-in.
 ///
@@ -53,7 +40,7 @@ struct BufferStats {
 /// victimised, so the data bytes of a returned Page* are only touched
 /// by its pin holders.
 ///
-/// Maintenance operations (FlushPage/FlushAll/PurgeAll/ResetStats) are
+/// Maintenance operations (FlushPage/FlushAll/PurgeAll) are
 /// phase operations: callers run them while no worker threads are
 /// active (between measured runs), which the single-threaded seed
 /// behaviour already assumed.
@@ -104,9 +91,6 @@ class BufferManager {
   size_t pool_pages() const { return frames_.size(); }
   DiskManager* disk() const { return disk_; }
 
-  const BufferStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = BufferStats(); }
-
   /// Number of currently pinned frames (for tests / leak detection).
   size_t PinnedFrames() const;
 
@@ -141,7 +125,6 @@ class BufferManager {
   /// waits it out before re-caching the page.
   std::unordered_set<PageId> writebacks_;
   size_t clock_hand_ = 0;
-  BufferStats stats_;
 
   /// The pool latch (see class comment). Mutable so that const
   /// observers (PinnedFrames) can take it.

@@ -29,20 +29,6 @@ DiskManager::DiskManager(std::unique_ptr<IoBackend> backend)
   is_free_.resize(1, false);  // header page
 }
 
-StatusOr<DiskManager*> DiskManager::Open(const std::string& path) {
-  auto backend = FileIoBackend::Open(path, /*truncate=*/true,
-                                     /*unlink_on_close=*/true);
-  PBITREE_RETURN_IF_ERROR(backend.status());
-  return new DiskManager(MaybeInjectFaults(std::move(*backend)));
-}
-
-StatusOr<DiskManager*> DiskManager::OpenExisting(const std::string& path) {
-  auto backend = FileIoBackend::Open(path, /*truncate=*/false,
-                                     /*unlink_on_close=*/false);
-  PBITREE_RETURN_IF_ERROR(backend.status());
-  return OpenWithBackend(std::move(*backend), /*restore_frontier=*/true);
-}
-
 DiskManager* DiskManager::OpenInMemory() {
   return new DiskManager(MaybeInjectFaults(std::make_unique<MemIoBackend>()));
 }

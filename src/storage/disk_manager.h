@@ -50,13 +50,6 @@ struct AtomicDiskStats {
     s.pages_freed = pages_freed.load(std::memory_order_relaxed);
     return s;
   }
-
-  void Reset() {
-    page_reads.store(0, std::memory_order_relaxed);
-    page_writes.store(0, std::memory_order_relaxed);
-    pages_allocated.store(0, std::memory_order_relaxed);
-    pages_freed.store(0, std::memory_order_relaxed);
-  }
 };
 
 /// \brief Bounded-retry policy for transient backend faults.
@@ -90,17 +83,6 @@ struct RetryPolicy {
 /// process simply have no entry and skip verification.
 class DiskManager {
  public:
-  /// Creates/truncates a disk-backed database at `path`. The file is
-  /// deleted on destruction (scratch semantics — what benchmarks use).
-  static StatusOr<DiskManager*> Open(const std::string& path);
-
-  /// Opens (or creates) a persistent database at `path`: the file is
-  /// kept on destruction and existing pages are preserved. The caller
-  /// (normally the Catalog) must restore the allocation frontier via
-  /// SetFrontier before allocating; freed-page lists are not persisted
-  /// (space is reclaimed by offline compaction).
-  static StatusOr<DiskManager*> OpenExisting(const std::string& path);
-
   /// Creates a memory-backed database (no file). All I/O is still
   /// counted; this is the default substrate for tests and benchmarks.
   static DiskManager* OpenInMemory();
@@ -152,7 +134,6 @@ class DiskManager {
   /// value so existing delta arithmetic (`after - before`) keeps
   /// working against the atomic live counters.
   DiskStats stats() const { return stats_.Snapshot(); }
-  void ResetStats() { stats_.Reset(); }
 
   /// The backend this manager performs I/O through. Tests use this to
   /// reach a FaultInjectingBackend's Arm/Disarm.

@@ -60,8 +60,8 @@ class IoBackend {
   virtual Status Sync() = 0;
 
   /// Number of pages the persistent store currently holds — what
-  /// OpenExisting uses to restore the allocation frontier. Zero for
-  /// non-persistent backends.
+  /// DiskManager::OpenWithBackend uses to restore the allocation
+  /// frontier. Zero for non-persistent backends.
   virtual StatusOr<PageId> SizeInPages() { return PageId{0}; }
 };
 

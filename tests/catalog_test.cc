@@ -16,6 +16,16 @@
 namespace pbitree {
 namespace {
 
+/// Opens the database file at `path`, keeping it on close and
+/// restoring the allocation frontier from its size.
+StatusOr<DiskManager*> OpenDatabaseFile(const std::string& path) {
+  PBITREE_ASSIGN_OR_RETURN(std::unique_ptr<IoBackend> backend,
+                           FileIoBackend::Open(path, /*truncate=*/false,
+                                               /*unlink_on_close=*/false));
+  return DiskManager::OpenWithBackend(std::move(backend),
+                                      /*restore_frontier=*/true);
+}
+
 ElementSet MakeSet(BufferManager* bm, const std::vector<Code>& codes,
                    int height) {
   auto b = ElementSetBuilder::Create(bm, PBiTreeSpec{height});
@@ -61,7 +71,7 @@ TEST(CatalogTest, SurvivesProcessRestart) {
   for (Code c = 1; c <= 600; ++c) codes.push_back(c);  // spans 3 pages
 
   {
-    auto opened = DiskManager::OpenExisting(path);
+    auto opened = OpenDatabaseFile(path);
     ASSERT_TRUE(opened.ok());
     std::unique_ptr<DiskManager> disk(*opened);
     BufferManager bm(disk.get(), 32);
@@ -75,7 +85,7 @@ TEST(CatalogTest, SurvivesProcessRestart) {
   }  // destructors: pool gone, file kept
 
   {
-    auto opened = DiskManager::OpenExisting(path);
+    auto opened = OpenDatabaseFile(path);
     ASSERT_TRUE(opened.ok());
     std::unique_ptr<DiskManager> disk(*opened);
     BufferManager bm(disk.get(), 32);

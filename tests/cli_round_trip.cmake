@@ -4,8 +4,11 @@
 #   cmake -DCLI=<pbitree_cli> -DFIXTURE=<doc.xml> -DWORK_DIR=<dir>
 #         -P cli_round_trip.cmake
 #
-# 1. The fixture encoded plain and with --segments 1 answers three path
-#    queries with equal match counts.
+# 1. The fixture encoded plain and with --segments 1 answers four path
+#    queries, one with a multi-step predicate, with equal match counts.
+#    Each query runs twice on each database and must repeat its count.
+#    The growth of each database file per query is reported, and no
+#    query may grow a file by more than 20 KiB.
 # 2. Re-encoding into the level-1 database without --segments keeps it
 #    at level 1, so its sets stay immutable (update -> Unimplemented).
 # 3. On the plain database an insert under the root (code 32768 in the
@@ -38,23 +41,51 @@ function(run_cli want_rc out_var)
   set(${out_var} "${out}" PARENT_SCOPE)
 endfunction()
 
-# Match count that `query <db> <path>` prints.
+# Total size in bytes of a database's files (the main file plus any
+# segment files).
+function(db_bytes db out_var)
+  file(GLOB files "${db}" "${db}.seg*")
+  set(total 0)
+  foreach(f IN LISTS files)
+    file(SIZE "${f}" size)
+    math(EXPR total "${total} + ${size}")
+  endforeach()
+  set(${out_var} "${total}" PARENT_SCOPE)
+endfunction()
+
+# Match count that `query <db> <path>` prints. Also reports how many
+# bytes the query added to the database files, and fails above 20 KiB.
 function(query_count db path out_var)
+  db_bytes("${db}" before)
   run_cli(0 out query "${db}" "${path}")
   if(NOT out MATCHES "^([0-9]+) matches")
     message(FATAL_ERROR "query ${db} ${path}: no match count in\n${out}")
   endif()
   set(${out_var} "${CMAKE_MATCH_1}" PARENT_SCOPE)
+  db_bytes("${db}" after)
+  math(EXPR growth "${after} - ${before}")
+  get_filename_component(name "${db}" NAME)
+  message(STATUS "${name} ${path}: ${CMAKE_MATCH_1} matches, "
+                 "file growth ${growth} bytes")
+  if(growth GREATER 20480)
+    message(FATAL_ERROR "${path} grew ${name} by ${growth} bytes (> 20 KiB)")
+  endif()
 endfunction()
 
-# 1. Plain and segmented encodes agree.
+# 1. Plain and segmented encodes agree, and repeated queries repeat.
 run_cli(0 out encode "${FIXTURE}" "${plain}")
 run_cli(0 out encode --segments 1 "${FIXTURE}" "${seg}")
-foreach(path "//a//b" "//a[//c]//b" "//doc//b//c")
+foreach(path "//a//b" "//a[//c]//b" "//doc//b//c" "//a[//d//b]//c")
   query_count("${plain}" "${path}" n_plain)
   query_count("${seg}" "${path}" n_seg)
   if(NOT n_plain EQUAL n_seg OR n_plain EQUAL 0)
     message(FATAL_ERROR "${path}: plain ${n_plain} vs segmented ${n_seg}")
+  endif()
+  query_count("${plain}" "${path}" n_plain_again)
+  query_count("${seg}" "${path}" n_seg_again)
+  if(NOT n_plain_again EQUAL n_plain OR NOT n_seg_again EQUAL n_seg)
+    message(FATAL_ERROR "${path}: repeat gave plain ${n_plain_again}, "
+                        "segmented ${n_seg_again}, want ${n_plain}")
   endif()
 endforeach()
 

@@ -24,6 +24,16 @@
 namespace pbitree {
 namespace {
 
+/// Opens the database file at `path`, keeping it on close and
+/// restoring the allocation frontier from its size.
+StatusOr<DiskManager*> OpenDatabaseFile(const std::string& path) {
+  PBITREE_ASSIGN_OR_RETURN(std::unique_ptr<IoBackend> backend,
+                           FileIoBackend::Open(path, /*truncate=*/false,
+                                               /*unlink_on_close=*/false));
+  return DiskManager::OpenWithBackend(std::move(backend),
+                                      /*restore_frontier=*/true);
+}
+
 using Records = std::vector<ElementRecord>;
 
 /// Encode into a fresh payload, decode back, and require equality.
@@ -266,7 +276,7 @@ TEST_F(CodecFileTest, CatalogPersistsCodecFlagAcrossRestart) {
 
   uint64_t fd_pages = 0;
   {
-    auto opened = DiskManager::OpenExisting(path);
+    auto opened = OpenDatabaseFile(path);
     ASSERT_TRUE(opened.ok());
     std::unique_ptr<DiskManager> disk(*opened);
     BufferManager bm(disk.get(), 64);
@@ -288,7 +298,7 @@ TEST_F(CodecFileTest, CatalogPersistsCodecFlagAcrossRestart) {
     ASSERT_TRUE(catalog->Save(&bm).ok());
   }
   {
-    auto opened = DiskManager::OpenExisting(path);
+    auto opened = OpenDatabaseFile(path);
     ASSERT_TRUE(opened.ok());
     std::unique_ptr<DiskManager> disk(*opened);
     BufferManager bm(disk.get(), 64);

@@ -42,7 +42,7 @@ class SimdCodecTest : public ::testing::TestWithParam<uint64_t> {
     VerifyingSink sink(&collected);
     RunOptions opts;
     opts.work_pages = 8;  // exercise the partitioning / spill paths
-    opts.simd = simd;
+    simd::ScopedEnable kernels(simd);
     auto run = RunJoin(alg, bm_.get(), a, d, &sink, opts);
     EXPECT_TRUE(run.ok()) << AlgorithmName(alg) << ": "
                           << run.status().ToString();

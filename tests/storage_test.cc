@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/env.h"
+#include "obs/metrics.h"
 #include "storage/buffer_manager.h"
 #include "storage/disk_manager.h"
 #include "storage/heap_file.h"
@@ -16,6 +17,16 @@
 
 namespace pbitree {
 namespace {
+
+/// Opens the database file at `path`, keeping it on close and
+/// restoring the allocation frontier from its size.
+StatusOr<DiskManager*> OpenDatabaseFile(const std::string& path) {
+  PBITREE_ASSIGN_OR_RETURN(std::unique_ptr<IoBackend> backend,
+                           FileIoBackend::Open(path, /*truncate=*/false,
+                                               /*unlink_on_close=*/false));
+  return DiskManager::OpenWithBackend(std::move(backend),
+                                      /*restore_frontier=*/true);
+}
 
 TEST(DiskManagerTest, AllocateReadWriteRoundTrip) {
   std::unique_ptr<DiskManager> disk(DiskManager::OpenInMemory());
@@ -75,7 +86,7 @@ TEST(DiskManagerTest, ReopenedFileRestoresFrontierAndData) {
   PageId pid;
   char out[kPageSize] = {'p', 'e', 'r', 's', 'i', 's', 't'};
   {
-    auto opened = DiskManager::OpenExisting(path);
+    auto opened = OpenDatabaseFile(path);
     ASSERT_TRUE(opened.ok());
     std::unique_ptr<DiskManager> disk(*opened);
     auto p = disk->AllocatePage();
@@ -84,7 +95,7 @@ TEST(DiskManagerTest, ReopenedFileRestoresFrontierAndData) {
     ASSERT_TRUE(disk->WritePage(pid, out).ok());
     ASSERT_TRUE(disk->Sync().ok());
   }
-  auto reopened = DiskManager::OpenExisting(path);
+  auto reopened = OpenDatabaseFile(path);
   ASSERT_TRUE(reopened.ok());
   std::unique_ptr<DiskManager> disk(*reopened);
   // SizeInPages restored the frontier: the old page is in range and
@@ -98,7 +109,11 @@ TEST(DiskManagerTest, ReopenedFileRestoresFrontierAndData) {
 
 TEST(DiskManagerTest, FileBackedRoundTrip) {
   std::string path = TempFilePath("disk_test");
-  auto opened = DiskManager::Open(path);
+  auto backend = FileIoBackend::Open(path, /*truncate=*/true,
+                                     /*unlink_on_close=*/true);
+  ASSERT_TRUE(backend.ok());
+  auto opened = DiskManager::OpenWithBackend(std::move(*backend),
+                                             /*restore_frontier=*/false);
   ASSERT_TRUE(opened.ok());
   std::unique_ptr<DiskManager> disk(*opened);
   auto pid = disk->AllocatePage();
@@ -135,15 +150,19 @@ TEST_F(BufferManagerTest, FetchHitsAfterFirstMiss) {
   PageId pid = (*page)->page_id();
   ASSERT_TRUE(bm_->UnpinPage(pid, true).ok());
 
+  obs::MetricRegistry registry;
+  obs::MetricScope scope(&registry);
   auto again = bm_->FetchPage(pid);
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(bm_->stats().hits, 1u);
+  EXPECT_EQ(registry.Snapshot().counter(obs::Counter::kBufHits), 1u);
   ASSERT_TRUE(bm_->UnpinPage(pid, false).ok());
 }
 
 TEST_F(BufferManagerTest, EvictionWritesBackDirtyPages) {
   // Fill a page with data, unpin dirty, then flood the pool to force
   // eviction; refetching must return the written data.
+  obs::MetricRegistry registry;
+  obs::MetricScope scope(&registry);
   auto page = bm_->NewPage();
   ASSERT_TRUE(page.ok());
   PageId pid = (*page)->page_id();
@@ -161,8 +180,9 @@ TEST_F(BufferManagerTest, EvictionWritesBackDirtyPages) {
   ASSERT_TRUE(back.ok());
   EXPECT_EQ((*back)->data()[100], 42);
   ASSERT_TRUE(bm_->UnpinPage(pid, false).ok());
-  EXPECT_GT(bm_->stats().evictions, 0u);
-  EXPECT_GT(bm_->stats().dirty_writes, 0u);
+  const obs::MetricsSnapshot counted = registry.Snapshot();
+  EXPECT_GT(counted.counter(obs::Counter::kBufEvictions), 0u);
+  EXPECT_GT(counted.counter(obs::Counter::kBufDirtyWrites), 0u);
 }
 
 TEST_F(BufferManagerTest, AllPinnedMeansResourceExhausted) {

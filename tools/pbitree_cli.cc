@@ -67,7 +67,6 @@ struct GlobalOptions {
   std::string alg = "auto";      // server mode: algorithm to request
   int segments = -1;   // encode: code-space sharding level l (2^l segment
                        // files); -1 = the database's level (0 if new)
-  int simd = -1;       // query: -1 = process default, 0 = scalar, 1 = AVX2
   std::string page_codec_name;  // encode: raw string from --page-codec
   std::optional<PageCodecKind> page_codec;  // parsed; nullopt = ambient
   bool metrics = false;
@@ -252,39 +251,28 @@ int CmdQuery(const GlobalOptions& g, const std::vector<std::string>& args) {
   auto opened_store = SegmentStore::Open(StoreOptions(g, db_path));
   if (!opened_store.ok()) return Fail(opened_store.status());
   SegmentStore* store = opened_store->get();
-  BufferManager& bm = *store->main_bm();
-  Catalog* catalog = store->main_catalog();
 
   // The PBiTree spec comes from the first step's stored set.
   auto first = store->Load(parsed->steps.front().tag);
   if (!first.ok()) return Fail(first.status());
   const PBiTreeSpec spec = first->spec;
 
+  // The evaluator borrows provider sets. At level 0 they are the stored
+  // sets, joined in place on the main pool. A segmented store's sets
+  // are merged views this query materialises, so they and every query
+  // temporary live in a scratch in-memory pool that goes away with it.
+  BufferManager* bm = store->main_bm();
+  std::unique_ptr<DiskManager> scratch_disk;
+  std::optional<BufferManager> scratch_bm;
+  if (store->level() > 0) {
+    scratch_disk.reset(DiskManager::OpenInMemory());
+    bm = &scratch_bm.emplace(scratch_disk.get(), kPoolPages);
+  }
+  ElementSetProvider provider = [&](const std::string& tag) {
+    return store->LoadMerged(tag, bm);
+  };
   RunOptions opts;
   opts.work_pages = kPoolPages / 2;
-  if (g.simd >= 0) opts.simd = g.simd != 0;
-  // The evaluator owns and drops every provider-returned set, so the
-  // provider must never hand out the stored files themselves — a freed
-  // stored page gets reused by query temps and the database is
-  // destroyed on eviction write-back. Segmented sets already
-  // materialise a fresh merged (replica-free) view; plain entries get
-  // an explicit copy.
-  ElementSetProvider provider =
-      [&](const std::string& tag) -> StatusOr<ElementSet> {
-    if (catalog->IsSegmented(tag)) return store->LoadMerged(tag, &bm);
-    PBITREE_ASSIGN_OR_RETURN(ElementSet stored, catalog->Get(&bm, tag));
-    PBITREE_ASSIGN_OR_RETURN(ElementSetBuilder builder,
-                             ElementSetBuilder::Create(&bm, stored.spec));
-    HeapFile::Scanner scan(&bm, stored.file);
-    ElementRecord rec;
-    while (scan.NextElement(&rec)) {
-      PBITREE_RETURN_IF_ERROR(builder.Add(rec));
-    }
-    PBITREE_RETURN_IF_ERROR(scan.status());
-    PBITREE_ASSIGN_OR_RETURN(ElementSet copy, builder.Build());
-    copy.sorted_by_start = stored.sorted_by_start;
-    return copy;
-  };
 
   // With --metrics, install a query-level registry scope: every join
   // the evaluation runs bills into it (RunJoin reuses an ambient
@@ -298,17 +286,17 @@ int CmdQuery(const GlobalOptions& g, const std::vector<std::string>& args) {
 
   Timer timer;
   TwigQueryStats stats;
-  auto result = EvaluateTwigQuery(&bm, provider, spec, *parsed, opts, &stats);
+  auto result = EvaluateTwigQuery(bm, provider, spec, *parsed, opts, &stats);
   if (!result.ok()) return Fail(result.status());
   std::printf("%llu matches in %.1f ms  (%llu containment joins, %llu semijoins)\n",
               static_cast<unsigned long long>(result->num_records()),
               timer.ElapsedMillis(),
-              static_cast<unsigned long long>(stats.joins),
+              static_cast<unsigned long long>(stats.joins.size()),
               static_cast<unsigned long long>(stats.semijoins));
   if (g.metrics) {
     std::printf("%s\n", registry->Snapshot().ToJson().c_str());
   }
-  if (Status st = result->file.Drop(&bm); !st.ok()) return Fail(st);
+  if (Status st = result->file.Drop(bm); !st.ok()) return Fail(st);
   return 0;
 }
 
@@ -463,8 +451,6 @@ const Subcommand kSubcommands[] = {
     {"query", "<db> '//a[//p]//b//c'",
      "evaluate a descendant path by chaining containment joins",
      "  --metrics           print the per-operation metrics report as JSON\n"
-     "  --simd on|off       force the AVX2 kernels on or off for this query\n"
-     "                      (default: PBITREE_SIMD; output is identical)\n"
      "  --server HOST:PORT  run on pbitree_serverd ('//a//b' paths only;\n"
      "                      --metrics fetches the server's registry)\n"
      "  --alg NAME          server mode: algorithm to request, or auto\n"
@@ -554,16 +540,6 @@ int main(int argc, char** argv) {
     }
     if (std::strncmp(arg, "--page-codec=", 13) == 0) {
       g.page_codec_name = arg + 13;
-      continue;
-    }
-    if (std::strcmp(arg, "--simd") == 0 && i + 1 < argc) {
-      const char* v = argv[++i];
-      g.simd = (std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0) ? 0 : 1;
-      continue;
-    }
-    if (std::strncmp(arg, "--simd=", 7) == 0) {
-      const char* v = arg + 7;
-      g.simd = (std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0) ? 0 : 1;
       continue;
     }
     if (std::strncmp(arg, "--", 2) == 0) {
