@@ -31,10 +31,8 @@ T GetAt(const char* base, size_t off) {
 bool Catalog::HeaderCrcValid(const char* page) {
   if (GetAt<uint64_t>(page, 0) != kMagic) return false;
   if (GetAt<uint32_t>(page, kVersionOffset) < 2) return false;
-  char copy[kPageSize];
-  std::memcpy(copy, page, kPageSize);
-  PutAt<uint32_t>(copy, kCrcOffset, 0);
-  return Crc32c(copy, kPageSize) == GetAt<uint32_t>(page, kCrcOffset);
+  return Crc32cZeroedField(page, kPageSize, kCrcOffset) ==
+         GetAt<uint32_t>(page, kCrcOffset);
 }
 
 StatusOr<Catalog> Catalog::Load(BufferManager* bm) {

@@ -35,8 +35,12 @@ DiskManager* DiskManager::OpenInMemory() {
 
 StatusOr<DiskManager*> DiskManager::OpenWithBackend(
     std::unique_ptr<IoBackend> backend, bool restore_frontier) {
-  // Make every existing page addressable; the catalog narrows this to
-  // the recorded frontier afterwards.
+  // Make every existing page addressable. SetFrontier only grows, so the
+  // frontier a catalog records never narrows this: new pages go past the
+  // end of the file, even those of a query's scratch (ROADMAP item 12).
+  // ElementSetStore::Recover relies on the growth-only rule: the
+  // SetFrontier(max_pid + 1) of its log replay must not cut off pages
+  // below the file size.
   PageId size = 0;
   if (restore_frontier) {
     auto pages = backend->SizeInPages();
@@ -181,11 +185,14 @@ Status DiskManager::WritePage(PageId page_id, const char* in) {
   stats_.page_writes.fetch_add(1, std::memory_order_relaxed);
   obs::Count(obs::Counter::kPageWrites);
 
+  // Checksummed before the lock: ReadPage's lookups only wait for the
+  // map update, not for the CRC of the page.
+  const uint32_t crc = Crc32c(in, kPageSize);
   Status s = WithRetry("write", page_id,
                        [&] { return backend_->WritePage(page_id, in); });
   std::unique_lock<std::shared_mutex> lk(crc_mu_);
   if (s.ok()) {
-    page_crc_[page_id] = Crc32c(in, kPageSize);
+    page_crc_[page_id] = crc;
   } else {
     // The page's on-store content is now unknown; drop any stale entry
     // rather than flag a later (possibly fine) read as corruption.

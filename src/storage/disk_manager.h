@@ -74,7 +74,8 @@ struct RetryPolicy {
 /// this class layers on top of it:
 ///  - allocation (free list, frontier) and logical range checks,
 ///  - a per-page CRC32C checksum recorded on write and verified on
-///    every read (torn-write detection → kCorruption),
+///    every read of a page this process wrote (torn-write detection →
+///    kCorruption),
 ///  - bounded retry with exponential backoff for transient kIOError.
 ///
 /// The checksum table is kept out of band (in memory, not in the page

@@ -116,9 +116,7 @@ Status ElementSetStore::Recover(DiskManager* disk) {
     if (stream.size() != kLogHeaderBytes + size_t{n_images} * kLogImageBytes) {
       break;
     }
-    std::vector<char> copy = stream;
-    std::memset(copy.data() + 20, 0, 4);
-    if (Crc32c(copy.data(), copy.size()) != crc) break;
+    if (Crc32cZeroedField(stream.data(), stream.size(), 20) != crc) break;
     log_ok = true;
   } while (false);
 

@@ -32,21 +32,102 @@ namespace {
 // ---------------------------------------------------------------------
 // CRC32C: the RFC 3720 check vectors pin the exact polynomial and bit
 // order — any table or reflection bug fails these, not just "changes".
+// Every path this CPU can run is checked on its own, with the portable
+// table loop as the oracle for the hardware one.
+
+using Crc32cFn = uint32_t (*)(uint32_t, const void*, size_t);
+
+struct Crc32cPath {
+  const char* name;
+  Crc32cFn fn;
+};
+
+/// The portable loop first, then each hardware path the CPU supports.
+std::vector<Crc32cPath> Crc32cPaths() {
+  std::vector<Crc32cPath> paths = {{"portable", internal::Crc32cPortable}};
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("sse4.2")) {
+    paths.push_back({"sse4.2", internal::Crc32cSse42});
+  }
+#endif
+  return paths;
+}
 
 TEST(Crc32cTest, Rfc3720Vectors) {
   char zeros[32] = {};
-  EXPECT_EQ(Crc32c(zeros, sizeof(zeros)), 0x8A9136AAu);
   char ones[32];
   std::memset(ones, 0xFF, sizeof(ones));
-  EXPECT_EQ(Crc32c(ones, sizeof(ones)), 0x62A8AB43u);
+  char ascending[32];
+  for (int i = 0; i < 32; ++i) ascending[i] = static_cast<char>(i);
+  for (const Crc32cPath& path : Crc32cPaths()) {
+    SCOPED_TRACE(path.name);
+    EXPECT_EQ(path.fn(0, zeros, sizeof(zeros)), 0x8A9136AAu);
+    EXPECT_EQ(path.fn(0, ones, sizeof(ones)), 0x62A8AB43u);
+    EXPECT_EQ(path.fn(0, ascending, sizeof(ascending)), 0x46DD794Eu);
+    EXPECT_EQ(path.fn(0, "123456789", 9), 0xE3069283u);
+  }
+  EXPECT_EQ(Crc32c(zeros, sizeof(zeros)), 0x8A9136AAu);
   EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
 }
 
+TEST(Crc32cTest, PathsAgreeOnEveryLengthAndAlignment) {
+  // Lengths 0..9000 at start offsets 0..7 cover every tail length, every
+  // misalignment of the 8-byte loads, and buffers over two pages long.
+  constexpr size_t kMaxLen = 9000;
+  Random rng(20030305);
+  std::vector<char> buf(kMaxLen + 8);
+  for (char& c : buf) c = static_cast<char>(rng.Uniform(256));
+  const std::vector<Crc32cPath> paths = Crc32cPaths();  // [0]: the oracle
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      const char* p = buf.data() + offset;
+      const uint32_t want = paths[0].fn(0, p, len);
+      for (size_t k = 1; k < paths.size(); ++k) {
+        ASSERT_EQ(paths[k].fn(0, p, len), want)
+            << paths[k].name << " offset=" << offset << " len=" << len;
+      }
+      ASSERT_EQ(Crc32c(p, len), want) << "offset=" << offset << " len=" << len;
+    }
+  }
+}
+
 TEST(Crc32cTest, ExtendMatchesOneShot) {
+  char page[kPageSize];
+  Random rng(7);
+  for (char& c : page) c = static_cast<char>(rng.Uniform(256));
+  const uint32_t whole = internal::Crc32cPortable(0, page, kPageSize);
+  for (const Crc32cPath& path : Crc32cPaths()) {
+    SCOPED_TRACE(path.name);
+    for (size_t split = 0; split <= kPageSize; ++split) {
+      const uint32_t head = path.fn(0, page, split);
+      ASSERT_EQ(path.fn(head, page + split, kPageSize - split), whole)
+          << "split=" << split;
+    }
+  }
   const char data[] = "the quick brown fox jumps over the lazy dog";
-  uint32_t whole = Crc32c(data, sizeof(data));
-  uint32_t split = Crc32cExtend(Crc32c(data, 10), data + 10, sizeof(data) - 10);
-  EXPECT_EQ(whole, split);
+  EXPECT_EQ(Crc32cExtend(Crc32c(data, 10), data + 10, sizeof(data) - 10),
+            Crc32c(data, sizeof(data)));
+}
+
+TEST(Crc32cTest, ZeroedFieldMatchesACopyWithTheFieldZeroed) {
+  char page[kPageSize];
+  for (size_t i = 0; i < kPageSize; ++i) page[i] = static_cast<char>(i * 37);
+  for (size_t off : {size_t{0}, size_t{20}, size_t{44}, kPageSize - 4}) {
+    char copy[kPageSize];
+    std::memcpy(copy, page, kPageSize);
+    std::memset(copy + off, 0, 4);
+    EXPECT_EQ(Crc32cZeroedField(page, kPageSize, off), Crc32c(copy, kPageSize))
+        << "offset=" << off;
+  }
+}
+
+TEST(Crc32cTest, DispatchTakesTheHardwarePathWhenTheCpuHasIt) {
+#if defined(__x86_64__)
+  EXPECT_EQ(internal::Crc32cUsesHardware(),
+            static_cast<bool>(__builtin_cpu_supports("sse4.2")));
+#else
+  EXPECT_FALSE(internal::Crc32cUsesHardware());
+#endif
 }
 
 TEST(Crc32cTest, DetectsSingleBitFlip) {

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/env.h"
@@ -123,6 +124,64 @@ TEST(DiskManagerTest, FileBackedRoundTrip) {
   ASSERT_TRUE(disk->WritePage(*pid, out).ok());
   ASSERT_TRUE(disk->ReadPage(*pid, in).ok());
   EXPECT_EQ(0, std::memcmp(out, in, kPageSize));
+}
+
+TEST(DiskManagerTest, ConcurrentWritersAndReadersKeepTheirChecksums) {
+  auto fault = std::make_unique<FaultInjectingBackend>(
+      std::make_unique<MemIoBackend>(), FaultSchedule{});
+  FaultInjectingBackend* fb = fault.get();
+  auto dm = DiskManager::OpenWithBackend(std::move(fault),
+                                         /*restore_frontier=*/false);
+  ASSERT_TRUE(dm.ok()) << dm.status().ToString();
+  std::unique_ptr<DiskManager> disk(*dm);
+
+  // Each thread owns its pages; every read-back verifies the checksum
+  // its own write recorded while the other threads write and read.
+  constexpr int kThreads = 4;
+  constexpr int kPagesPerThread = 16;
+  constexpr int kRounds = 8;
+  std::vector<std::vector<PageId>> pages(kThreads);
+  for (auto& mine : pages) {
+    for (int i = 0; i < kPagesPerThread; ++i) {
+      auto p = disk->AllocatePage();
+      ASSERT_TRUE(p.ok());
+      mine.push_back(*p);
+    }
+  }
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      char out[kPageSize], in[kPageSize];
+      for (int round = 0; round < kRounds; ++round) {
+        for (PageId pid : pages[t]) {
+          for (size_t i = 0; i < kPageSize; ++i) {
+            out[i] = static_cast<char>(pid * 131 + round * 17 + i);
+          }
+          if (!disk->WritePage(pid, out).ok() ||
+              !disk->ReadPage(pid, in).ok() ||
+              std::memcmp(out, in, kPageSize) != 0) {
+            ++failures[t];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << "thread " << t;
+  EXPECT_EQ(disk->stats().page_writes,
+            uint64_t{kThreads} * kPagesPerThread * kRounds);
+
+  // A torn write reports success; the checksum recorded for it still
+  // turns the read into kCorruption.
+  auto torn = FaultSchedule::Parse("write_every=1,transient=1,torn_writes=1");
+  ASSERT_TRUE(torn.ok());
+  char page[kPageSize];
+  std::memset(page, 0x5A, kPageSize);
+  fb->Arm(*torn);
+  ASSERT_TRUE(disk->WritePage(pages[0][0], page).ok());
+  fb->Disarm();
+  EXPECT_EQ(disk->ReadPage(pages[0][0], page).code(), StatusCode::kCorruption);
 }
 
 class BufferManagerTest : public ::testing::Test {
