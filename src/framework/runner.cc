@@ -6,6 +6,7 @@
 #include "exec/exec_context.h"
 #include "exec/partition_exec.h"
 #include "join/algorithm_registry.h"
+#include "storage/scratch.h"
 
 namespace pbitree {
 
@@ -203,23 +204,18 @@ StatusOr<RunResult> RunSegmentedJoin(Algorithm alg, BufferManager* spill_bm,
     // replicated descendant would emit its pairs once per covered
     // segment instead of once.
     ElementSet d_view = sd.set;
-    std::optional<ElementSet> tmp;
+    ScratchFile filtered;
     if (sd.has_replicas) {
       PBITREE_ASSIGN_OR_RETURN(d_view,
                                FilterSegmentReplicas(sd.bm, sd.set, k, h_cut));
-      tmp = d_view;
+      filtered = ScratchFile(sd.bm, d_view.file);
     }
-    Status st = Status::OK();
     if (d_view.num_records() > 0) {
-      auto run = RunJoin(alg, sa.bm, sa.set, d_view, out, options);
-      st = run.ok() ? Status::OK() : run.status();
-      if (run.ok()) stats->Merge(run.value().stats);
+      PBITREE_ASSIGN_OR_RETURN(
+          RunResult run, RunJoin(alg, sa.bm, sa.set, d_view, out, options));
+      stats->Merge(run.stats);
     }
-    if (tmp.has_value()) {
-      Status s = tmp->file.Drop(sd.bm);
-      if (st.ok()) st = s;
-    }
-    return st;
+    return filtered.Drop();
   };
 
   std::optional<ExecContext> local_exec;

@@ -60,7 +60,8 @@ class BPTree {
   uint64_t num_pages() const { return pages_.size(); }
   int tree_height() const { return height_; }
 
-  /// Frees every page of the index.
+  /// Frees every page of the index; after a failure a second Drop frees
+  /// the pages still allocated.
   Status Drop(BufferManager* bm);
 
   /// \brief Iterates entries with key in [lo, hi], ascending.

@@ -182,8 +182,7 @@ Status IntervalIndex::Stab(
 Status IntervalIndex::Drop(BufferManager* bm) {
   // Frees the pages recorded by BulkLoad without reading any of them,
   // so a drop on an error path needs no frame and no write-back.
-  for (PageId pid : pages_) PBITREE_RETURN_IF_ERROR(bm->DeletePage(pid));
-  pages_.clear();
+  PBITREE_RETURN_IF_ERROR(bm->DeletePages(&pages_));
   root_ = kInvalidPageId;
   num_entries_ = 0;
   height_ = 1;

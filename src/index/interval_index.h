@@ -53,7 +53,8 @@ class IntervalIndex {
   Status Stab(BufferManager* bm, uint64_t q,
               const std::function<void(const ElementRecord&)>& emit) const;
 
-  /// Frees every page of the index.
+  /// Frees every page of the index; after a failure a second Drop frees
+  /// the pages still allocated.
   Status Drop(BufferManager* bm);
 
  private:

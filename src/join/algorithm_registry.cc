@@ -1,7 +1,6 @@
 #include "join/algorithm_registry.h"
 
 #include <cctype>
-#include <optional>
 
 #include "common/timer.h"
 #include "index/bptree.h"
@@ -15,58 +14,40 @@
 #include "join/stack_tree.h"
 #include "join/vpj.h"
 #include "sort/external_sort.h"
+#include "storage/scratch.h"
 
 namespace pbitree {
 
 namespace {
 
-/// Sorted-by-Start copy of a set; the temp file must be dropped by the
-/// caller. Sort time is charged to stats->sort_seconds.
-StatusOr<ElementSet> SortedCopy(BufferManager* bm, const ElementSet& in,
-                              size_t work_pages, JoinStats* stats) {
+/// Builds an index over `in` on the fly: sorts a temporary copy by
+/// `order` (bulk load needs key order), loads the index with `load`, and
+/// drops the copy. Charged to stats->index_build_seconds.
+template <typename Index, typename Load>
+StatusOr<Scratch<Index>> BuildIndexOnTheFly(BufferManager* bm,
+                                            const ElementSet& in,
+                                            SortOrder order, size_t work_pages,
+                                            JoinStats* stats, Load load) {
   Timer t;
   PBITREE_ASSIGN_OR_RETURN(
-      HeapFile sorted,
-      ExternalSort(bm, in.file, work_pages, SortOrder::kStartOrder));
-  stats->sort_seconds += t.ElapsedSeconds();
-  ElementSet out = in;
-  out.file = sorted;
-  out.sorted_by_start = true;
-  return out;
+      ScratchFile sorted,
+      ScratchFile::Adopt(bm, ExternalSort(bm, in.file, work_pages, order)));
+  PBITREE_ASSIGN_OR_RETURN(Scratch<Index> index,
+                           Scratch<Index>::Adopt(bm, load(*sorted)));
+  PBITREE_RETURN_IF_ERROR(sorted.Drop());
+  stats->index_build_seconds += t.ElapsedSeconds();
+  return index;
 }
 
-/// Builds a B+-tree over `in` keyed by `kind`, sorting a temporary copy
-/// first (bulk load needs key order). Charged to index_build_seconds.
-StatusOr<BPTree> BuildIndexOnTheFly(BufferManager* bm, const ElementSet& in,
-                                  KeyKind kind, size_t work_pages,
-                                  JoinStats* stats) {
-  Timer t;
+StatusOr<Scratch<BPTree>> BuildBPTreeOnTheFly(BufferManager* bm,
+                                              const ElementSet& in,
+                                              KeyKind kind, size_t work_pages,
+                                              JoinStats* stats) {
   SortOrder order =
       kind == KeyKind::kCode ? SortOrder::kCodeOrder : SortOrder::kStartOrder;
-  PBITREE_ASSIGN_OR_RETURN(HeapFile sorted,
-                           ExternalSort(bm, in.file, work_pages, order));
-  auto built = BPTree::BulkLoad(bm, sorted, kind);
-  Status drop = sorted.Drop(bm);
-  stats->index_build_seconds += t.ElapsedSeconds();
-  if (!built.ok()) return built.status();
-  PBITREE_RETURN_IF_ERROR(drop);
-  return built;
-}
-
-StatusOr<IntervalIndex> BuildIntervalIndexOnTheFly(BufferManager* bm,
-                                                 const ElementSet& in,
-                                                 size_t work_pages,
-                                                 JoinStats* stats) {
-  Timer t;
-  PBITREE_ASSIGN_OR_RETURN(
-      HeapFile sorted,
-      ExternalSort(bm, in.file, work_pages, SortOrder::kStartOrder));
-  auto built = IntervalIndex::BulkLoad(bm, sorted);
-  Status drop = sorted.Drop(bm);
-  stats->index_build_seconds += t.ElapsedSeconds();
-  if (!built.ok()) return built.status();
-  PBITREE_RETURN_IF_ERROR(drop);
-  return built;
+  return BuildIndexOnTheFly<BPTree>(
+      bm, in, order, work_pages, stats,
+      [&](const HeapFile& sorted) { return BPTree::BulkLoad(bm, sorted, kind); });
 }
 
 Status RunShcj(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
@@ -92,43 +73,33 @@ Status RunVpj(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
   return Vpj(ctx, a, d, sink, options.vpj);
 }
 
-/// Shared body of the two sorted-input merge algorithms: sorts whichever
-/// input isn't already Start-sorted, runs, drops the temp copies.
+/// Shared body of the two sorted-input merge algorithms: sorts a copy
+/// of whichever input isn't already Start-sorted, runs, drops the
+/// copies.
 Status RunSortedMerge(Algorithm alg, JoinContext* ctx, const ElementSet& a,
                       const ElementSet& d, ResultSink* sink) {
   BufferManager* bm = ctx->bm;
-  ElementSet sa = a, sd = d;
-  std::optional<ElementSet> tmp_a, tmp_d;
-  if (!sa.sorted_by_start) {
+  ScratchFile copy_a, copy_d;
+  auto sorted = [&](const ElementSet& in,
+                    ScratchFile* copy) -> StatusOr<ElementSet> {
+    if (in.sorted_by_start) return in;
+    Timer t;
     PBITREE_ASSIGN_OR_RETURN(
-        sa, SortedCopy(bm, a, ctx->work_pages, &ctx->stats));
-    tmp_a = sa;
-  }
-  Status st = Status::OK();
-  if (!sd.sorted_by_start) {
-    // A failed sort of D falls through, so A's copy is still dropped.
-    StatusOr<ElementSet> sorted =
-        SortedCopy(bm, d, ctx->work_pages, &ctx->stats);
-    if (sorted.ok()) {
-      sd = *sorted;
-      tmp_d = sd;
-    } else {
-      st = sorted.status();
-    }
-  }
-  if (st.ok()) {
-    st = alg == Algorithm::kStackTree ? StackTreeJoin(ctx, sa, sd, sink)
-                                      : Mpmgjn(ctx, sa, sd, sink);
-  }
-  if (tmp_a.has_value()) {
-    Status s = tmp_a->file.Drop(bm);
-    if (st.ok()) st = s;
-  }
-  if (tmp_d.has_value()) {
-    Status s = tmp_d->file.Drop(bm);
-    if (st.ok()) st = s;
-  }
-  return st;
+        *copy, ScratchFile::Adopt(bm, ExternalSort(bm, in.file, ctx->work_pages,
+                                                   SortOrder::kStartOrder)));
+    ctx->stats.sort_seconds += t.ElapsedSeconds();
+    ElementSet out = in;
+    out.file = **copy;
+    out.sorted_by_start = true;
+    return out;
+  };
+  PBITREE_ASSIGN_OR_RETURN(ElementSet sa, sorted(a, &copy_a));
+  PBITREE_ASSIGN_OR_RETURN(ElementSet sd, sorted(d, &copy_d));
+  PBITREE_RETURN_IF_ERROR(alg == Algorithm::kStackTree
+                              ? StackTreeJoin(ctx, sa, sd, sink)
+                              : Mpmgjn(ctx, sa, sd, sink));
+  PBITREE_RETURN_IF_ERROR(copy_a.Drop());
+  return copy_d.Drop();
 }
 
 Status RunStackTree(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
@@ -154,23 +125,23 @@ Status RunInljn(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
   // outer scan), use it, and drop it.
   if (a.num_records() <= d.num_records()) {
     PBITREE_ASSIGN_OR_RETURN(
-        BPTree d_index,
-        BuildIndexOnTheFly(bm, d, KeyKind::kCode, ctx->work_pages,
-                           &ctx->stats));
-    idx.d_code_index = &d_index;
-    Status st = Inljn(ctx, a, d, idx, sink);
-    Status drop = d_index.Drop(bm);
-    PBITREE_RETURN_IF_ERROR(st);
-    return drop;
+        Scratch<BPTree> d_index,
+        BuildBPTreeOnTheFly(bm, d, KeyKind::kCode, ctx->work_pages,
+                            &ctx->stats));
+    idx.d_code_index = d_index.get();
+    PBITREE_RETURN_IF_ERROR(Inljn(ctx, a, d, idx, sink));
+    return d_index.Drop();
   }
   PBITREE_ASSIGN_OR_RETURN(
-      IntervalIndex a_index,
-      BuildIntervalIndexOnTheFly(bm, a, ctx->work_pages, &ctx->stats));
-  idx.a_interval_index = &a_index;
-  Status st = Inljn(ctx, a, d, idx, sink);
-  Status drop = a_index.Drop(bm);
-  PBITREE_RETURN_IF_ERROR(st);
-  return drop;
+      Scratch<IntervalIndex> a_index,
+      BuildIndexOnTheFly<IntervalIndex>(
+          bm, a, SortOrder::kStartOrder, ctx->work_pages, &ctx->stats,
+          [&](const HeapFile& sorted) {
+            return IntervalIndex::BulkLoad(bm, sorted);
+          }));
+  idx.a_interval_index = a_index.get();
+  PBITREE_RETURN_IF_ERROR(Inljn(ctx, a, d, idx, sink));
+  return a_index.Drop();
 }
 
 Status RunAdb(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
@@ -178,20 +149,16 @@ Status RunAdb(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
   (void)options;
   BufferManager* bm = ctx->bm;
   PBITREE_ASSIGN_OR_RETURN(
-      BPTree a_idx,
-      BuildIndexOnTheFly(bm, a, KeyKind::kStart, ctx->work_pages,
-                         &ctx->stats));
-  StatusOr<BPTree> d_idx = BuildIndexOnTheFly(
-      bm, d, KeyKind::kStart, ctx->work_pages, &ctx->stats);
-  Status st = d_idx.ok() ? AdbJoin(ctx, a, d, a_idx, *d_idx, sink)
-                         : d_idx.status();
-  Status drop = a_idx.Drop(bm);
-  if (st.ok()) st = drop;
-  if (d_idx.ok()) {
-    drop = d_idx->Drop(bm);
-    if (st.ok()) st = drop;
-  }
-  return st;
+      Scratch<BPTree> a_idx,
+      BuildBPTreeOnTheFly(bm, a, KeyKind::kStart, ctx->work_pages,
+                          &ctx->stats));
+  PBITREE_ASSIGN_OR_RETURN(
+      Scratch<BPTree> d_idx,
+      BuildBPTreeOnTheFly(bm, d, KeyKind::kStart, ctx->work_pages,
+                          &ctx->stats));
+  PBITREE_RETURN_IF_ERROR(AdbJoin(ctx, a, d, *a_idx, *d_idx, sink));
+  PBITREE_RETURN_IF_ERROR(a_idx.Drop());
+  return d_idx.Drop();
 }
 
 // The table. Enum order, so GetAlgorithmInfo can index directly (the

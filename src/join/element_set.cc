@@ -30,9 +30,10 @@ StatusOr<ElementSetBuilder> ElementSetBuilder::Create(
   ElementSetBuilder b;
   b.set_.spec = spec;
   PBITREE_ASSIGN_OR_RETURN(
-      HeapFile file, HeapFile::Create(bm, codec.value_or(AmbientPageCodec())));
-  b.file_ = std::make_unique<HeapFile>(std::move(file));
-  b.app_ = std::make_unique<HeapFile::Appender>(bm, b.file_.get());
+      ScratchFile file,
+      ScratchFile::Create(bm, codec.value_or(AmbientPageCodec())));
+  b.file_ = std::make_unique<ScratchFile>(std::move(file));
+  b.app_ = std::make_unique<HeapFile::Appender>(bm, b.file_->get());
   return b;
 }
 
@@ -50,7 +51,12 @@ Status ElementSetBuilder::Add(const ElementRecord& rec) {
 
 StatusOr<ElementSet> ElementSetBuilder::Build() {
   PBITREE_RETURN_IF_ERROR(app_->Finish());
-  set_.file = *file_;
+  // A copy of the handle, then the owner lets go. Handing out the
+  // builder's own, grown page directory instead raised paper_direct's
+  // peak RSS by 9 MB: malloc's dynamic mmap threshold reacts to the
+  // changed sequence of large frees.
+  set_.file = **file_;
+  file_->Release();
   return set_;
 }
 

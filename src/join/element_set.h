@@ -10,6 +10,7 @@
 #include "pbitree/code.h"
 #include "storage/buffer_manager.h"
 #include "storage/heap_file.h"
+#include "storage/scratch.h"
 #include "xml/data_tree.h"
 
 namespace pbitree {
@@ -53,7 +54,8 @@ struct ElementSet {
 ///
 /// One Appender serves every Add, so the tail page stays pinned (and,
 /// on a compressed codec, staged) until it fills or Build finishes it.
-/// Dropping a builder without Build still releases that pin.
+/// The builder owns its file until Build hands it out: a builder
+/// dropped without Build releases the pin and frees every page.
 class ElementSetBuilder {
  public:
   /// Creates an empty set on `bm` belonging to PBiTree `spec`. `codec`
@@ -80,8 +82,8 @@ class ElementSetBuilder {
   ElementSet set_;  // metadata; Build fills in `file`
   // Heap-held so the appender's file pointer survives moves of the
   // builder (Create returns it by value). Declared in destruction
-  // order: the appender finishes before the file handle goes.
-  std::unique_ptr<HeapFile> file_;
+  // order: the appender finishes before the file is freed.
+  std::unique_ptr<ScratchFile> file_;
   std::unique_ptr<HeapFile::Appender> app_;
 };
 

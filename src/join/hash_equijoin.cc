@@ -7,6 +7,7 @@
 
 #include "obs/metrics.h"
 #include "pbitree/simd.h"
+#include "storage/scratch.h"
 
 namespace pbitree {
 
@@ -132,70 +133,37 @@ Status BlockNestedLoopJoin(JoinContext* ctx, const HeapFile& a_file,
   return out.Flush();
 }
 
-/// Drops every valid partition file in `parts`, keeping `keep` (the
-/// first error seen, or OK) as the status to report.
-Status DropParts(BufferManager* bm, std::vector<HeapFile>* parts,
-                 Status keep = Status::OK()) {
-  for (HeapFile& f : *parts) {
-    if (f.valid()) {
-      Status s = f.Drop(bm);
-      if (keep.ok()) keep = s;
-    }
-  }
-  parts->clear();
-  return keep;
-}
-
-/// Hash-partitions `input` on the rolled key into `k` files. On error
-/// the partial partitions are dropped before returning, so the caller
-/// never inherits half-written temp files.
-Status PartitionFile(JoinContext* ctx, const HeapFile& input, int h, size_t k,
-                     int salt, std::vector<HeapFile>* parts) {
+/// Hash-partitions `input` on the rolled key into `k` files; a slot no
+/// record hashed to holds no file.
+StatusOr<std::vector<ScratchFile>> PartitionFile(JoinContext* ctx,
+                                                 const HeapFile& input, int h,
+                                                 size_t k, int salt) {
   obs::ObsSpan partition_span(obs::Phase::kPartition);
-  parts->clear();
-  parts->resize(k);
+  std::vector<ScratchFile> parts(k);
   std::vector<std::unique_ptr<HeapFile::Appender>> apps(k);
   HeapFile::Scanner scan(ctx->bm, input);
   std::vector<uint64_t> keys;
-  Status st;
-  for (auto batch = scan.NextElementBatch(); !batch.empty() && st.ok();
+  for (auto batch = scan.NextElementBatch(); !batch.empty();
        batch = scan.NextElementBatch()) {
     keys.resize(batch.size());
     simd::RolledKeys(reinterpret_cast<const uint64_t*>(batch.data()), 2,
                      batch.size(), h, keys.data());
     for (size_t i = 0; i < batch.size(); ++i) {
-      const ElementRecord& rec = batch[i];
       size_t p = HashKey(keys[i], salt) % k;
       if (apps[p] == nullptr) {
-        auto created = HeapFile::Create(ctx->bm);
-        if (!created.ok()) {
-          st = created.status();
-          break;
-        }
-        (*parts)[p] = std::move(*created);
-        apps[p] = std::make_unique<HeapFile::Appender>(ctx->bm, &(*parts)[p]);
+        PBITREE_ASSIGN_OR_RETURN(parts[p], ScratchFile::Create(ctx->bm));
+        apps[p] = std::make_unique<HeapFile::Appender>(ctx->bm, parts[p].get());
       }
-      st = apps[p]->AppendElement(rec);
-      if (!st.ok()) break;
+      PBITREE_RETURN_IF_ERROR(apps[p]->AppendElement(batch[i]));
     }
   }
-  if (st.ok()) st = scan.status();
-  if (st.ok()) {
-    // Close every partition explicitly so a failed final-page unpin
-    // surfaces here instead of vanishing in a destructor.
-    for (auto& app : apps) {
-      if (app != nullptr) {
-        st = app->Finish();
-        if (!st.ok()) break;
-      }
-    }
+  PBITREE_RETURN_IF_ERROR(scan.status());
+  // Close every partition explicitly so a failed final-page unpin
+  // surfaces here instead of vanishing in a destructor.
+  for (auto& app : apps) {
+    if (app != nullptr) PBITREE_RETURN_IF_ERROR(app->Finish());
   }
-  if (!st.ok()) {
-    // Appenders must release their pins before the files can be dropped.
-    apps.clear();
-    return DropParts(ctx->bm, parts, st);
-  }
-  return Status::OK();
+  return parts;
 }
 
 Status HashJoinRecursive(JoinContext* ctx, const HeapFile& a_file,
@@ -226,28 +194,21 @@ Status HashJoinRecursive(JoinContext* ctx, const HeapFile& a_file,
   k = std::max<size_t>(k, 2);
   k = std::min<size_t>(k, std::max<size_t>(ctx->work_pages - 2, 2));
 
-  std::vector<HeapFile> a_parts, d_parts;
-  PBITREE_RETURN_IF_ERROR(PartitionFile(ctx, a_file, h, k, depth, &a_parts));
-  Status d_st = PartitionFile(ctx, d_file, h, k, depth, &d_parts);
-  if (!d_st.ok()) return DropParts(ctx->bm, &a_parts, d_st);
+  PBITREE_ASSIGN_OR_RETURN(std::vector<ScratchFile> a_parts,
+                           PartitionFile(ctx, a_file, h, k, depth));
+  PBITREE_ASSIGN_OR_RETURN(std::vector<ScratchFile> d_parts,
+                           PartitionFile(ctx, d_file, h, k, depth));
   ctx->stats.partitions += k;
 
-  Status result = Status::OK();
   for (size_t i = 0; i < k; ++i) {
-    if (result.ok() && a_parts[i].valid() && d_parts[i].valid()) {
-      result =
-          HashJoinRecursive(ctx, a_parts[i], d_parts[i], h, sink, depth + 1);
+    if (a_parts[i]->valid() && d_parts[i]->valid()) {
+      PBITREE_RETURN_IF_ERROR(HashJoinRecursive(ctx, *a_parts[i], *d_parts[i],
+                                                h, sink, depth + 1));
     }
-    if (a_parts[i].valid()) {
-      Status s = a_parts[i].Drop(ctx->bm);
-      if (result.ok()) result = s;
-    }
-    if (d_parts[i].valid()) {
-      Status s = d_parts[i].Drop(ctx->bm);
-      if (result.ok()) result = s;
-    }
+    PBITREE_RETURN_IF_ERROR(a_parts[i].Drop());
+    PBITREE_RETURN_IF_ERROR(d_parts[i].Drop());
   }
-  return result;
+  return Status::OK();
 }
 
 }  // namespace

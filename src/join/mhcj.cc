@@ -6,6 +6,7 @@
 #include "join/hash_equijoin.h"
 #include "join/validate.h"
 #include "obs/metrics.h"
+#include "storage/scratch.h"
 
 namespace pbitree {
 
@@ -36,63 +37,36 @@ Status Mhcj(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
     for (int i = 0; i < 64; ++i) slot_of[i] = -1;
     for (size_t i = base; i < end; ++i) slot_of[heights[i]] = static_cast<int>(i - base);
 
-    std::vector<HeapFile> parts(end - base);
-    // Any exit below an error must drop whatever partitions still hold
-    // pages — temp heap files are the storage this operator leases.
-    auto drop_remaining = [&](Status keep) {
-      for (HeapFile& part : parts) {
-        if (!part.valid()) continue;
-        Status s = part.Drop(ctx->bm);
-        if (keep.ok()) keep = s;
-      }
-      return keep;
-    };
+    std::vector<ScratchFile> parts(end - base);
     {
       obs::ObsSpan partition_span(obs::Phase::kPartition);
       std::vector<std::unique_ptr<HeapFile::Appender>> apps(end - base);
       HeapFile::Scanner scan(ctx->bm, a.file);
-      Status st;
-      for (auto recs = scan.NextElementBatch(); !recs.empty() && st.ok();
+      for (auto recs = scan.NextElementBatch(); !recs.empty();
            recs = scan.NextElementBatch()) {
         for (const ElementRecord& rec : recs) {
           int slot = slot_of[HeightOf(rec.code)];
           if (slot < 0) continue;  // height handled by another batch
           if (apps[slot] == nullptr) {
-            auto created = HeapFile::Create(ctx->bm);
-            if (!created.ok()) {
-              st = created.status();
-              break;
-            }
-            parts[slot] = std::move(*created);
+            PBITREE_ASSIGN_OR_RETURN(parts[slot], ScratchFile::Create(ctx->bm));
             apps[slot] =
-                std::make_unique<HeapFile::Appender>(ctx->bm, &parts[slot]);
+                std::make_unique<HeapFile::Appender>(ctx->bm, parts[slot].get());
           }
-          st = apps[slot]->AppendElement(rec);
-          if (!st.ok()) break;
+          PBITREE_RETURN_IF_ERROR(apps[slot]->AppendElement(rec));
         }
       }
-      if (st.ok()) st = scan.status();
-      if (st.ok()) {
-        // Surface a failed tail-page unpin now, not in a destructor.
-        for (auto& app : apps) {
-          if (app != nullptr) {
-            st = app->Finish();
-            if (!st.ok()) break;
-          }
-        }
-      }
-      if (!st.ok()) {
-        apps.clear();  // release appender pins before dropping
-        return drop_remaining(st);
+      PBITREE_RETURN_IF_ERROR(scan.status());
+      // Surface a failed tail-page unpin now, not in a destructor.
+      for (auto& app : apps) {
+        if (app != nullptr) PBITREE_RETURN_IF_ERROR(app->Finish());
       }
     }
     for (size_t i = base; i < end; ++i) {
-      HeapFile& part = parts[i - base];
-      if (!part.valid()) continue;
-      Status st = HashEquijoinAtHeight(ctx, part, d.file, heights[i], sink);
-      Status drop = part.Drop(ctx->bm);
-      if (st.ok()) st = drop;
-      if (!st.ok()) return drop_remaining(st);
+      ScratchFile& part = parts[i - base];
+      if (!part->valid()) continue;
+      PBITREE_RETURN_IF_ERROR(
+          HashEquijoinAtHeight(ctx, *part, d.file, heights[i], sink));
+      PBITREE_RETURN_IF_ERROR(part.Drop());
     }
   }
   return Status::OK();

@@ -5,6 +5,7 @@
 #include "join/hash_equijoin.h"
 #include "join/mhcj.h"
 #include "join/validate.h"
+#include "storage/scratch.h"
 
 namespace pbitree {
 
@@ -29,67 +30,43 @@ Status MhcjRollup(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
   std::vector<int> heights = a.Heights();
   int h_med = heights[heights.size() / 2];
 
+  PBITREE_ASSIGN_OR_RETURN(ScratchFile low_file, ScratchFile::Create(ctx->bm));
+  PBITREE_ASSIGN_OR_RETURN(ScratchFile high_file, ScratchFile::Create(ctx->bm));
   ElementSet low, high;
   low.spec = high.spec = a.spec;
-  // Both split files must be dropped on every exit below, error or not.
-  auto drop_both = [&](Status keep) {
-    for (ElementSet* s : {&low, &high}) {
-      if (!s->file.valid()) continue;
-      Status ds = s->file.Drop(ctx->bm);
-      if (keep.ok()) keep = ds;
-    }
-    return keep;
-  };
-  PBITREE_ASSIGN_OR_RETURN(low.file, HeapFile::Create(ctx->bm));
   {
-    auto created = HeapFile::Create(ctx->bm);
-    if (!created.ok()) return drop_both(created.status());
-    high.file = std::move(*created);
-  }
-  {
-    HeapFile::Appender low_app(ctx->bm, &low.file);
-    HeapFile::Appender high_app(ctx->bm, &high.file);
+    HeapFile::Appender low_app(ctx->bm, low_file.get());
+    HeapFile::Appender high_app(ctx->bm, high_file.get());
     HeapFile::Scanner scan(ctx->bm, a.file);
-    Status st;
-    for (auto recs = scan.NextElementBatch(); !recs.empty() && st.ok();
+    for (auto recs = scan.NextElementBatch(); !recs.empty();
          recs = scan.NextElementBatch()) {
       for (const ElementRecord& rec : recs) {
         int h = HeightOf(rec.code);
         if (h <= h_med) {
           low.height_mask |= uint64_t{1} << h;
-          st = low_app.AppendElement(rec);
+          PBITREE_RETURN_IF_ERROR(low_app.AppendElement(rec));
         } else {
           high.height_mask |= uint64_t{1} << h;
-          st = high_app.AppendElement(rec);
+          PBITREE_RETURN_IF_ERROR(high_app.AppendElement(rec));
         }
-        if (!st.ok()) break;
       }
     }
-    if (st.ok()) st = scan.status();
-    if (!st.ok()) {
-      low_app.Finish();  // release tail-page pins before dropping
-      high_app.Finish();
-      return drop_both(st);
-    }
+    PBITREE_RETURN_IF_ERROR(scan.status());
     // A failed tail-page write-back means the split files are not fully
     // durable; report it instead of joining against truncated inputs.
-    st = low_app.Finish();
-    if (st.ok()) st = high_app.Finish();
-    if (!st.ok()) {
-      low_app.Finish();
-      high_app.Finish();
-      return drop_both(st);
-    }
+    PBITREE_RETURN_IF_ERROR(low_app.Finish());
+    PBITREE_RETURN_IF_ERROR(high_app.Finish());
   }
+  low.file = *low_file;
+  high.file = *high_file;
 
-  Status st = Status::OK();
   if (low.num_records() > 0) {
-    st = HashEquijoinAtHeight(ctx, low.file, d.file, h_med, sink);
+    PBITREE_RETURN_IF_ERROR(
+        HashEquijoinAtHeight(ctx, low.file, d.file, h_med, sink));
   }
-  if (st.ok() && high.num_records() > 0) {
-    st = Mhcj(ctx, high, d, sink);
-  }
-  return drop_both(st);
+  if (high.num_records() > 0) PBITREE_RETURN_IF_ERROR(Mhcj(ctx, high, d, sink));
+  PBITREE_RETURN_IF_ERROR(low_file.Drop());
+  return high_file.Drop();
 }
 
 }  // namespace pbitree

@@ -10,7 +10,7 @@
 #include "obs/metrics.h"
 #include "pbitree/code.h"
 #include "pbitree/simd.h"
-#include "storage/heap_file.h"
+#include "storage/scratch.h"
 
 namespace pbitree {
 
@@ -167,7 +167,8 @@ class VectorSink : public ResultSink {
 /// Containment-join output can dwarf the input, so a sink constructed
 /// with a BufferManager bounds its heap footprint: once `max_buffered`
 /// pairs accumulate they are spilled to a temp heap file and replayed
-/// from disk first (spill order == emission order). The
+/// from disk first (spill order == emission order). The sink owns its
+/// spill file, so a sink abandoned on an error path frees it. The
 /// default-constructed sink never spills (unbounded memory — only for
 /// tests and known-small outputs).
 class BufferingSink : public ResultSink {
@@ -176,29 +177,6 @@ class BufferingSink : public ResultSink {
 
   BufferingSink(BufferManager* bm, size_t max_buffered)
       : bm_(bm), max_buffered_(max_buffered < 1 ? 1 : max_buffered) {}
-
-  /// Error paths abandon the sink without replaying it; drop any spill
-  /// file so its temp pages don't leak.
-  ~BufferingSink() override {
-    if (bm_ != nullptr && spill_.valid()) spill_.Drop(bm_);
-  }
-
-  /// Move transfers spill-file ownership (a HeapFile handle copy
-  /// aliases the same pages, so the source must forget it).
-  BufferingSink(BufferingSink&& o) noexcept
-      : bm_(o.bm_),
-        max_buffered_(o.max_buffered_),
-        spill_(o.spill_),
-        pairs_(std::move(o.pairs_)) {
-    count_ = o.count_;
-    o.bm_ = nullptr;
-    o.spill_ = HeapFile();
-    o.count_ = 0;
-  }
-
-  BufferingSink(const BufferingSink&) = delete;
-  BufferingSink& operator=(const BufferingSink&) = delete;
-  BufferingSink& operator=(BufferingSink&&) = delete;
 
   Status OnPair(Code a, Code d) override {
     ++count_;
@@ -231,16 +209,16 @@ class BufferingSink : public ResultSink {
   /// spilled pairs first, then the in-memory tail) and clears the
   /// buffer.
   Status ReplayInto(ResultSink* target) {
-    if (spill_.valid()) {
+    if (spill_->valid()) {
       {
-        HeapFile::Scanner scan(bm_, spill_);
+        HeapFile::Scanner scan(bm_, *spill_);
         for (std::span<const ResultPair> batch = scan.NextPairBatch();
              !batch.empty(); batch = scan.NextPairBatch()) {
           PBITREE_RETURN_IF_ERROR(target->OnBatch(batch));
         }
         PBITREE_RETURN_IF_ERROR(scan.status());
       }
-      PBITREE_RETURN_IF_ERROR(spill_.Drop(bm_));
+      PBITREE_RETURN_IF_ERROR(spill_.Drop());
     }
     PBITREE_RETURN_IF_ERROR(target->OnBatch(pairs_));
     pairs_.clear();
@@ -248,16 +226,16 @@ class BufferingSink : public ResultSink {
   }
 
   /// True when any pairs went to disk (tests).
-  bool spilled() const { return spill_.valid(); }
+  bool spilled() const { return spill_->valid(); }
 
  private:
   Status Spill() {
-    if (!spill_.valid()) {
-      PBITREE_ASSIGN_OR_RETURN(spill_, HeapFile::Create(bm_));
+    if (!spill_->valid()) {
+      PBITREE_ASSIGN_OR_RETURN(spill_, ScratchFile::Create(bm_));
     }
     obs::Count(obs::Counter::kSinkSpills);
     obs::Count(obs::Counter::kSinkSpilledPairs, pairs_.size());
-    HeapFile::Appender app(bm_, &spill_);
+    HeapFile::Appender app(bm_, spill_.get());
     PBITREE_RETURN_IF_ERROR(app.AppendPairs(pairs_));
     PBITREE_RETURN_IF_ERROR(app.Finish());
     pairs_.clear();
@@ -266,7 +244,7 @@ class BufferingSink : public ResultSink {
 
   BufferManager* bm_ = nullptr;
   size_t max_buffered_ = 0;
-  HeapFile spill_;
+  ScratchFile spill_;  // pairs that overflowed the buffer, oldest first
   std::vector<ResultPair> pairs_;
 };
 

@@ -10,6 +10,7 @@
 #include "join/hash_equijoin.h"
 #include "join/validate.h"
 #include "obs/metrics.h"
+#include "storage/scratch.h"
 
 namespace pbitree {
 
@@ -28,8 +29,8 @@ int FloorLog2(uint64_t n) {
 /// One vertical partition: the subtree of one level-l node.
 struct Partition {
   uint64_t alpha = 0;
-  HeapFile a;
-  HeapFile d;
+  ScratchFile a;
+  ScratchFile d;
   uint64_t a_mask = 0;          // heights present on the A side
   bool has_replicated_a = false;  // some A element here is also elsewhere
   uint64_t min_start = UINT64_MAX;  // A-side range (clamped to the subtree)
@@ -171,30 +172,11 @@ struct VpjRunner {
     std::unordered_map<uint64_t, size_t> index;  // alpha -> parts slot
     std::vector<std::unique_ptr<HeapFile::Appender>> a_apps, d_apps;
 
-    // Error-path sweeper: drops every partition file that still holds
-    // pages. Safe to run over moved-from handles (their page directory
-    // is empty, so Drop is a no-op).
-    auto drop_partitions = [&](std::vector<Partition>* extra,
-                               Status keep) -> Status {
-      auto drop_one = [&](Partition& p) {
-        for (HeapFile* f : {&p.a, &p.d}) {
-          if (!f->valid()) continue;
-          Status s = f->Drop(ctx->bm);
-          if (keep.ok()) keep = s;
-        }
-      };
-      for (Partition& p : parts) drop_one(p);
-      if (extra != nullptr) {
-        for (Partition& p : *extra) drop_one(p);
-      }
-      return keep;
-    };
-
     auto slot_for = [&](uint64_t alpha) -> size_t {
       auto it = index.find(alpha);
       if (it != index.end()) return it->second;
       size_t s = parts.size();
-      parts.push_back(Partition{alpha, {}, {}, 0, false, UINT64_MAX, 0});
+      parts.emplace_back().alpha = alpha;
       a_apps.emplace_back(nullptr);
       d_apps.emplace_back(nullptr);
       index.emplace(alpha, s);
@@ -219,8 +201,9 @@ struct VpjRunner {
         for (uint64_t alpha = lo; alpha <= hi; ++alpha) {
           size_t s = slot_for(alpha);
           if (a_apps[s] == nullptr) {
-            PBITREE_ASSIGN_OR_RETURN(parts[s].a, HeapFile::Create(ctx->bm));
-            a_apps[s] = std::make_unique<HeapFile::Appender>(ctx->bm, &parts[s].a);
+            PBITREE_ASSIGN_OR_RETURN(parts[s].a, ScratchFile::Create(ctx->bm));
+            a_apps[s] =
+                std::make_unique<HeapFile::Appender>(ctx->bm, parts[s].a.get());
           }
           PBITREE_RETURN_IF_ERROR(a_apps[s]->AppendElement(rec));
           parts[s].a_mask |= uint64_t{1} << h;
@@ -248,7 +231,7 @@ struct VpjRunner {
       return Status::OK();
       }();
       a_apps.clear();  // unpin A tails before the D pass
-      if (!st.ok()) return drop_partitions(nullptr, st);
+      PBITREE_RETURN_IF_ERROR(st);
     }
     {
       obs::ObsSpan partition_span(obs::Phase::kPartition);
@@ -271,8 +254,9 @@ struct VpjRunner {
         uint64_t alpha = AlphaOfLeaf(StartOf(rec.code), h_cut);
         size_t s = slot_for(alpha);
         if (d_apps[s] == nullptr) {
-          PBITREE_ASSIGN_OR_RETURN(parts[s].d, HeapFile::Create(ctx->bm));
-          d_apps[s] = std::make_unique<HeapFile::Appender>(ctx->bm, &parts[s].d);
+          PBITREE_ASSIGN_OR_RETURN(parts[s].d, ScratchFile::Create(ctx->bm));
+          d_apps[s] =
+              std::make_unique<HeapFile::Appender>(ctx->bm, parts[s].d.get());
         }
         PBITREE_RETURN_IF_ERROR(d_apps[s]->AppendElement(rec));
        }
@@ -284,21 +268,19 @@ struct VpjRunner {
       return Status::OK();
       }();
       d_apps.clear();
-      if (!st.ok()) return drop_partitions(nullptr, st);
+      PBITREE_RETURN_IF_ERROR(st);
     }
     ctx->stats.partitions += parts.size();
 
     // ---- Purge one-sided partitions (Algorithm 5 "merging and purging").
     std::vector<Partition> live;
     for (Partition& p : parts) {
-      bool empty_a = !p.a.valid() || p.a.num_records() == 0;
-      bool empty_d = !p.d.valid() || p.d.num_records() == 0;
+      bool empty_a = p.a->num_records() == 0;
+      bool empty_d = p.d->num_records() == 0;
       if (opts.enable_purging ? (empty_a || empty_d) : (empty_a && empty_d)) {
         ++ctx->stats.purged_partitions;
-        Status st = Status::OK();
-        if (p.a.valid()) st = p.a.Drop(ctx->bm);
-        if (st.ok() && p.d.valid()) st = p.d.Drop(ctx->bm);
-        if (!st.ok()) return drop_partitions(&live, st);
+        PBITREE_RETURN_IF_ERROR(p.a.Drop());
+        PBITREE_RETURN_IF_ERROR(p.d.Drop());
         continue;
       }
       live.push_back(std::move(p));
@@ -315,28 +297,19 @@ struct VpjRunner {
         bool can_merge =
             !merged.empty() && !merged.back().has_replicated_a &&
             !p.has_replicated_a &&
-            (merged.back().a.num_pages() + p.a.num_pages()) <= ctx->work_pages &&
-            (merged.back().d.num_pages() + p.d.num_pages()) <= ctx->work_pages;
+            (merged.back().a->num_pages() + p.a->num_pages()) <= ctx->work_pages &&
+            (merged.back().d->num_pages() + p.d->num_pages()) <= ctx->work_pages;
         if (can_merge) {
           Partition& tgt = merged.back();
-          Status st = Status::OK();
-          if (p.a.valid()) {
-            if (tgt.a.valid()) {
-              st = tgt.a.Concat(ctx->bm, &p.a);
+          for (auto side : {&Partition::a, &Partition::d}) {
+            ScratchFile& from = p.*side;
+            ScratchFile& into = tgt.*side;
+            if (!from->valid()) continue;
+            if (into->valid()) {
+              PBITREE_RETURN_IF_ERROR(into->Concat(ctx->bm, from.get()));
             } else {
-              tgt.a = std::move(p.a);
+              into = std::move(from);
             }
-          }
-          if (st.ok() && p.d.valid()) {
-            if (tgt.d.valid()) {
-              st = tgt.d.Concat(ctx->bm, &p.d);
-            } else {
-              tgt.d = std::move(p.d);
-            }
-          }
-          if (!st.ok()) {
-            Status keep = drop_partitions(&merged, st);
-            return drop_partitions(&live, keep);
           }
           tgt.a_mask |= p.a_mask;
           tgt.min_start = std::min(tgt.min_start, p.min_start);
@@ -350,27 +323,17 @@ struct VpjRunner {
     }
 
     // ---- Process each partition pair (Algorithm 5, lines 4-10).
-    Status result = Status::OK();
     for (Partition& p : live) {
-      if (result.ok()) {
-        bool both_big = p.a.num_pages() > ctx->work_pages &&
-                        p.d.num_pages() > ctx->work_pages;
-        if (both_big) {
-          result = Run(p.a, p.d, p.a_mask, p.min_start, p.max_end, depth + 1);
-        } else {
-          result = MemoryContainmentJoin(ctx, p.a, p.d, p.a_mask, sink);
-        }
-      }
-      if (p.a.valid()) {
-        Status s = p.a.Drop(ctx->bm);
-        if (result.ok()) result = s;
-      }
-      if (p.d.valid()) {
-        Status s = p.d.Drop(ctx->bm);
-        if (result.ok()) result = s;
-      }
+      bool both_big = p.a->num_pages() > ctx->work_pages &&
+                      p.d->num_pages() > ctx->work_pages;
+      PBITREE_RETURN_IF_ERROR(
+          both_big
+              ? Run(*p.a, *p.d, p.a_mask, p.min_start, p.max_end, depth + 1)
+              : MemoryContainmentJoin(ctx, *p.a, *p.d, p.a_mask, sink));
+      PBITREE_RETURN_IF_ERROR(p.a.Drop());
+      PBITREE_RETURN_IF_ERROR(p.d.Drop());
     }
-    return result;
+    return Status::OK();
   }
 };
 

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "sort/external_sort.h"
+#include "storage/scratch.h"
 
 namespace pbitree {
 
@@ -75,17 +76,29 @@ class TwigParser {
 /// The column of a containment join's pair file that a fold keeps.
 enum class Keep { kAncestors, kDescendants };
 
+/// A fold operand: a provider set is borrowed (`owner` holds nothing);
+/// a set the evaluator built is owned, and freed once it is consumed.
+struct Operand {
+  ElementSet set;
+  ScratchFile owner;
+};
+
+/// An operand that owns `set`'s pages.
+Operand Owned(BufferManager* bm, const ElementSet& set) {
+  return Operand{set, ScratchFile(bm, set.file)};
+}
+
 /// Deduplicates one column of a join-result pair file into an element
 /// set ordered by code (not document order). The pair file is not
 /// dropped.
-StatusOr<ElementSet> DistinctColumn(BufferManager* bm,
-                                    const HeapFile& pair_file, Keep keep,
-                                    PBiTreeSpec spec, size_t work_pages) {
+StatusOr<Operand> DistinctColumn(BufferManager* bm, const HeapFile& pair_file,
+                                 Keep keep, PBiTreeSpec spec,
+                                 size_t work_pages) {
   // Rewrite the column as element records, sort by code, then emit
   // each code once.
-  PBITREE_ASSIGN_OR_RETURN(HeapFile column, HeapFile::Create(bm));
+  PBITREE_ASSIGN_OR_RETURN(ScratchFile column, ScratchFile::Create(bm));
   {
-    HeapFile::Appender app(bm, &column);
+    HeapFile::Appender app(bm, column.get());
     HeapFile::Scanner scan(bm, pair_file);
     for (auto batch = scan.NextPairBatch(); !batch.empty();
          batch = scan.NextPairBatch()) {
@@ -98,9 +111,11 @@ StatusOr<ElementSet> DistinctColumn(BufferManager* bm,
     PBITREE_RETURN_IF_ERROR(scan.status());
     PBITREE_RETURN_IF_ERROR(app.Finish());
   }
-  auto sorted = ExternalSort(bm, column, work_pages, SortOrder::kCodeOrder);
-  PBITREE_RETURN_IF_ERROR(column.Drop(bm));
-  if (!sorted.ok()) return sorted.status();
+  PBITREE_ASSIGN_OR_RETURN(
+      ScratchFile sorted,
+      ScratchFile::Adopt(bm, ExternalSort(bm, *column, work_pages,
+                                          SortOrder::kCodeOrder)));
+  PBITREE_RETURN_IF_ERROR(column.Drop());
 
   PBITREE_ASSIGN_OR_RETURN(ElementSetBuilder builder,
                            ElementSetBuilder::Create(bm, spec));
@@ -118,13 +133,14 @@ StatusOr<ElementSet> DistinctColumn(BufferManager* bm,
     }
     PBITREE_RETURN_IF_ERROR(scan.status());
   }
-  PBITREE_RETURN_IF_ERROR(sorted->Drop(bm));
-  return builder.Build();
+  PBITREE_RETURN_IF_ERROR(sorted.Drop());
+  PBITREE_ASSIGN_OR_RETURN(ElementSet distinct, builder.Build());
+  return Owned(bm, distinct);
 }
 
 /// A fresh copy of `set`, for a one-step answer that would otherwise be
 /// the provider's own set.
-StatusOr<ElementSet> CopySet(BufferManager* bm, const ElementSet& set) {
+StatusOr<Operand> CopySet(BufferManager* bm, const ElementSet& set) {
   PBITREE_ASSIGN_OR_RETURN(ElementSetBuilder builder,
                            ElementSetBuilder::Create(bm, set.spec));
   HeapFile::Scanner scan(bm, set.file);
@@ -137,15 +153,8 @@ StatusOr<ElementSet> CopySet(BufferManager* bm, const ElementSet& set) {
   PBITREE_RETURN_IF_ERROR(scan.status());
   PBITREE_ASSIGN_OR_RETURN(ElementSet copy, builder.Build());
   copy.sorted_by_start = set.sorted_by_start;
-  return copy;
+  return Owned(bm, copy);
 }
-
-/// A fold operand: provider sets are borrowed, sets the evaluator built
-/// are owned and dropped as soon as they are consumed.
-struct Operand {
-  ElementSet set;
-  bool owned = false;
-};
 
 class Evaluator {
  public:
@@ -166,14 +175,13 @@ class Evaluator {
     };
     PBITREE_ASSIGN_OR_RETURN(Operand acc, StepSet(step(0)));
     for (size_t k = 1; k < n; ++k) {
-      auto next = StepSet(step(k));
-      if (!next.ok()) {
-        Release(acc);
-        return next.status();
-      }
+      PBITREE_ASSIGN_OR_RETURN(Operand next, StepSet(step(k)));
       PBITREE_ASSIGN_OR_RETURN(
-          acc, forward ? JoinAndRelease(acc, *next, Keep::kDescendants)
-                       : JoinAndRelease(*next, acc, Keep::kAncestors));
+          acc, forward
+                   ? JoinAndRelease(std::move(acc), std::move(next),
+                                    Keep::kDescendants)
+                   : JoinAndRelease(std::move(next), std::move(acc),
+                                    Keep::kAncestors));
     }
     return acc;
   }
@@ -184,65 +192,44 @@ class Evaluator {
   /// The elements of `step`'s tag that have a descendant among each
   /// predicate's heads.
   StatusOr<Operand> StepSet(const TwigStep& step) {
-    PBITREE_ASSIGN_OR_RETURN(ElementSet tag_set, provider_(step.tag));
-    Operand set{tag_set, /*owned=*/false};
+    Operand set;
+    PBITREE_ASSIGN_OR_RETURN(set.set, provider_(step.tag));
     for (const TwigQuery& pred : step.predicates) {
-      auto heads = Fold(pred, /*forward=*/false);
-      if (!heads.ok()) {
-        Release(set);
-        return heads.status();
-      }
-      PBITREE_ASSIGN_OR_RETURN(set,
-                               JoinAndRelease(set, *heads, Keep::kAncestors));
+      PBITREE_ASSIGN_OR_RETURN(Operand heads, Fold(pred, /*forward=*/false));
+      PBITREE_ASSIGN_OR_RETURN(set, JoinAndRelease(std::move(set),
+                                                   std::move(heads),
+                                                   Keep::kAncestors));
     }
     return set;
   }
 
   /// Joins `a` (ancestors) with `d` (descendants) and keeps the distinct
-  /// `keep` column as a new owned set. Releases both inputs, also on
-  /// failure.
+  /// `keep` column as a new owned set, freeing `a` then `d`.
   StatusOr<Operand> JoinAndRelease(Operand a, Operand d, Keep keep) {
-    auto kept = JoinDistinct(a.set, d.set, keep);
-    Status release_a = Release(a);
-    Status release_d = Release(d);
-    if (!kept.ok()) return kept.status();
-    Status released = release_a.ok() ? release_d : release_a;
-    if (!released.ok()) {
-      kept->file.Drop(bm_);
-      return released;
-    }
-    return Operand{*kept, /*owned=*/true};
-  }
-
-  StatusOr<ElementSet> JoinDistinct(const ElementSet& a, const ElementSet& d,
-                                    Keep keep) {
-    PBITREE_ASSIGN_OR_RETURN(HeapFile pairs, HeapFile::Create(bm_));
-    Status join_status;
-    {
-      MaterializeSink sink(bm_, &pairs);
-      auto run = RunAuto(bm_, a, d, &sink, options_);
-      // A failed close means the pair file lost its tail page — as
-      // fatal as the join itself failing.
-      Status fin = sink.Finish();
-      join_status = run.ok() ? fin : run.status();
-      if (run.ok()) stats_.joins.push_back(*std::move(run));
-    }
-    StatusOr<ElementSet> kept =
-        join_status.ok()
-            ? DistinctColumn(bm_, pairs, keep, spec_, options_.work_pages)
-            : StatusOr<ElementSet>(join_status);
-    Status drop = pairs.Drop(bm_);
-    if (!kept.ok()) return kept.status();
-    if (!drop.ok()) {
-      kept->file.Drop(bm_);
-      return drop;
-    }
-    if (keep == Keep::kAncestors) ++stats_.semijoins;
+    PBITREE_ASSIGN_OR_RETURN(Operand kept, JoinDistinct(a.set, d.set, keep));
+    PBITREE_RETURN_IF_ERROR(a.owner.Drop());
+    PBITREE_RETURN_IF_ERROR(d.owner.Drop());
     return kept;
   }
 
-  Status Release(Operand& op) {
-    return op.owned ? op.set.file.Drop(bm_) : Status::OK();
+  StatusOr<Operand> JoinDistinct(const ElementSet& a, const ElementSet& d,
+                                 Keep keep) {
+    PBITREE_ASSIGN_OR_RETURN(ScratchFile pairs, ScratchFile::Create(bm_));
+    {
+      MaterializeSink sink(bm_, pairs.get());
+      PBITREE_ASSIGN_OR_RETURN(RunResult run,
+                               RunAuto(bm_, a, d, &sink, options_));
+      // A failed close means the pair file lost its tail page — as
+      // fatal as the join itself failing.
+      PBITREE_RETURN_IF_ERROR(sink.Finish());
+      stats_.joins.push_back(std::move(run));
+    }
+    PBITREE_ASSIGN_OR_RETURN(
+        Operand kept,
+        DistinctColumn(bm_, *pairs, keep, spec_, options_.work_pages));
+    PBITREE_RETURN_IF_ERROR(pairs.Drop());
+    if (keep == Keep::kAncestors) ++stats_.semijoins;
+    return kept;
   }
 
   BufferManager* bm_;
@@ -271,13 +258,15 @@ StatusOr<ElementSet> EvaluateTwigQuery(BufferManager* bm,
   Evaluator evaluator(bm, provider, spec, options);
   PBITREE_ASSIGN_OR_RETURN(Operand answer,
                            evaluator.Fold(query, /*forward=*/true));
-  StatusOr<ElementSet> result =
-      answer.owned ? answer.set : CopySet(bm, answer.set);
-  if (result.ok() && stats != nullptr) {
-    *stats = std::move(evaluator.stats());
-    stats->final_count = result->num_records();
+  if (!answer.owner->valid()) {
+    PBITREE_ASSIGN_OR_RETURN(answer, CopySet(bm, answer.set));
   }
-  return result;
+  if (stats != nullptr) {
+    *stats = std::move(evaluator.stats());
+    stats->final_count = answer.set.num_records();
+  }
+  answer.set.file = answer.owner.Release();  // the caller's from here on
+  return answer.set;
 }
 
 StatusOr<ElementSet> EvaluateTwigQuery(BufferManager* bm, const DataTree& tree,
@@ -285,22 +274,20 @@ StatusOr<ElementSet> EvaluateTwigQuery(BufferManager* bm, const DataTree& tree,
                                        const TwigQuery& query,
                                        const RunOptions& options,
                                        TwigQueryStats* stats) {
-  std::vector<ElementSet> extracted;
+  std::vector<ScratchFile> extracted;
   ElementSetProvider provider =
       [&](const std::string& tag) -> StatusOr<ElementSet> {
     PBITREE_ASSIGN_OR_RETURN(ElementSet set,
                              ExtractTagSetByName(bm, tree, spec, tag));
-    extracted.push_back(set);
+    extracted.emplace_back(bm, set.file);
     return set;
   };
-  auto result = EvaluateTwigQuery(bm, provider, spec, query, options, stats);
-  for (ElementSet& set : extracted) {
-    Status drop = set.file.Drop(bm);
-    if (!drop.ok() && result.ok()) {
-      result->file.Drop(bm);
-      result = drop;
-    }
-  }
+  PBITREE_ASSIGN_OR_RETURN(
+      ElementSet result,
+      EvaluateTwigQuery(bm, provider, spec, query, options, stats));
+  ScratchFile answer(bm, result.file);
+  for (ScratchFile& set : extracted) PBITREE_RETURN_IF_ERROR(set.Drop());
+  result.file = answer.Release();
   return result;
 }
 

@@ -1,12 +1,14 @@
 #include "sort/external_sort.h"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <queue>
 #include <span>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "storage/scratch.h"
 
 namespace pbitree {
 
@@ -23,33 +25,26 @@ bool ElementLess(const ElementRecord& a, const ElementRecord& b,
 namespace {
 
 /// Sorts one chunk in memory and writes it out as a run.
-Status SortAndWriteRun(BufferManager* bm, std::vector<ElementRecord>* buf,
-                       SortOrder order, HeapFile* out) {
+StatusOr<ScratchFile> SortAndWriteRun(BufferManager* bm,
+                                      std::vector<ElementRecord>* buf,
+                                      SortOrder order) {
   std::sort(buf->begin(), buf->end(),
             [order](const ElementRecord& a, const ElementRecord& b) {
               return ElementLess(a, b, order);
             });
-  PBITREE_ASSIGN_OR_RETURN(HeapFile run, HeapFile::Create(bm));
-  Status st;
-  {
-    HeapFile::Appender app(bm, &run);
-    st = app.AppendElements(*buf);
-    // Explicit close: a failed tail-page write-back fails the run
-    // instead of disappearing in the destructor.
-    if (st.ok()) st = app.Finish();
-  }
-  if (!st.ok()) {
-    run.Drop(bm);  // best effort: the append error is the one to report
-    return st;
-  }
-  *out = run;
-  return Status::OK();
+  PBITREE_ASSIGN_OR_RETURN(ScratchFile run, ScratchFile::Create(bm));
+  HeapFile::Appender app(bm, run.get());
+  PBITREE_RETURN_IF_ERROR(app.AppendElements(*buf));
+  // Explicit close: a failed tail-page write-back fails the run
+  // instead of disappearing in the destructor.
+  PBITREE_RETURN_IF_ERROR(app.Finish());
+  return run;
 }
 
 /// Generates sorted runs of at most `work_pages` pages each.
 Status GenerateRuns(BufferManager* bm, const HeapFile& input,
                     size_t work_pages, SortOrder order,
-                    std::vector<HeapFile>* runs) {
+                    std::vector<ScratchFile>* runs) {
   const size_t run_capacity = work_pages * HeapFile::kRecordsPerPage;
   std::vector<ElementRecord> buf;
   buf.reserve(std::min<size_t>(run_capacity, 1 << 20));
@@ -75,38 +70,21 @@ Status GenerateRuns(BufferManager* bm, const HeapFile& input,
     }
     PBITREE_RETURN_IF_ERROR(scan.status());
     if (buf.empty()) break;
-    HeapFile run;
-    PBITREE_RETURN_IF_ERROR(SortAndWriteRun(bm, &buf, order, &run));
-    runs->push_back(run);
+    PBITREE_ASSIGN_OR_RETURN(ScratchFile run, SortAndWriteRun(bm, &buf, order));
+    runs->push_back(std::move(run));
   }
   return Status::OK();
 }
 
-/// Merges `inputs` into one run; drops the inputs afterwards.
-StatusOr<HeapFile> MergeRuns(BufferManager* bm, std::vector<HeapFile>* inputs,
-                             SortOrder order) {
+/// Merges `inputs` into one run and drops them.
+StatusOr<ScratchFile> MergeRuns(BufferManager* bm,
+                                std::vector<ScratchFile> inputs,
+                                SortOrder order) {
   std::vector<std::unique_ptr<HeapFile::BatchCursor>> cursors;
-  cursors.reserve(inputs->size());
-  Status st;
-  // Contract: the inputs are consumed whatever happens — on error they
-  // are dropped here so the caller never holds dangling temp files.
-  auto fail = [&](Status keep) -> Status {
-    for (auto& c : cursors) c.reset();  // release scan pins
-    for (HeapFile& f : *inputs) {
-      if (!f.valid()) continue;
-      Status s = f.Drop(bm);
-      if (keep.ok()) keep = s;
-    }
-    inputs->clear();
-    return keep;
-  };
-  for (HeapFile& f : *inputs) {
-    auto c = std::make_unique<HeapFile::BatchCursor>(bm, f);
-    if (!c->status().ok()) {
-      Status s = c->status();
-      c.reset();
-      return fail(s);
-    }
+  cursors.reserve(inputs.size());
+  for (ScratchFile& f : inputs) {
+    auto c = std::make_unique<HeapFile::BatchCursor>(bm, *f);
+    PBITREE_RETURN_IF_ERROR(c->status());
     if (c->live()) cursors.push_back(std::move(c));
   }
 
@@ -117,42 +95,24 @@ StatusOr<HeapFile> MergeRuns(BufferManager* bm, std::vector<HeapFile>* inputs,
   std::priority_queue<size_t, std::vector<size_t>, decltype(greater)> heap(greater);
   for (size_t i = 0; i < cursors.size(); ++i) heap.push(i);
 
-  auto created = HeapFile::Create(bm);
-  if (!created.ok()) return fail(created.status());
-  HeapFile out = std::move(*created);
+  PBITREE_ASSIGN_OR_RETURN(ScratchFile out, ScratchFile::Create(bm));
   {
-    HeapFile::Appender app(bm, &out);
+    HeapFile::Appender app(bm, out.get());
     while (!heap.empty()) {
       size_t i = heap.top();
       heap.pop();
-      st = app.AppendElement(cursors[i]->rec());
-      if (!st.ok()) break;
+      PBITREE_RETURN_IF_ERROR(app.AppendElement(cursors[i]->rec()));
       cursors[i]->Advance();
       if (cursors[i]->live()) {
         heap.push(i);
-      } else if (!cursors[i]->status().ok()) {
-        st = cursors[i]->status();
-        break;
+      } else {
+        PBITREE_RETURN_IF_ERROR(cursors[i]->status());
       }
     }
-    if (st.ok()) st = app.Finish();
+    PBITREE_RETURN_IF_ERROR(app.Finish());
   }
-  if (!st.ok()) {
-    Status keep = fail(st);
-    out.Drop(bm);  // the half-merged output too
-    return keep;
-  }
-  for (auto& c : cursors) c.reset();
-  Status drop_st;
-  for (HeapFile& f : *inputs) {
-    Status s = f.Drop(bm);
-    if (drop_st.ok()) drop_st = s;
-  }
-  inputs->clear();
-  if (!drop_st.ok()) {
-    out.Drop(bm);
-    return drop_st;
-  }
+  cursors.clear();  // release scan pins before the inputs go
+  for (ScratchFile& f : inputs) PBITREE_RETURN_IF_ERROR(f.Drop());
   return out;
 }
 
@@ -164,18 +124,8 @@ StatusOr<HeapFile> ExternalSort(BufferManager* bm, const HeapFile& input,
     return Status::InvalidArgument("ExternalSort needs >= 3 work pages");
   }
   obs::ObsSpan sort_span(obs::Phase::kSort);
-  std::vector<HeapFile> runs;
-  auto drop_runs = [bm](std::vector<HeapFile>* files, Status keep) {
-    for (HeapFile& f : *files) {
-      if (!f.valid()) continue;
-      Status s = f.Drop(bm);
-      if (keep.ok()) keep = s;
-    }
-    files->clear();
-    return keep;
-  };
-  Status gen_st = GenerateRuns(bm, input, work_pages, order, &runs);
-  if (!gen_st.ok()) return drop_runs(&runs, gen_st);
+  std::vector<ScratchFile> runs;
+  PBITREE_RETURN_IF_ERROR(GenerateRuns(bm, input, work_pages, order, &runs));
   obs::Count(obs::Counter::kSortRuns, runs.size());
   if (runs.empty()) return HeapFile::Create(bm);
 
@@ -183,23 +133,21 @@ StatusOr<HeapFile> ExternalSort(BufferManager* bm, const HeapFile& input,
   while (runs.size() > 1) {
     obs::ObsSpan merge_span(obs::Phase::kMerge);
     obs::Count(obs::Counter::kSortMergePasses);
-    std::vector<HeapFile> next;
+    std::vector<ScratchFile> next;
     for (size_t i = 0; i < runs.size(); i += fan_in) {
-      size_t end = std::min(runs.size(), i + fan_in);
-      std::vector<HeapFile> group(runs.begin() + i, runs.begin() + end);
-      auto merged = MergeRuns(bm, &group, order);
-      if (!merged.ok()) {
-        // MergeRuns dropped its own inputs (runs[i, end) via the group
-        // copies); sweep the not-yet-merged tail and the finished runs.
-        std::vector<HeapFile> rest(runs.begin() + end, runs.end());
-        Status keep = drop_runs(&rest, merged.status());
-        return drop_runs(&next, keep);
-      }
-      next.push_back(std::move(*merged));
+      auto group_end = runs.begin() + std::min(runs.size(), i + fan_in);
+      PBITREE_ASSIGN_OR_RETURN(
+          ScratchFile merged,
+          MergeRuns(bm,
+                    std::vector<ScratchFile>(
+                        std::make_move_iterator(runs.begin() + i),
+                        std::make_move_iterator(group_end)),
+                    order));
+      next.push_back(std::move(merged));
     }
     runs = std::move(next);
   }
-  return runs[0];
+  return runs[0].Release();
 }
 
 StatusOr<bool> IsSorted(BufferManager* bm, const HeapFile& file,

@@ -30,8 +30,8 @@ bool ElementLess(const ElementRecord& a, const ElementRecord& b, SortOrder order
 ///
 /// Uses at most `work_pages` pages of working memory: run generation
 /// sorts work_pages-sized chunks in memory, then (work_pages - 1)-way
-/// merge passes reduce the runs to one. The input file is left intact
-/// (callers owning temporary inputs drop them separately). I/O cost is
+/// merge passes reduce the runs to one. The input file is left intact;
+/// the sorted file is the caller's to drop. I/O cost is
 /// the textbook 2 * ||R|| * ceil(log_{b-1}(runs)) + 2 * ||R||, which is
 /// exactly the term the paper charges the naive sort-on-the-fly
 /// algorithms with (Section 3.4.1). The sort is single-threaded: the

@@ -343,6 +343,14 @@ Status BufferManager::DeletePage(PageId page_id) {
   return disk_->FreePage(page_id);
 }
 
+Status BufferManager::DeletePages(std::vector<PageId>* pages) {
+  auto freed = pages->begin();
+  Status st;
+  while (freed != pages->end() && (st = DeletePage(*freed)).ok()) ++freed;
+  pages->erase(pages->begin(), freed);
+  return st;
+}
+
 size_t BufferManager::PinnedFrames() const {
   std::lock_guard<std::mutex> lk(latch_);
   size_t n = 0;

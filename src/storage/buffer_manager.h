@@ -79,6 +79,11 @@ class BufferManager {
   /// disk. The page must not be pinned.
   Status DeletePage(PageId page_id);
 
+  /// DeletePage over `pages`, in order. Each freed id leaves the vector
+  /// at once, so after a failure it holds exactly the pages still
+  /// allocated and a second call frees the rest.
+  Status DeletePages(std::vector<PageId>* pages);
+
   /// Crash simulation (tests only): waits out in-flight transfers, then
   /// drops every frame — pinned or not, dirty or not — with NO
   /// write-back, exactly as if the process had died with the pool's

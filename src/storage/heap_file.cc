@@ -40,14 +40,12 @@ StatusOr<HeapFile> HeapFile::Attach(BufferManager* bm, PageId first_page,
 }
 
 Status HeapFile::Drop(BufferManager* bm) {
-  for (PageId pid : pages_) {
-    PBITREE_RETURN_IF_ERROR(bm->DeletePage(pid));
-  }
-  pages_.clear();
+  Status st = bm->DeletePages(&pages_);
+  num_pages_ = pages_.size();
+  PBITREE_RETURN_IF_ERROR(st);
   first_page_ = kInvalidPageId;
   last_page_ = kInvalidPageId;
   num_records_ = 0;
-  num_pages_ = 0;
   return Status::OK();
 }
 

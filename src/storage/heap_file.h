@@ -22,7 +22,8 @@ namespace pbitree {
 /// All record traffic goes through the buffer manager, so scans and
 /// appends are charged exactly one physical I/O per page miss. The file
 /// handle itself (first/last page, counts) is an in-memory value object;
-/// copying the handle aliases the same on-disk pages.
+/// copying the handle aliases the same on-disk pages. A temporary file is
+/// held by one ScratchFile owner (storage/scratch.h).
 ///
 /// A file is created with a PageCodecKind that fixes how its pages'
 /// record areas are encoded (see page_codec.h). kRaw keeps the seed
@@ -90,7 +91,9 @@ class HeapFile {
 
   /// Frees every page of the file. The handle becomes invalid. O(1)
   /// page I/O: the page list is kept in the handle (a heap-file
-  /// directory), so no chain walk is needed.
+  /// directory), so no chain walk is needed. After a failure (a pinned
+  /// page, say) the handle keeps only the pages still allocated, so a
+  /// second Drop frees the rest; nothing but Drop may use it then.
   Status Drop(BufferManager* bm);
 
   /// Appends the pages of `tail` to this file (O(1) page I/O: links the

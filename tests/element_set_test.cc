@@ -140,6 +140,41 @@ TEST_P(BuilderLayoutTest, DroppedBuilderReleasesItsTailPin) {
   EXPECT_EQ(bm.PinnedFrames(), 0u);
 }
 
+TEST_P(BuilderLayoutTest, DroppedBuilderFreesEveryPage) {
+  std::unique_ptr<DiskManager> disk(DiskManager::OpenInMemory());
+  BufferManager bm(disk.get(), 4);  // small enough to evict full pages
+  const uint64_t live = disk->num_live_pages();
+  Random rng(5);
+  auto fill = [&](ElementSetBuilder* b) {
+    for (int i = 0; i < 10000; ++i) {
+      ASSERT_TRUE(b->AddCode(rng.UniformRange(1, (uint64_t{1} << 20) - 1)).ok());
+    }
+  };
+  {
+    auto abandoned = ElementSetBuilder::Create(&bm, PBiTreeSpec{20}, GetParam());
+    ASSERT_TRUE(abandoned.ok());
+    fill(&*abandoned);
+    ASSERT_GT(disk->num_live_pages(), live + 3);
+  }
+  EXPECT_EQ(bm.PinnedFrames(), 0u);
+  EXPECT_EQ(disk->num_live_pages(), live);
+
+  // Build hands the file out: the builder going away keeps its pages.
+  ElementSet built;
+  {
+    auto builder = ElementSetBuilder::Create(&bm, PBiTreeSpec{20}, GetParam());
+    ASSERT_TRUE(builder.ok());
+    fill(&*builder);
+    auto set = builder->Build();
+    ASSERT_TRUE(set.ok()) << set.status().ToString();
+    built = *set;
+  }
+  EXPECT_EQ(disk->num_live_pages(), live + built.num_pages());
+  EXPECT_EQ(built.num_records(), 10000u);
+  ASSERT_TRUE(built.file.Drop(&bm).ok());
+  EXPECT_EQ(disk->num_live_pages(), live);
+}
+
 INSTANTIATE_TEST_SUITE_P(Codecs, BuilderLayoutTest,
                          ::testing::Values(PageCodecKind::kRaw,
                                            PageCodecKind::kFoRDelta),

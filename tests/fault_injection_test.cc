@@ -13,6 +13,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/crc32c.h"
@@ -24,6 +25,7 @@
 #include "storage/buffer_manager.h"
 #include "storage/disk_manager.h"
 #include "storage/io_backend.h"
+#include "storage/segment_store.h"
 #include "zero_padded_printer.h"
 
 namespace pbitree {
@@ -336,62 +338,140 @@ TEST(FaultInjectionTest, DeterministicAcrossRuns) {
 }
 
 // ---------------------------------------------------------------------
-// End-to-end: containment joins over a fault-injecting DiskManager.
+// End-to-end: containment joins over fault-injecting devices.
+//
+// A case names the algorithm (with MHCJ+Rollup's height policy), the
+// page codec of the input sets — explicit, so PBITREE_PAGE_CODEC changes
+// nothing here — and the way the join runs: RunJoin over one pool
+// (segment level 0), or RunSegmentedJoin over a level-1 segment store on
+// one or two threads. Every device of a run (the one file, or the main
+// file and each segment file) faults on the same schedule, and the leak
+// checks cover every pool.
 
 constexpr int kTreeHeight = 16;
+// Small enough that every case evicts, and so writes and re-reads its
+// scratch pages, under both codecs; FoR-delta inputs take fewer pages.
+constexpr size_t kPoolPages = 16;
+// Input sizes: large enough that each half of a level-1 store still
+// makes every algorithm write scratch pages under both codecs.
+constexpr int kAncestors = 8000;
+constexpr int kDescendants = 12000;
 
 struct FaultJoinCase {
   Algorithm algorithm;
-  size_t threads;
+  RollupHeightPolicy rollup;
+  int segment_level;  // 0: RunJoin over one unsegmented pool
+  PageCodecKind codec;
+  uint8_t threads;
 };
 
 void PrintTo(const FaultJoinCase& c, std::ostream* os) {
-  PrintZeroPadded(c, os, &FaultJoinCase::algorithm, &FaultJoinCase::threads);
+  PrintZeroPadded(c, os, &FaultJoinCase::algorithm, &FaultJoinCase::rollup,
+                  &FaultJoinCase::segment_level, &FaultJoinCase::codec,
+                  &FaultJoinCase::threads);
 }
 
+// `_t1` is the unsegmented run and `_t2` the two-thread fan-out, which is
+// always segmented; `_l1_t1` is the segmented run on one thread.
 std::string FaultCaseName(const ::testing::TestParamInfo<FaultJoinCase>& info) {
-  std::string n = AlgorithmName(info.param.algorithm);
-  for (char& c : n) {
-    if (c == '+') c = 'P';
+  const FaultJoinCase& c = info.param;
+  std::string n = AlgorithmName(c.algorithm);
+  for (char& ch : n) {
+    if (ch == '+') ch = 'P';
   }
-  return n + "_t" + std::to_string(info.param.threads);
+  if (c.rollup == RollupHeightPolicy::kMedian) n += "Median";
+  if (c.segment_level > 0 && c.threads == 1) n += "_l1";
+  n += "_t" + std::to_string(c.threads);
+  if (c.codec == PageCodecKind::kFoRDelta) n += "_FoRDelta";
+  return n;
+}
+
+std::vector<FaultJoinCase> FaultMatrix() {
+  std::vector<FaultJoinCase> cases;
+  for (PageCodecKind codec : {PageCodecKind::kRaw, PageCodecKind::kFoRDelta}) {
+    for (auto [level, threads] : {std::pair{0, 1}, {1, 1}, {1, 2}}) {
+      for (Algorithm alg : {Algorithm::kMhcj, Algorithm::kMhcjRollup,
+                            Algorithm::kVpj, Algorithm::kInljn,
+                            Algorithm::kStackTree, Algorithm::kMpmgjn,
+                            Algorithm::kAdb}) {
+        cases.push_back({alg, RollupHeightPolicy::kMax, level, codec,
+                         static_cast<uint8_t>(threads)});
+      }
+      // The median split writes two scratch copies of A first.
+      cases.push_back({Algorithm::kMhcjRollup, RollupHeightPolicy::kMedian,
+                       level, codec, static_cast<uint8_t>(threads)});
+    }
+  }
+  return cases;
 }
 
 class FaultInjectionJoinTest : public ::testing::TestWithParam<FaultJoinCase> {
  protected:
   void SetUp() override {
-    auto fault = std::make_unique<FaultInjectingBackend>(
-        std::make_unique<MemIoBackend>(), FaultSchedule{});
-    fb_ = fault.get();
-    auto dm = DiskManager::OpenWithBackend(std::move(fault),
-                                           /*restore_frontier=*/false);
-    ASSERT_TRUE(dm.ok());
-    disk_.reset(*dm);
-    // A pool far smaller than the data forces real backend traffic
-    // (evictions and re-reads) during the join.
-    bm_ = std::make_unique<BufferManager>(disk_.get(), 32);
-
+    const FaultJoinCase& c = GetParam();
     Random rng(1234);
-    a_codes_ = RandomCodes(&rng, 4000, 1, kTreeHeight - 1);
-    d_codes_ = RandomCodes(&rng, 6000, 0, kTreeHeight - 2);
-    a_ = MakeSet(a_codes_);
-    d_ = MakeSet(d_codes_);
+    a_codes_ = RandomCodes(&rng, kAncestors, 1, kTreeHeight - 1);
+    d_codes_ = RandomCodes(&rng, kDescendants, 0, kTreeHeight - 2);
     // Every case draws the same inputs: compute the answer once.
     static const std::vector<ResultPair> kExpect =
-        BruteForce(a_codes_, d_codes_);
+        Expected(a_codes_, d_codes_);
     expect_ = kExpect;
-    baseline_live_pages_ = disk_->num_live_pages();
+
+    auto make_backend =
+        [this](const std::string&) -> StatusOr<std::unique_ptr<IoBackend>> {
+      auto fault = std::make_unique<FaultInjectingBackend>(
+          std::make_unique<MemIoBackend>(), FaultSchedule{});
+      backends_.push_back(fault.get());
+      return std::unique_ptr<IoBackend>(std::move(fault));
+    };
+    if (c.segment_level == 0) {
+      auto dm = DiskManager::OpenWithBackend(make_backend("").value(),
+                                             /*restore_frontier=*/false);
+      ASSERT_TRUE(dm.ok());
+      disk_.reset(*dm);
+      bm_ = std::make_unique<BufferManager>(disk_.get(), kPoolPages);
+      a_ = MakeSet(bm_.get(), a_codes_);
+      d_ = MakeSet(bm_.get(), d_codes_);
+      pools_ = {bm_.get()};
+    } else {
+      SegmentStore::Options opts;
+      opts.backend = "mem";
+      opts.pool_pages = kPoolPages;
+      opts.create_level = c.segment_level;
+      opts.page_codec = c.codec;
+      opts.make_backend = make_backend;
+      auto store = SegmentStore::Open(opts);
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      store_ = std::move(*store);
+      std::unique_ptr<DiskManager> src_disk(DiskManager::OpenInMemory());
+      BufferManager src_bm(src_disk.get(), 64);
+      ASSERT_TRUE(
+          store_->StoreSet("a", MakeSet(&src_bm, a_codes_), &src_bm).ok());
+      ASSERT_TRUE(
+          store_->StoreSet("d", MakeSet(&src_bm, d_codes_), &src_bm).ok());
+      auto a = store_->Load("a");
+      auto d = store_->Load("d");
+      ASSERT_TRUE(a.ok() && d.ok());
+      seg_a_ = *a;
+      seg_d_ = *d;
+      pools_ = {store_->main_bm()};
+      for (size_t k = 0; k < store_->num_segments(); ++k) {
+        pools_.push_back(store_->segment_bm(k));
+      }
+    }
+    // Inputs reach the devices now, so every faulted write is the
+    // join's own.
+    for (BufferManager* bm : pools_) {
+      ASSERT_TRUE(bm->FlushAll().ok());
+      baseline_live_.push_back(bm->disk()->num_live_pages());
+    }
   }
 
-  void TearDown() override {
-    if (fb_ != nullptr) fb_->Disarm();
-    EXPECT_TRUE(a_.file.Drop(bm_.get()).ok());
-    EXPECT_TRUE(d_.file.Drop(bm_.get()).ok());
-  }
+  void TearDown() override { Disarm(); }
 
-  ElementSet MakeSet(const std::vector<Code>& codes) {
-    auto builder =
-        ElementSetBuilder::Create(bm_.get(), PBiTreeSpec{kTreeHeight});
+  ElementSet MakeSet(BufferManager* bm, const std::vector<Code>& codes) {
+    auto builder = ElementSetBuilder::Create(bm, PBiTreeSpec{kTreeHeight},
+                                             GetParam().codec);
     EXPECT_TRUE(builder.ok());
     for (Code c : codes) EXPECT_TRUE(builder->AddCode(c).ok());
     auto built = builder->Build();
@@ -413,52 +493,105 @@ class FaultInjectionJoinTest : public ::testing::TestWithParam<FaultJoinCase> {
     return out;
   }
 
-  static std::vector<ResultPair> BruteForce(const std::vector<Code>& a,
-                                            const std::vector<Code>& d) {
+  /// Every (a, d) pair, found by walking each d's ancestors — the
+  /// PBiTree gives one per height above d's — and checked with the
+  /// Lemma-1 predicate.
+  static std::vector<ResultPair> Expected(const std::vector<Code>& a,
+                                          const std::vector<Code>& d) {
+    const std::set<Code> ancestors(a.begin(), a.end());
     std::vector<ResultPair> out;
-    for (Code x : a) {
-      for (Code y : d) {
-        if (IsAncestor(x, y)) out.push_back(ResultPair{x, y});
+    for (Code y : d) {
+      for (int h = HeightOf(y) + 1; h < kTreeHeight; ++h) {
+        const Code x = AncestorAtHeight(y, h);
+        if (ancestors.count(x) != 0 && IsAncestor(x, y)) {
+          out.push_back(ResultPair{x, y});
+        }
       }
     }
     std::sort(out.begin(), out.end());
     return out;
   }
 
-  RunOptions Opts() const {
+  StatusOr<RunResult> Run(ResultSink* sink) {
     RunOptions o;
     o.work_pages = 8;  // tiny budget: partitioning + temp files guaranteed
     o.threads = GetParam().threads;
-    return o;
+    o.rollup_policy = GetParam().rollup;
+    if (store_ == nullptr) {
+      return RunJoin(GetParam().algorithm, bm_.get(), a_, d_, sink, o);
+    }
+    return RunSegmentedJoin(GetParam().algorithm, store_->main_bm(), seg_a_,
+                            seg_d_, sink, o);
   }
 
-  std::unique_ptr<DiskManager> disk_;
+  void Arm(const std::string& spec) {
+    for (FaultInjectingBackend* fb : backends_) fb->Arm(MustParse(spec));
+  }
+  void Disarm() {
+    for (FaultInjectingBackend* fb : backends_) fb->Disarm();
+  }
+  uint64_t FaultsInjected() const {
+    uint64_t n = 0;
+    for (const FaultInjectingBackend* fb : backends_) n += fb->faults_injected();
+    return n;
+  }
+
+  /// Cold pools make every run issue the same writes to each device.
+  Status PurgeAll() {
+    for (BufferManager* bm : pools_) PBITREE_RETURN_IF_ERROR(bm->PurgeAll());
+    return Status::OK();
+  }
+
+  /// Page writes each device has taken so far.
+  std::vector<uint64_t> DeviceWrites() const {
+    std::vector<uint64_t> out;
+    for (BufferManager* bm : pools_) out.push_back(bm->disk()->stats().page_writes);
+    return out;
+  }
+
+  /// No frame pinned and no page beyond the inputs live, in every pool.
+  ::testing::AssertionResult NoLeaks() const {
+    for (size_t i = 0; i < pools_.size(); ++i) {
+      const uint64_t pinned = pools_[i]->PinnedFrames();
+      const uint64_t live = pools_[i]->disk()->num_live_pages();
+      if (pinned != 0 || live != baseline_live_[i]) {
+        return ::testing::AssertionFailure()
+               << "pool " << i << ": " << pinned << " frames pinned, " << live
+               << " pages live, " << baseline_live_[i] << " expected";
+      }
+    }
+    return ::testing::AssertionSuccess();
+  }
+
+  std::vector<FaultInjectingBackend*> backends_;  // owned by the disks
+  std::unique_ptr<DiskManager> disk_;             // segment level 0
   std::unique_ptr<BufferManager> bm_;
-  FaultInjectingBackend* fb_ = nullptr;
-  std::vector<Code> a_codes_, d_codes_;
   ElementSet a_, d_;
+  std::unique_ptr<SegmentStore> store_;  // segment level 1
+  SegmentedSet seg_a_, seg_d_;
+  std::vector<BufferManager*> pools_;
+  std::vector<uint64_t> baseline_live_;
+  std::vector<Code> a_codes_, d_codes_;
   std::vector<ResultPair> expect_;
-  uint64_t baseline_live_pages_ = 0;
 };
 
 TEST_P(FaultInjectionJoinTest, TransientFaultsYieldCorrectResults) {
   // read_every/write_every chosen so a burst of `transient` failures
   // plus the sated attempt fits in the default 4-attempt budget.
-  fb_->Arm(MustParse("write_every=9,read_every=11,transient=2"));
+  Arm("write_every=9,read_every=11,transient=2");
   VectorSink collected;
   VerifyingSink sink(&collected);
-  auto run = RunJoin(GetParam().algorithm, bm_.get(), a_, d_, &sink, Opts());
+  auto run = Run(&sink);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  fb_->Disarm();
+  Disarm();
 
   collected.Sort();
   ASSERT_EQ(collected.pairs().size(), expect_.size());
   EXPECT_EQ(collected.pairs(), expect_);
-  EXPECT_GT(fb_->faults_injected(), 0u);
+  EXPECT_GT(FaultsInjected(), 0u);
   EXPECT_GT(run->metrics.counter(obs::Counter::kIoRetries), 0u);
   EXPECT_GT(run->metrics.counter(obs::Counter::kIoFaultsInjected), 0u);
-  EXPECT_EQ(bm_->PinnedFrames(), 0u);
-  EXPECT_EQ(disk_->num_live_pages(), baseline_live_pages_);
+  EXPECT_TRUE(NoLeaks());
 }
 
 TEST_P(FaultInjectionJoinTest, PermanentFaultFailsRunWithoutLeaks) {
@@ -467,82 +600,72 @@ TEST_P(FaultInjectionJoinTest, PermanentFaultFailsRunWithoutLeaks) {
   // frames unpinned and every temp page freed.
   obs::MetricRegistry reg;
   obs::MetricScope scope(&reg);
-  fb_->Arm(MustParse("write_every=25,transient=0"));
+  Arm("write_every=25,transient=0");
   VectorSink collected;
-  auto run = RunJoin(GetParam().algorithm, bm_.get(), a_, d_, &collected,
-                     Opts());
-  fb_->Disarm();
+  auto run = Run(&collected);
+  Disarm();
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kRetryExhausted)
       << run.status().ToString();
-  EXPECT_EQ(bm_->PinnedFrames(), 0u);
-  EXPECT_EQ(disk_->num_live_pages(), baseline_live_pages_);
+  EXPECT_TRUE(NoLeaks());
   EXPECT_GT(reg.Snapshot().counter(obs::Counter::kIoFaultsInjected), 0u);
 }
 
 TEST_P(FaultInjectionJoinTest, TornWritesSurfaceAsCorruption) {
   // Every write lands torn but reports success; the first evicted temp
-  // page read back from the backend fails its checksum. The pool (32
-  // pages) is far smaller than the partition spill, so a re-read is
-  // guaranteed.
+  // page read back from a device fails its checksum. Every pool is far
+  // smaller than the scratch files, so a re-read is guaranteed.
   obs::MetricRegistry reg;
   obs::MetricScope scope(&reg);
-  fb_->Arm(MustParse("write_every=1,transient=1,torn_writes=1"));
+  Arm("write_every=1,transient=1,torn_writes=1");
   VectorSink collected;
-  auto run = RunJoin(GetParam().algorithm, bm_.get(), a_, d_, &collected,
-                     Opts());
-  fb_->Disarm();
+  auto run = Run(&collected);
+  Disarm();
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kCorruption)
       << run.status().ToString();
   EXPECT_GE(reg.Snapshot().counter(obs::Counter::kIoChecksumFailures), 1u);
-  EXPECT_EQ(bm_->PinnedFrames(), 0u);
-  EXPECT_EQ(disk_->num_live_pages(), baseline_live_pages_);
+  EXPECT_TRUE(NoLeaks());
 }
 
 TEST_P(FaultInjectionJoinTest, PermanentFaultSweepLeavesNoPinsOrPages) {
-  // A sticky write fault at positions strided across the whole run:
-  // wherever the run dies (sorting, index build, partitioning, the
-  // join, the final flush), it must unpin every frame and free every
-  // temp page — the sorted copies and indexes built on the fly
-  // included. The inputs are flushed first so every faulted write is
-  // the join's own.
-  ASSERT_TRUE(bm_->FlushAll().ok());
-  ASSERT_TRUE(bm_->PurgeAll().ok());
+  // A sticky write fault at positions strided across the whole run, on
+  // every device: wherever the run dies (sorting, index build,
+  // partitioning, the replica filter, the join, a spill, the final
+  // flush), it must unpin every frame and free every temp page in every
+  // pool — the sorted copies and indexes built on the fly included.
+  ASSERT_TRUE(PurgeAll().ok());
+  const std::vector<uint64_t> before = DeviceWrites();
   CountingSink clean_sink;
-  auto clean = RunJoin(GetParam().algorithm, bm_.get(), a_, d_, &clean_sink,
-                       Opts());
+  auto clean = Run(&clean_sink);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
-  const uint64_t writes = clean->page_writes;
+  ASSERT_EQ(clean_sink.count(), expect_.size());
+  // The device that takes the most writes bounds the positions a fault
+  // can reach. Only devices with a fixed write sequence count: the one
+  // pool, or each segment pool. A store's main pool takes the spills of
+  // both threads in whatever order they come.
+  const std::vector<uint64_t> after = DeviceWrites();
+  uint64_t writes = 0;
+  for (size_t i = store_ == nullptr ? 0 : 1; i < after.size(); ++i) {
+    writes = std::max(writes, after[i] - before[i]);
+  }
   ASSERT_GT(writes, 0u);
   const uint64_t stride = std::max<uint64_t>(1, writes / 16);
   for (uint64_t at = 1; at <= writes; at += stride) {
-    // A cold pool makes every run issue the same write sequence.
-    ASSERT_TRUE(bm_->PurgeAll().ok());
-    fb_->Arm(MustParse("write_every=" + std::to_string(at) + ",transient=0"));
+    ASSERT_TRUE(PurgeAll().ok());
+    Arm("write_every=" + std::to_string(at) + ",transient=0");
     CountingSink sink;
-    auto run = RunJoin(GetParam().algorithm, bm_.get(), a_, d_, &sink, Opts());
-    fb_->Disarm();
+    auto run = Run(&sink);
+    Disarm();
     ASSERT_FALSE(run.ok()) << "write " << at;
     EXPECT_EQ(run.status().code(), StatusCode::kRetryExhausted)
         << "write " << at << ": " << run.status().ToString();
-    ASSERT_EQ(bm_->PinnedFrames(), 0u) << "write " << at;
-    ASSERT_EQ(disk_->num_live_pages(), baseline_live_pages_) << "write " << at;
+    ASSERT_TRUE(NoLeaks()) << "write " << at;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Algorithms, FaultInjectionJoinTest,
-    ::testing::Values(FaultJoinCase{Algorithm::kMhcj, 1},
-                      FaultJoinCase{Algorithm::kMhcj, 2},
-                      FaultJoinCase{Algorithm::kMhcjRollup, 1},
-                      FaultJoinCase{Algorithm::kVpj, 1},
-                      FaultJoinCase{Algorithm::kVpj, 2},
-                      FaultJoinCase{Algorithm::kInljn, 1},
-                      FaultJoinCase{Algorithm::kStackTree, 1},
-                      FaultJoinCase{Algorithm::kMpmgjn, 1},
-                      FaultJoinCase{Algorithm::kAdb, 1}),
-    FaultCaseName);
+INSTANTIATE_TEST_SUITE_P(Algorithms, FaultInjectionJoinTest,
+                         ::testing::ValuesIn(FaultMatrix()), FaultCaseName);
 
 }  // namespace
 }  // namespace pbitree

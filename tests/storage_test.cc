@@ -15,6 +15,7 @@
 #include "storage/disk_manager.h"
 #include "storage/heap_file.h"
 #include "storage/io_backend.h"
+#include "storage/scratch.h"
 
 namespace pbitree {
 namespace {
@@ -441,6 +442,88 @@ TEST_F(HeapFileTest, DropFreesAllPages) {
   ASSERT_TRUE(file->Drop(bm_.get()).ok());
   EXPECT_EQ(disk_->num_live_pages(), live_before - file_pages);
   EXPECT_FALSE(file->valid());
+}
+
+TEST_F(HeapFileTest, DropAfterAPartialFailureFreesTheRest) {
+  auto file = HeapFile::Create(bm_.get());
+  ASSERT_TRUE(file.ok());
+  {
+    HeapFile::Appender app(bm_.get(), &file.value());
+    for (uint64_t i = 0; i <= HeapFile::kRecordsPerPage * 2; ++i) {
+      ASSERT_TRUE(app.AppendElement(ElementRecord{i + 1, 0, 0}).ok());
+    }
+  }
+  ASSERT_EQ(file->num_pages(), 3u);
+  const uint64_t live_before = disk_->num_live_pages();
+  const PageId middle = file->pages()[1];
+  auto pinned = bm_->FetchPage(middle);
+  ASSERT_TRUE(pinned.ok());
+  // The first page goes, the pinned middle one stops the drop.
+  EXPECT_EQ(file->Drop(bm_.get()).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(disk_->num_live_pages(), live_before - 1);
+  EXPECT_EQ(file->num_pages(), 2u);
+  ASSERT_TRUE(bm_->UnpinPage(middle, false).ok());
+  // A second drop frees only what is left: no double free.
+  ASSERT_TRUE(file->Drop(bm_.get()).ok());
+  EXPECT_EQ(disk_->num_live_pages(), live_before - 3);
+  EXPECT_FALSE(file->valid());
+}
+
+TEST_F(HeapFileTest, ScratchFileFreesOnScopeExitUnlessDroppedOrReleased) {
+  const uint64_t live = disk_->num_live_pages();
+  auto fill = [&](ScratchFile* f) {
+    HeapFile::Appender app(bm_.get(), f->get());
+    for (uint64_t i = 0; i <= HeapFile::kRecordsPerPage * 2; ++i) {
+      ASSERT_TRUE(app.AppendElement(ElementRecord{i + 1, 0, 0}).ok());
+    }
+  };
+  {
+    auto f = ScratchFile::Create(bm_.get());
+    ASSERT_TRUE(f.ok());
+    fill(&*f);
+    EXPECT_EQ(disk_->num_live_pages(), live + 3);
+  }
+  EXPECT_EQ(disk_->num_live_pages(), live);
+
+  // Moving hands the pages over; the moved-from owner frees nothing.
+  ScratchFile moved;
+  {
+    auto f = ScratchFile::Create(bm_.get());
+    ASSERT_TRUE(f.ok());
+    fill(&*f);
+    moved = std::move(*f);
+  }
+  EXPECT_EQ(disk_->num_live_pages(), live + 3);
+  // An explicit drop reports its status, and the owner then holds
+  // nothing, so a second drop is a no-op.
+  ASSERT_TRUE(moved.Drop().ok());
+  EXPECT_EQ(disk_->num_live_pages(), live);
+  EXPECT_TRUE(moved.Drop().ok());
+
+  HeapFile released;
+  {
+    auto f = ScratchFile::Create(bm_.get());
+    ASSERT_TRUE(f.ok());
+    fill(&*f);
+    released = f->Release();
+  }
+  EXPECT_EQ(released.num_pages(), 3u);
+  EXPECT_EQ(disk_->num_live_pages(), live + 3);
+  ASSERT_TRUE(released.Drop(bm_.get()).ok());
+
+  // A failed explicit drop keeps the rest owned; scope exit frees it.
+  {
+    auto f = ScratchFile::Create(bm_.get());
+    ASSERT_TRUE(f.ok());
+    fill(&*f);
+    const PageId last = (*f)->pages().back();
+    auto pinned = bm_->FetchPage(last);
+    ASSERT_TRUE(pinned.ok());
+    EXPECT_FALSE(f->Drop().ok());
+    ASSERT_TRUE(bm_->UnpinPage(last, false).ok());
+  }
+  EXPECT_EQ(disk_->num_live_pages(), live);
+  EXPECT_EQ(bm_->PinnedFrames(), 0u);
 }
 
 TEST_F(HeapFileTest, ConcatPreservesAllRecordsInOrder) {

@@ -1,7 +1,8 @@
 // Tests for path and twig (branching) pattern queries: parser shapes,
 // linear paths and predicates against a brute-force DataTree matcher,
 // join counts, multi-step and nested predicates, borrowed provider
-// sets, and empty-result paths.
+// sets, empty-result paths, and a permanent write fault at every point
+// of an evaluation.
 
 #include "query/twig_query.h"
 
@@ -15,7 +16,9 @@
 #include <vector>
 
 #include "datagen/xmark_gen.h"
+#include "obs/metrics.h"
 #include "pbitree/binarize.h"
+#include "storage/io_backend.h"
 #include "xml/parser.h"
 
 namespace pbitree {
@@ -431,6 +434,64 @@ TEST_F(TwigQueryTest, XmarkTwigPatterns) {
   CheckQuery(tree, spec, "//item[//mailbox]//keyword");
   CheckQuery(tree, spec, "//open_auction[//reserve]//bidder//increase");
   CheckQuery(tree, spec, "//person[//creditcard][//homepage]//emailaddress");
+}
+
+// A sticky write fault at every write position of an evaluation:
+// wherever it dies (tag extraction, a join, a distinct column, its
+// sort), it must unpin every frame and free every page it made, the
+// half-built sets included. The pool is small enough to evict, so the
+// scratch files really reach the device. The suite name carries
+// "FaultInjection" so the ambient fault-schedule CI job skips it (it
+// arms its own schedule).
+TEST(TwigQueryFaultInjectionTest, PermanentWriteFaultSweepLeavesNoPinsOrPages) {
+  DataTree tree;
+  XmarkOptions gen;
+  gen.scale_factor = 0.1;
+  ASSERT_TRUE(GenerateXmark(&tree, gen).ok());
+  PBiTreeSpec spec;
+  ASSERT_TRUE(BinarizeTree(&tree, &spec).ok());
+
+  auto fault = std::make_unique<FaultInjectingBackend>(
+      std::make_unique<MemIoBackend>(), FaultSchedule{});
+  FaultInjectingBackend* fb = fault.get();
+  auto opened = DiskManager::OpenWithBackend(std::move(fault),
+                                             /*restore_frontier=*/false);
+  ASSERT_TRUE(opened.ok());
+  std::unique_ptr<DiskManager> disk(*opened);
+  BufferManager bm(disk.get(), 16);
+  RunOptions opts;
+  opts.work_pages = 8;
+
+  for (const char* text : {"//open_auction[//bidder//increase]//seller",
+                           "//description//text//keyword"}) {
+    auto q = ParseTwigQuery(text);
+    ASSERT_TRUE(q.ok());
+    const uint64_t live = disk->num_live_pages();
+    uint64_t writes = 0;
+    {
+      obs::MetricRegistry reg;
+      obs::MetricScope scope(&reg);
+      auto clean = EvaluateTwigQuery(&bm, tree, spec, *q, opts);
+      ASSERT_TRUE(clean.ok()) << text << ": " << clean.status().ToString();
+      writes = reg.Snapshot().counter(obs::Counter::kPageWrites);
+      ASSERT_TRUE(clean->file.Drop(&bm).ok());
+    }
+    ASSERT_GT(writes, 0u) << text;
+    for (uint64_t at = 1; at <= writes; ++at) {
+      // A cold pool makes every run issue the same write sequence.
+      ASSERT_TRUE(bm.PurgeAll().ok());
+      fb->Arm(FaultSchedule::Parse("write_every=" + std::to_string(at) +
+                                   ",transient=0")
+                  .value());
+      auto run = EvaluateTwigQuery(&bm, tree, spec, *q, opts);
+      fb->Disarm();
+      ASSERT_FALSE(run.ok()) << text << " write " << at;
+      EXPECT_EQ(run.status().code(), StatusCode::kRetryExhausted)
+          << text << " write " << at << ": " << run.status().ToString();
+      ASSERT_EQ(bm.PinnedFrames(), 0u) << text << " write " << at;
+      ASSERT_EQ(disk->num_live_pages(), live) << text << " write " << at;
+    }
+  }
 }
 
 }  // namespace
