@@ -28,11 +28,22 @@ uint64_t BTreeProbeCost(uint64_t records) {
   return 1 + CeilLogBase(leaves, BPTree::kInteriorCapacity);
 }
 
-/// Hash-equijoin cost shared by SHCJ and MHCJ+Rollup: one read of each
-/// side when the smaller fits in memory, else the Grace 3-pass.
-uint64_t HashJoinCost(uint64_t a_pages, uint64_t d_pages, uint64_t b) {
-  if (std::min(a_pages, d_pages) <= b) return a_pages + d_pages;
-  return 3 * (a_pages + d_pages);
+/// Pages `records` records take when written raw, as every partition
+/// is.
+uint64_t RawPages(uint64_t records) {
+  return CeilDiv(records, HeapFile::kRecordsPerPage);
+}
+
+/// Hash-equijoin cost shared by SHCJ, MHCJ+Rollup and VPJ: one read of
+/// each side when the smaller fits in memory, else the Grace 3-pass —
+/// the inputs read at their own density, the partitions written and
+/// re-read raw.
+uint64_t HashJoinCost(uint64_t a_pages, uint64_t a_records, uint64_t d_pages,
+                      uint64_t d_records, uint64_t b) {
+  const uint64_t a_raw = RawPages(a_records);
+  const uint64_t d_raw = RawPages(d_records);
+  if (std::min(a_raw, d_raw) <= b) return a_pages + d_pages;
+  return a_pages + d_pages + 2 * (a_raw + d_raw);
 }
 
 }  // namespace
@@ -70,15 +81,18 @@ uint64_t EstimateJoinIO(Algorithm alg, const CostInputs& in) {
       // All three partitioning algorithms share the 3(||A||+||D||)
       // out-of-memory bound with the one-pass in-memory discount; VPJ
       // recursion and rollup false hits do not change the I/O order.
-      return HashJoinCost(in.a_pages, in.d_pages, b);
+      return HashJoinCost(in.a_pages, in.a_records, in.d_pages, in.d_records,
+                          b);
 
     case Algorithm::kMhcj: {
-      // 5||A|| + sum of per-partition SHCJ costs (Section 3.2). Assume
-      // even height distribution.
+      // 5||A|| + sum of per-partition SHCJ costs (Section 3.2): read A,
+      // write its height partitions raw, then join each. Assume even
+      // height distribution.
       uint64_t k = std::max<uint64_t>(in.a_num_heights, 1);
-      uint64_t part_pages = std::max<uint64_t>(CeilDiv(in.a_pages, k), 1);
-      return 2 * in.a_pages +
-             k * HashJoinCost(part_pages, in.d_pages, b);
+      uint64_t part_records = std::max<uint64_t>(CeilDiv(in.a_records, k), 1);
+      return in.a_pages + RawPages(in.a_records) +
+             k * HashJoinCost(RawPages(part_records), part_records,
+                              in.d_pages, in.d_records, b);
     }
 
     case Algorithm::kStackTree:
@@ -91,50 +105,27 @@ uint64_t EstimateJoinIO(Algorithm alg, const CostInputs& in) {
     }
 
     case Algorithm::kInljn: {
-      // Outer scan + one index probe per outer record; build the inner
-      // index first when absent (sort + write).
-      uint64_t probe_d = in.a_pages + in.a_records * BTreeProbeCost(in.d_records);
-      if (!in.have_d_code_index) {
-        probe_d += SortCostPages(in.d_pages, b) + in.d_pages;
-      }
-      uint64_t probe_a = in.d_pages + in.d_records * BTreeProbeCost(in.a_records);
-      if (!in.have_a_interval_index) {
-        probe_a += SortCostPages(in.a_pages, b) + in.a_pages;
-      }
+      // Outer scan + one index probe per outer record, after building
+      // the inner index (sort + write).
+      uint64_t probe_d = in.a_pages +
+                         in.a_records * BTreeProbeCost(in.d_records) +
+                         SortCostPages(in.d_pages, b) + in.d_pages;
+      uint64_t probe_a = in.d_pages +
+                         in.d_records * BTreeProbeCost(in.a_records) +
+                         SortCostPages(in.a_pages, b) + in.a_pages;
       return std::min(probe_d, probe_a);
     }
 
     case Algorithm::kAdb: {
-      // Leaf-chain scans of both indexes (skips can only reduce this).
-      uint64_t cost = CeilDiv(in.a_records, BPTree::kLeafCapacity) +
-                      CeilDiv(in.d_records, BPTree::kLeafCapacity);
-      if (!in.have_start_indexes) {
-        cost += SortCostPages(in.a_pages, b) + in.a_pages +
-                SortCostPages(in.d_pages, b) + in.d_pages;
-      }
-      return cost;
+      // Leaf-chain scans of both indexes (skips can only reduce this),
+      // after building both (sort + write).
+      return CeilDiv(in.a_records, BPTree::kLeafCapacity) +
+             CeilDiv(in.d_records, BPTree::kLeafCapacity) +
+             SortCostPages(in.a_pages, b) + in.a_pages +
+             SortCostPages(in.d_pages, b) + in.d_pages;
     }
   }
   return UINT64_MAX;
-}
-
-Algorithm ChooseAlgorithmCostBased(const CostInputs& in,
-                                   bool ancestor_single_height) {
-  Algorithm candidates[] = {
-      ancestor_single_height ? Algorithm::kShcj : Algorithm::kMhcjRollup,
-      Algorithm::kVpj,    Algorithm::kStackTree,
-      Algorithm::kInljn,  Algorithm::kAdb,
-  };
-  Algorithm best = candidates[0];
-  uint64_t best_cost = EstimateJoinIO(best, in);
-  for (Algorithm alg : candidates) {
-    uint64_t cost = EstimateJoinIO(alg, in);
-    if (cost < best_cost) {
-      best = alg;
-      best_cost = cost;
-    }
-  }
-  return best;
 }
 
 }  // namespace pbitree

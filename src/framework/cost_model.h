@@ -9,13 +9,11 @@
 namespace pbitree {
 
 /// \brief Inputs of the analytical I/O cost model (Section 3.4.1 of
-/// the paper, plus its Section 6 outlook: "we are working on a
-/// cost-based query optimizer that is aware of all the above-mentioned
-/// algorithms").
+/// the paper).
 ///
 /// Costs are in page I/Os. Sorting and index builds are charged to the
-/// algorithms that need them and do not have them (the naive mode of
-/// the experiments); pre-existing access paths zero those terms.
+/// algorithms that need them (the naive mode of the experiments): no
+/// input carries an index, so INLJN and ADB+ always pay for theirs.
 struct CostInputs {
   uint64_t a_pages = 0;
   uint64_t d_pages = 0;
@@ -24,10 +22,7 @@ struct CostInputs {
   int a_num_heights = 1;
   bool a_sorted = false;
   bool d_sorted = false;
-  bool have_d_code_index = false;
-  bool have_a_interval_index = false;
-  bool have_start_indexes = false;  // the ADB+ pair
-  uint64_t work_pages = 500;        // the paper's b
+  uint64_t work_pages = 500;  // the paper's b
 
   /// Convenience constructor from two element sets.
   static CostInputs FromSets(const ElementSet& a, const ElementSet& d,
@@ -46,17 +41,13 @@ uint64_t SortCostPages(uint64_t pages, uint64_t work_pages);
 ///    case);
 ///  - STACKTREE / MPMGJN: ||A||+||D|| plus sort costs when unsorted;
 ///  - INLJN: min over the two probe directions of outer scan + probes,
-///    plus sort + build when the inner index is missing;
-///  - ADB+: scan of both leaf levels plus sort + build costs when the
-///    Start indexes are missing.
+///    plus sort + build of the inner index;
+///  - ADB+: scan of both leaf levels plus sort + build of both Start
+///    indexes.
+/// Partitions are written raw whatever the inputs' page codec packs, so
+/// the partition write and re-read, and the in-memory test, are priced
+/// at raw density (HeapFile::kRecordsPerPage records per page).
 uint64_t EstimateJoinIO(Algorithm alg, const CostInputs& in);
-
-/// Cost-based algorithm selection: evaluates every applicable
-/// algorithm under the model and returns the cheapest — the Section 6
-/// optimizer made concrete. Falls back to the Table 1 rule when two
-/// candidates tie.
-Algorithm ChooseAlgorithmCostBased(const CostInputs& in,
-                                   bool ancestor_single_height);
 
 }  // namespace pbitree
 

@@ -8,11 +8,7 @@ const char* AlgorithmName(Algorithm alg) { return GetAlgorithmInfo(alg).name; }
 
 Algorithm ChooseAlgorithm(const InputProperties& a, const InputProperties& d,
                           bool ancestor_single_height) {
-  const bool indexed = a.indexed && d.indexed;
-  const bool sorted = a.sorted && d.sorted;
-  if (indexed && sorted) return Algorithm::kAdb;
-  if (indexed) return Algorithm::kInljn;
-  if (sorted) return Algorithm::kStackTree;
+  if (a.sorted && d.sorted) return Algorithm::kStackTree;
   return ancestor_single_height ? Algorithm::kShcj : Algorithm::kVpj;
 }
 

@@ -20,25 +20,27 @@ enum class Algorithm {
 const char* AlgorithmName(Algorithm alg);
 
 /// Access-path properties of a join input, as the optimizer would see
-/// them (Table 1's row labels).
+/// them (Table 1's row labels). Indexes are built per join and never
+/// kept, so no input is ever indexed and only sortedness is recorded.
 struct InputProperties {
-  bool indexed = false;
   bool sorted = false;
 };
 
 /// \brief Algorithm selection of the PBiTree containment query
-/// processing framework (Table 1 of the paper):
+/// processing framework: the unindexed half of Table 1 of the paper,
 ///
-///   indexed  sorted   choice
-///      yes     no     INLJN
-///       no    yes     stack-tree
-///      yes    yes     Anc_Des_B+
-///       no     no     MHCJ+Rollup or VPJ (partitioning based — the
-///                     paper's new contribution; previously "Unknown")
+///   sorted   choice
+///     yes    stack-tree
+///      no    SHCJ or VPJ (partitioning based — the paper's new
+///            contribution; previously "Unknown")
 ///
-/// For the neither-sorted-nor-indexed row, `ancestor_single_height`
-/// routes single-height ancestor sets to SHCJ and multi-height ones to
-/// VPJ (MHCJ+Rollup is its equal-cost alternative).
+/// The indexed rows (INLJN, Anc_Des_B+) are left out because the system
+/// keeps no index on a stored set or an intermediate result: INLJN and
+/// ADB+ always build theirs on the fly, which is exactly the naive mode
+/// the partitioning algorithms beat. Unless both inputs are sorted,
+/// `ancestor_single_height` routes single-height ancestor sets to SHCJ
+/// and multi-height ones to VPJ (MHCJ+Rollup is its equal-cost
+/// alternative).
 Algorithm ChooseAlgorithm(const InputProperties& a, const InputProperties& d,
                           bool ancestor_single_height);
 

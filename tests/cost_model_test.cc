@@ -1,7 +1,6 @@
-// Tests for the analytical cost model and the cost-based algorithm
-// selection (the paper's Section 6 optimizer outlook): estimates must
-// track measured page I/O on real runs within a small factor, and the
-// cost-based choice must reproduce Table 1 in the canonical cases.
+// Tests for the analytical cost model: estimates must track measured
+// page I/O on real runs within a small factor, on either page codec,
+// and rank the algorithms as Table 1 does in the canonical cases.
 
 #include "framework/cost_model.h"
 
@@ -46,19 +45,6 @@ TEST(CostModelTest, SortedInputsFlipTheChoice) {
   in.a_sorted = in.d_sorted = true;
   EXPECT_LT(EstimateJoinIO(Algorithm::kStackTree, in),
             EstimateJoinIO(Algorithm::kVpj, in));
-  EXPECT_EQ(ChooseAlgorithmCostBased(in, false), Algorithm::kStackTree);
-}
-
-TEST(CostModelTest, SmallOuterWithIndexPrefersInljn) {
-  CostInputs in;
-  in.a_pages = 1;
-  in.a_records = 10;
-  in.d_pages = 4000;
-  in.d_records = 4000 * 255;
-  in.work_pages = 500;
-  in.have_d_code_index = true;
-  // 10 probes against an existing index vs scanning D entirely.
-  EXPECT_EQ(ChooseAlgorithmCostBased(in, true), Algorithm::kInljn);
 }
 
 TEST(CostModelTest, NoAccessPathsPrefersPartitioning) {
@@ -66,9 +52,13 @@ TEST(CostModelTest, NoAccessPathsPrefersPartitioning) {
   in.a_pages = in.d_pages = 4000;
   in.a_records = in.d_records = 4000 * 255;
   in.work_pages = 100;
-  Algorithm alg = ChooseAlgorithmCostBased(in, false);
-  EXPECT_TRUE(alg == Algorithm::kVpj || alg == Algorithm::kMhcjRollup);
-  EXPECT_EQ(ChooseAlgorithmCostBased(in, true), Algorithm::kShcj);
+  const uint64_t partitioned = EstimateJoinIO(Algorithm::kVpj, in);
+  EXPECT_EQ(EstimateJoinIO(Algorithm::kMhcjRollup, in), partitioned);
+  EXPECT_EQ(EstimateJoinIO(Algorithm::kShcj, in), partitioned);
+  for (Algorithm alg : {Algorithm::kStackTree, Algorithm::kMpmgjn,
+                        Algorithm::kInljn, Algorithm::kAdb}) {
+    EXPECT_LT(partitioned, EstimateJoinIO(alg, in)) << AlgorithmName(alg);
+  }
 }
 
 TEST(CostModelTest, InMemoryDiscountApplies) {
@@ -121,7 +111,8 @@ TEST_F(CostVsMeasuredTest, EstimatesTrackMeasuredIO) {
   CostInputs in = CostInputs::FromSets(a_, d_, opts.work_pages);
 
   for (Algorithm alg :
-       {Algorithm::kMhcjRollup, Algorithm::kVpj, Algorithm::kStackTree}) {
+       {Algorithm::kMhcj, Algorithm::kMhcjRollup, Algorithm::kVpj,
+        Algorithm::kStackTree}) {
     CountingSink sink;
     auto run = RunJoin(alg, bm_.get(), a_, d_, &sink, opts);
     ASSERT_TRUE(run.ok()) << AlgorithmName(alg);
@@ -132,21 +123,6 @@ TEST_F(CostVsMeasuredTest, EstimatesTrackMeasuredIO) {
     EXPECT_LT(meas, est * 3) << AlgorithmName(alg) << " est " << est
                              << " meas " << meas;
   }
-}
-
-TEST_F(CostVsMeasuredTest, CostBasedChoiceIsNoWorseThanTable1) {
-  RunOptions opts;
-  opts.work_pages = 16;
-  opts.cold_cache = true;
-  CostInputs in = CostInputs::FromSets(a_, d_, opts.work_pages);
-  Algorithm chosen = ChooseAlgorithmCostBased(in, a_.SingleHeight());
-
-  CountingSink s1, s2;
-  auto chosen_run = RunJoin(chosen, bm_.get(), a_, d_, &s1, opts);
-  auto table1_run = RunJoin(Algorithm::kVpj, bm_.get(), a_, d_, &s2, opts);
-  ASSERT_TRUE(chosen_run.ok() && table1_run.ok());
-  EXPECT_EQ(chosen_run->output_pairs, table1_run->output_pairs);
-  EXPECT_LE(chosen_run->TotalIO(), table1_run->TotalIO() * 2);
 }
 
 }  // namespace

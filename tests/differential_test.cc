@@ -1,7 +1,6 @@
 // Differential property sweep: on randomly generated documents and
-// synthetic code sets, every containment-join algorithm in the
-// repository — the seven of the paper's framework plus XR-stack —
-// must produce the identical pair multiset.
+// synthetic code sets, every containment-join algorithm of the
+// paper's framework must produce the identical pair multiset.
 // Parameterised over seeds so each instantiation explores a different
 // document shape.
 
@@ -13,12 +12,9 @@
 
 #include "common/random.h"
 #include "framework/runner.h"
-#include "index/xrtree.h"
 #include "join/element_set.h"
 #include "join/result_sink.h"
-#include "join/xr_stack.h"
 #include "pbitree/binarize.h"
-#include "sort/external_sort.h"
 
 namespace pbitree {
 namespace {
@@ -77,25 +73,6 @@ TEST_P(DifferentialTest, AllAlgorithmsAgreeOnRandomDocuments) {
                         Algorithm::kStackTree, Algorithm::kMpmgjn,
                         Algorithm::kInljn, Algorithm::kAdb}) {
     EXPECT_EQ(RunVia(alg, a, d), reference) << AlgorithmName(alg);
-  }
-
-  // XR-stack, from its own indexes.
-  auto sort_start = [&](const ElementSet& s) {
-    auto sorted = ExternalSort(bm_.get(), s.file, 16, SortOrder::kStartOrder);
-    EXPECT_TRUE(sorted.ok());
-    return *sorted;
-  };
-  HeapFile a_sorted = sort_start(a), d_sorted = sort_start(d);
-  auto a_xr = XRTree::BulkLoad(bm_.get(), a_sorted);
-  auto d_xr = XRTree::BulkLoad(bm_.get(), d_sorted);
-  ASSERT_TRUE(a_xr.ok() && d_xr.ok());
-  {
-    VectorSink collected;
-    VerifyingSink sink(&collected);
-    JoinContext ctx(bm_.get(), 8);
-    ASSERT_TRUE(XrStackJoin(&ctx, a, d, *a_xr, *d_xr, &sink).ok());
-    collected.Sort();
-    EXPECT_EQ(collected.pairs(), reference) << "XR-stack";
   }
 
   EXPECT_EQ(bm_->PinnedFrames(), 0u);

@@ -18,19 +18,15 @@ namespace pbitree {
 namespace {
 
 TEST(PlannerTest, Table1Selection) {
-  InputProperties none, sorted, indexed, both;
+  InputProperties none, sorted;
   sorted.sorted = true;
-  indexed.indexed = true;
-  both.sorted = both.indexed = true;
 
-  EXPECT_EQ(ChooseAlgorithm(indexed, indexed, false), Algorithm::kInljn);
   EXPECT_EQ(ChooseAlgorithm(sorted, sorted, false), Algorithm::kStackTree);
-  EXPECT_EQ(ChooseAlgorithm(both, both, false), Algorithm::kAdb);
   EXPECT_EQ(ChooseAlgorithm(none, none, false), Algorithm::kVpj);
   EXPECT_EQ(ChooseAlgorithm(none, none, true), Algorithm::kShcj);
   // Mixed properties degrade to the weaker row.
   EXPECT_EQ(ChooseAlgorithm(sorted, none, false), Algorithm::kVpj);
-  EXPECT_EQ(ChooseAlgorithm(both, indexed, false), Algorithm::kInljn);
+  EXPECT_EQ(ChooseAlgorithm(none, sorted, true), Algorithm::kShcj);
 }
 
 TEST(PlannerTest, AlgorithmNamesAreStable) {

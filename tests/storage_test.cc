@@ -602,6 +602,45 @@ TEST_F(HeapFileTest, ScannerCountsIOAgainstTheBufferPool) {
   EXPECT_LE(reads, file->num_pages());
 }
 
+TEST_F(HeapFileTest, BatchAndRecordScansReadTheSamePagesFromAColdPool) {
+  auto file = HeapFile::Create(bm_.get());
+  ASSERT_TRUE(file.ok());
+  const uint64_t n = HeapFile::kRecordsPerPage * 40 + 17;
+  {
+    HeapFile::Appender app(bm_.get(), &file.value());
+    for (uint64_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(app.AppendElement(ElementRecord{i + 1, 0, 0}).ok());
+    }
+    ASSERT_TRUE(app.Finish().ok());
+  }
+  // Each scan starts from an empty pool, so both read every page once.
+  auto cold_scan = [&](bool batched, uint64_t* sum, uint64_t* reads) {
+    ASSERT_TRUE(bm_->PurgeAll().ok());
+    const uint64_t reads_before = disk_->stats().page_reads;
+    HeapFile::Scanner scan(bm_.get(), *file);
+    *sum = 0;
+    if (batched) {
+      for (auto batch = scan.NextElementBatch(); !batch.empty();
+           batch = scan.NextElementBatch()) {
+        for (const ElementRecord& rec : batch) *sum += rec.code;
+      }
+    } else {
+      ElementRecord rec;
+      while (scan.NextElement(&rec)) *sum += rec.code;
+    }
+    EXPECT_TRUE(scan.status().ok()) << scan.status().ToString();
+    *reads = disk_->stats().page_reads - reads_before;
+  };
+  uint64_t record_sum, record_reads, batch_sum, batch_reads;
+  cold_scan(/*batched=*/false, &record_sum, &record_reads);
+  cold_scan(/*batched=*/true, &batch_sum, &batch_reads);
+  EXPECT_EQ(record_sum, n * (n + 1) / 2);
+  EXPECT_EQ(batch_sum, record_sum);
+  EXPECT_EQ(record_reads, file->num_pages());
+  EXPECT_EQ(batch_reads, record_reads);
+  EXPECT_EQ(bm_->PinnedFrames(), 0u);
+}
+
 // ---- Zero-copy batch scan.
 
 TEST_F(HeapFileTest, BatchScanReturnsOneSpanPerPage) {
