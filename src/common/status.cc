@@ -20,8 +20,6 @@ const char* CodeName(StatusCode code) {
       return "ResourceExhausted";
     case StatusCode::kOutOfRange:
       return "OutOfRange";
-    case StatusCode::kNotSupported:
-      return "NotSupported";
     case StatusCode::kInternal:
       return "Internal";
     case StatusCode::kRetryExhausted:

@@ -21,15 +21,16 @@ enum class StatusCode {
   kCorruption,
   kResourceExhausted,  // e.g., no unpinned frame in the buffer pool
   kOutOfRange,
-  kNotSupported,
   kInternal,
   kRetryExhausted,  // a transient I/O fault persisted past the retry budget
   kCancelled,       // cooperative cancellation (a sibling partition failed)
   kSlackExhausted,  // dynamic insert found no free code slot under the
                     // parent — the caller must re-binarize with more slack
   kUnimplemented,   // the operation is meaningful but not built yet
-                    // (e.g. mutating a segmented store); callers can
-                    // branch on it instead of pattern-matching messages
+                    // (e.g. mutating a segmented store, a child-axis
+                    // query step); callers can branch on it instead of
+                    // pattern-matching messages. Keep it last: the wire
+                    // decoder (serve::DecodeError) range-checks against it
 };
 
 /// \brief Lightweight status object carrying an error code and message.
@@ -59,9 +60,6 @@ class Status {
   }
   static Status OutOfRange(std::string msg) {
     return Status(StatusCode::kOutOfRange, std::move(msg));
-  }
-  static Status NotSupported(std::string msg) {
-    return Status(StatusCode::kNotSupported, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));

@@ -8,11 +8,11 @@
 
 namespace pbitree {
 
-bool ShouldParallelize(const ExecContext* exec, size_t n) {
-  return exec != nullptr && exec->threads() > 1 && n > 1;
+bool ShouldParallelize(const ThreadPool* pool, size_t n) {
+  return pool != nullptr && n > 1;
 }
 
-Status ParallelPartitions(ExecContext* exec, JoinContext* ctx,
+Status ParallelPartitions(ThreadPool* pool, JoinContext* ctx,
                           ResultSink* sink, size_t n,
                           const PartitionTask& task) {
   // Every worker gets the full budget: each task owns its resources
@@ -32,7 +32,7 @@ Status ParallelPartitions(ExecContext* exec, JoinContext* ctx,
   std::vector<Status> statuses(n);
   std::atomic<bool> cancel{false};
 
-  exec->pool()->ParallelFor(n, [&](size_t i) {
+  pool->ParallelFor(n, [&](size_t i) {
     if (cancel.load(std::memory_order_relaxed)) {
       statuses[i] = Status::Cancelled("sibling partition failed");
       return;

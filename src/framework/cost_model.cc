@@ -34,6 +34,14 @@ uint64_t RawPages(uint64_t records) {
   return CeilDiv(records, HeapFile::kRecordsPerPage);
 }
 
+/// On-the-fly sort of an input whose `records` take `pages` pages: the
+/// input is read at its own density, the runs, merge passes and sorted
+/// copy are written raw (see SortCostPages).
+uint64_t InputSortCost(uint64_t pages, uint64_t records, uint64_t b) {
+  const uint64_t raw = RawPages(records);
+  return pages + SortCostPages(raw, b) - raw;
+}
+
 /// Hash-equijoin cost shared by SHCJ, MHCJ+Rollup and VPJ: one read of
 /// each side when the smaller fits in memory, else the Grace 3-pass —
 /// the inputs read at their own density, the partitions written and
@@ -72,7 +80,6 @@ uint64_t SortCostPages(uint64_t pages, uint64_t work_pages) {
 
 uint64_t EstimateJoinIO(Algorithm alg, const CostInputs& in) {
   const uint64_t b = std::max<uint64_t>(in.work_pages, 3);
-  const uint64_t scan_both = in.a_pages + in.d_pages;
 
   switch (alg) {
     case Algorithm::kShcj:
@@ -97,32 +104,40 @@ uint64_t EstimateJoinIO(Algorithm alg, const CostInputs& in) {
 
     case Algorithm::kStackTree:
     case Algorithm::kMpmgjn: {
-      uint64_t cost = scan_both;  // the merge itself (MPMGJN rescans are
-                                  // mostly buffer hits on real data)
-      if (!in.a_sorted) cost += SortCostPages(in.a_pages, b);
-      if (!in.d_sorted) cost += SortCostPages(in.d_pages, b);
-      return cost;
+      // The merge itself (MPMGJN rescans are mostly buffer hits on real
+      // data): a sorted input is scanned in place, an unsorted one is
+      // sorted and its raw sorted copy scanned.
+      auto side = [&](uint64_t pages, uint64_t records, bool sorted) {
+        return sorted ? pages
+                      : InputSortCost(pages, records, b) + RawPages(records);
+      };
+      return side(in.a_pages, in.a_records, in.a_sorted) +
+             side(in.d_pages, in.d_records, in.d_sorted);
     }
 
     case Algorithm::kInljn: {
       // Outer scan + one index probe per outer record, after building
-      // the inner index (sort + write).
+      // the inner index (sort, then read the sorted copy to load it).
       uint64_t probe_d = in.a_pages +
                          in.a_records * BTreeProbeCost(in.d_records) +
-                         SortCostPages(in.d_pages, b) + in.d_pages;
+                         InputSortCost(in.d_pages, in.d_records, b) +
+                         RawPages(in.d_records);
       uint64_t probe_a = in.d_pages +
                          in.d_records * BTreeProbeCost(in.a_records) +
-                         SortCostPages(in.a_pages, b) + in.a_pages;
+                         InputSortCost(in.a_pages, in.a_records, b) +
+                         RawPages(in.a_records);
       return std::min(probe_d, probe_a);
     }
 
     case Algorithm::kAdb: {
       // Leaf-chain scans of both indexes (skips can only reduce this),
-      // after building both (sort + write).
+      // after building both (sort, then read the sorted copy to load).
       return CeilDiv(in.a_records, BPTree::kLeafCapacity) +
              CeilDiv(in.d_records, BPTree::kLeafCapacity) +
-             SortCostPages(in.a_pages, b) + in.a_pages +
-             SortCostPages(in.d_pages, b) + in.d_pages;
+             InputSortCost(in.a_pages, in.a_records, b) +
+             RawPages(in.a_records) +
+             InputSortCost(in.d_pages, in.d_records, b) +
+             RawPages(in.d_records);
     }
   }
   return UINT64_MAX;

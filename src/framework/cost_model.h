@@ -29,7 +29,8 @@ struct CostInputs {
                              uint64_t work_pages);
 };
 
-/// External-sort cost of a file: 2 * pages * (1 + merge passes).
+/// External-sort cost of a file of raw pages: 2 * pages * (1 + merge
+/// passes).
 uint64_t SortCostPages(uint64_t pages, uint64_t work_pages);
 
 /// Estimated page I/O of running `alg` on the given inputs. Estimates
@@ -44,9 +45,11 @@ uint64_t SortCostPages(uint64_t pages, uint64_t work_pages);
 ///    plus sort + build of the inner index;
 ///  - ADB+: scan of both leaf levels plus sort + build of both Start
 ///    indexes.
-/// Partitions are written raw whatever the inputs' page codec packs, so
-/// the partition write and re-read, and the in-memory test, are priced
-/// at raw density (HeapFile::kRecordsPerPage records per page).
+/// Partitions, sort runs and sorted copies are written raw whatever the
+/// inputs' page codec packs. So everything but the first read of each
+/// input (the partition write and re-read, the in-memory test, the runs,
+/// merge passes and the sorted copy's scan) is priced at raw density
+/// (HeapFile::kRecordsPerPage records per page).
 uint64_t EstimateJoinIO(Algorithm alg, const CostInputs& in);
 
 }  // namespace pbitree

@@ -3,28 +3,31 @@
 #include <optional>
 
 #include "common/timer.h"
-#include "exec/exec_context.h"
 #include "exec/partition_exec.h"
+#include "exec/thread_pool.h"
 #include "join/algorithm_registry.h"
 #include "storage/scratch.h"
 
 namespace pbitree {
 
-StatusOr<RunResult> RunJoin(Algorithm alg, BufferManager* bm,
-                          const ElementSet& a, const ElementSet& d,
-                          ResultSink* sink, const RunOptions& options) {
+namespace {
+
+/// The measurement frame RunJoin and RunSegmentedJoin share. It
+/// installs the run's metric scope: everything the run does bills to
+/// one registry and nothing else does, so interleaved operations on the
+/// same DiskManager report disjoint I/O. A caller-installed registry is
+/// reused so multi-join pipelines accumulate; result.metrics is always
+/// just this run's delta. `prepare` runs before the baseline snapshot
+/// (a cold-cache purge must not bill earlier runs' dirty pages here);
+/// `join` is timed on a JoinContext over `bm`, and the result is filled
+/// from the registry delta and the context's stats.
+template <typename Prepare, typename Join>
+StatusOr<RunResult> MeasuredRun(Algorithm alg, BufferManager* bm,
+                                const RunOptions& options,
+                                const Prepare& prepare, const Join& join) {
   if (options.work_pages < 3) {
     return Status::InvalidArgument("work_pages must be >= 3");
   }
-  RunResult result;
-  result.algorithm = alg;
-
-  // Per-operation metric scope: everything this run does bills to
-  // `registry` and nothing else does, so interleaved operations on the
-  // same DiskManager report disjoint I/O (the old global DiskStats
-  // delta charged foreign traffic to whoever was being timed). A
-  // caller-installed registry is reused so multi-join pipelines
-  // accumulate; result.metrics is always just this run's delta.
   std::optional<obs::MetricRegistry> local_registry;
   obs::MetricRegistry* registry = obs::CurrentRegistry();
   if (registry == nullptr) {
@@ -33,43 +36,16 @@ StatusOr<RunResult> RunJoin(Algorithm alg, BufferManager* bm,
   }
   obs::MetricScope scope(registry);
 
-  if (options.cold_cache) {
-    // Before the baseline snapshot: flushing a previous run's leftover
-    // dirty pages must not be charged to this run.
-    PBITREE_RETURN_IF_ERROR(bm->PurgeAll());
-  }
-  obs::MetricsSnapshot before = registry->Snapshot();
+  PBITREE_RETURN_IF_ERROR(prepare());
+  const obs::MetricsSnapshot before = registry->Snapshot();
   Timer timer;
-
-  // One unsegmented pair always joins serially on this thread; the
-  // parallel unit is the segment (RunSegmentedJoin).
   JoinContext ctx(bm, options.work_pages);
-  PBITREE_RETURN_IF_ERROR(GetAlgorithmInfo(alg).run(&ctx, a, d, sink, options));
-  if (options.flush_pool) {
-    // Force dirty pages out so writes are charged to this run.
-    obs::ObsSpan flush_span(obs::Phase::kFlush);
-    PBITREE_RETURN_IF_ERROR(bm->FlushAll());
-  }
+  PBITREE_RETURN_IF_ERROR(join(&ctx));
 
+  RunResult result;
+  result.algorithm = alg;
   result.wall_seconds = timer.ElapsedSeconds();
-
-  // Fold the algorithm-internal stats in so the metrics report is
-  // self-contained.
-  registry->Add(obs::Counter::kJoinOutputPairs, ctx.stats.output_pairs);
-  registry->Add(obs::Counter::kJoinFalseHits, ctx.stats.false_hits);
-  registry->Add(obs::Counter::kJoinPartitions, ctx.stats.partitions);
-  registry->Add(obs::Counter::kJoinPurgedPartitions,
-                ctx.stats.purged_partitions);
-  registry->Add(obs::Counter::kJoinMergedPartitions,
-                ctx.stats.merged_partitions);
-  registry->Add(obs::Counter::kJoinReplicatedNodes,
-                ctx.stats.replicated_nodes);
-  registry->Add(obs::Counter::kJoinIndexProbes, ctx.stats.index_probes);
-  registry->UpdateGaugeMax(obs::Gauge::kJoinRecursionDepth,
-                           ctx.stats.recursion_depth);
-
-  obs::MetricsSnapshot after = registry->Snapshot();
-  result.metrics = after.Delta(before);
+  result.metrics = registry->Snapshot().Delta(before);
   result.page_reads = result.metrics.counter(obs::Counter::kPageReads);
   result.page_writes = result.metrics.counter(obs::Counter::kPageWrites);
   result.stats = ctx.stats;
@@ -78,6 +54,43 @@ StatusOr<RunResult> RunJoin(Algorithm alg, BufferManager* bm,
       result.wall_seconds +
       options.simulated_io_ms * 1e-3 * (result.page_reads + result.page_writes);
   return result;
+}
+
+}  // namespace
+
+StatusOr<RunResult> RunJoin(Algorithm alg, BufferManager* bm,
+                          const ElementSet& a, const ElementSet& d,
+                          ResultSink* sink, const RunOptions& options) {
+  return MeasuredRun(
+      alg, bm, options,
+      [&]() -> Status {
+        // Flushing a previous run's leftover dirty pages must not be
+        // charged to this run.
+        return options.cold_cache ? bm->PurgeAll() : Status::OK();
+      },
+      [&](JoinContext* ctx) -> Status {
+        // One unsegmented pair always joins serially on this thread;
+        // the parallel unit is the segment (RunSegmentedJoin).
+        PBITREE_RETURN_IF_ERROR(
+            GetAlgorithmInfo(alg).run(ctx, a, d, sink, options));
+        if (options.flush_pool) {
+          // Force dirty pages out so writes are charged to this run.
+          obs::ObsSpan flush_span(obs::Phase::kFlush);
+          PBITREE_RETURN_IF_ERROR(bm->FlushAll());
+        }
+        // Fold the algorithm-internal stats in so the metrics report is
+        // self-contained.
+        const JoinStats& st = ctx->stats;
+        obs::Count(obs::Counter::kJoinOutputPairs, st.output_pairs);
+        obs::Count(obs::Counter::kJoinFalseHits, st.false_hits);
+        obs::Count(obs::Counter::kJoinPartitions, st.partitions);
+        obs::Count(obs::Counter::kJoinPurgedPartitions, st.purged_partitions);
+        obs::Count(obs::Counter::kJoinMergedPartitions, st.merged_partitions);
+        obs::Count(obs::Counter::kJoinReplicatedNodes, st.replicated_nodes);
+        obs::Count(obs::Counter::kJoinIndexProbes, st.index_probes);
+        obs::GaugeMax(obs::Gauge::kJoinRecursionDepth, st.recursion_depth);
+        return Status::OK();
+      });
 }
 
 const RunResult& MinRgnResult::best() const {
@@ -148,26 +161,9 @@ StatusOr<RunResult> RunSegmentedJoin(Algorithm alg, BufferManager* spill_bm,
                    sink, options);
   }
 
-  if (options.work_pages < 3) {
-    return Status::InvalidArgument("work_pages must be >= 3");
-  }
   if (options.threads < 1) {
     return Status::InvalidArgument("threads must be >= 1");
   }
-
-  RunResult result;
-  result.algorithm = alg;
-
-  // Same registry discipline as RunJoin; the per-segment runs below
-  // reuse this ambient scope, so the outer delta covers the whole
-  // scatter-gather operation across every segment pool.
-  std::optional<obs::MetricRegistry> local_registry;
-  obs::MetricRegistry* registry = obs::CurrentRegistry();
-  if (registry == nullptr) {
-    local_registry.emplace();
-    registry = &local_registry.value();
-  }
-  obs::MetricScope scope(registry);
 
   // Segment pairs with records on both sides; the rest join empty.
   std::vector<size_t> active;
@@ -179,22 +175,10 @@ StatusOr<RunResult> RunSegmentedJoin(Algorithm alg, BufferManager* spill_bm,
     active.push_back(k);
   }
 
-  if (options.cold_cache) {
-    // As in RunJoin: write back earlier dirty pages before the baseline
-    // snapshot, so the per-segment purges below bill only this run's
-    // own pages. Flushing suffices; each segment task still evicts its
-    // pool, in parallel.
-    for (size_t k : active) {
-      PBITREE_RETURN_IF_ERROR(a.segments[k].bm->FlushAll());
-    }
-  }
-  obs::MetricsSnapshot before = registry->Snapshot();
-  Timer timer;
-
   const int h_cut = a.cut_height();
 
   // Every segment task gets the full options.work_pages, serial or
-  // parallel: each segment owns its pool (see exec/exec_context.h).
+  // parallel: each segment owns its pool (see exec/partition_exec.h).
   auto run_segment = [&](size_t k, ResultSink* out,
                          JoinStats* stats) -> Status {
     const SegmentedSet::Segment& sa = a.segments[k];
@@ -211,6 +195,9 @@ StatusOr<RunResult> RunSegmentedJoin(Algorithm alg, BufferManager* spill_bm,
       filtered = ScratchFile(sd.bm, d_view.file);
     }
     if (d_view.num_records() > 0) {
+      // The per-segment runs bill into the ambient scope MeasuredRun
+      // installed, so its delta covers every segment pool and their
+      // folded algorithm stats.
       PBITREE_ASSIGN_OR_RETURN(
           RunResult run, RunJoin(alg, sa.bm, sa.set, d_view, out, options));
       stats->Merge(run.stats);
@@ -218,53 +205,43 @@ StatusOr<RunResult> RunSegmentedJoin(Algorithm alg, BufferManager* spill_bm,
     return filtered.Drop();
   };
 
-  std::optional<ExecContext> local_exec;
-  ExecContext* exec = options.shared_exec;
-  if (exec == nullptr) {
-    local_exec.emplace(options.threads);
-    exec = &local_exec.value();
-  }
-  JoinContext ctx(spill_bm, options.work_pages);
-
-  if (ShouldParallelize(exec, active.size())) {
-    // Fan out one task per active segment; the fan-in replays buffered
-    // pairs in segment order, so the emitted sequence equals the serial
-    // loop below.
-    PBITREE_RETURN_IF_ERROR(ParallelPartitions(
-        exec, &ctx, sink, active.size(),
-        [&](size_t i, JoinContext* worker, ResultSink* local_sink) {
-          return run_segment(active[i], local_sink, &worker->stats);
-        }));
-  } else {
-    for (size_t k : active) {
-      PBITREE_RETURN_IF_ERROR(run_segment(k, sink, &ctx.stats));
-    }
-  }
-
-  result.wall_seconds = timer.ElapsedSeconds();
-  // The segment runs already folded their algorithm stats into the
-  // registry; here we only aggregate them for the caller.
-  obs::MetricsSnapshot after = registry->Snapshot();
-  result.metrics = after.Delta(before);
-  result.page_reads = result.metrics.counter(obs::Counter::kPageReads);
-  result.page_writes = result.metrics.counter(obs::Counter::kPageWrites);
-  result.stats = ctx.stats;
-  result.output_pairs = ctx.stats.output_pairs;
-  result.simulated_seconds =
-      result.wall_seconds +
-      options.simulated_io_ms * 1e-3 * (result.page_reads + result.page_writes);
-  return result;
-}
-
-StatusOr<RunResult> RunSegmentedAuto(BufferManager* spill_bm,
-                                     const SegmentedSet& a,
-                                     const SegmentedSet& d, ResultSink* sink,
-                                     const RunOptions& options) {
-  InputProperties pa, pd;
-  pa.sorted = a.sorted_by_start;
-  pd.sorted = d.sorted_by_start;
-  Algorithm alg = ChooseAlgorithm(pa, pd, a.SingleHeight());
-  return RunSegmentedJoin(alg, spill_bm, a, d, sink, options);
+  // Without a shared pool, a fan-out wider than 1 makes its own for the
+  // call; it outlives the measured join so its workers join untimed.
+  std::optional<ThreadPool> local_pool;
+  return MeasuredRun(
+      alg, spill_bm, options,
+      [&]() -> Status {
+        if (!options.cold_cache) return Status::OK();
+        // As in RunJoin: write back earlier dirty pages before the
+        // baseline snapshot, so the per-segment purges bill only this
+        // run's own pages. Flushing suffices; each segment task still
+        // evicts its pool, in parallel.
+        for (size_t k : active) {
+          PBITREE_RETURN_IF_ERROR(a.segments[k].bm->FlushAll());
+        }
+        return Status::OK();
+      },
+      [&](JoinContext* ctx) -> Status {
+        ThreadPool* pool = options.shared_pool;
+        if (pool == nullptr && options.threads > 1) {
+          local_pool.emplace(options.threads - 1);
+          pool = &local_pool.value();
+        }
+        if (!ShouldParallelize(pool, active.size())) {
+          for (size_t k : active) {
+            PBITREE_RETURN_IF_ERROR(run_segment(k, sink, &ctx->stats));
+          }
+          return Status::OK();
+        }
+        // Fan out one task per active segment; the fan-in replays
+        // buffered pairs in segment order, so the emitted sequence
+        // equals the serial loop above.
+        return ParallelPartitions(
+            pool, ctx, sink, active.size(),
+            [&](size_t i, JoinContext* worker, ResultSink* local_sink) {
+              return run_segment(active[i], local_sink, &worker->stats);
+            });
+      });
 }
 
 }  // namespace pbitree

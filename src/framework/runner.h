@@ -16,7 +16,7 @@
 
 namespace pbitree {
 
-class ExecContext;
+class ThreadPool;
 
 /// \brief Configuration for one measured join execution.
 struct RunOptions {
@@ -32,13 +32,14 @@ struct RunOptions {
   /// unsegmented pair is always serial and ignores this field.
   size_t threads = 1;
 
-  /// Borrowed execution context shared across runs — the serve daemon's
-  /// worker pool. When set, `threads` is ignored and a segmented join
-  /// schedules its segment tasks on this context, so N concurrent
-  /// queries share one pool instead of each spawning their own (no
-  /// thread oversubscription). The caller keeps ownership and must keep
-  /// the context alive for the duration of the run.
-  ExecContext* shared_exec = nullptr;
+  /// Borrowed worker pool shared across runs — the serve daemon's. When
+  /// set, `threads` is ignored and a segmented join schedules its
+  /// segment tasks on this pool, so N concurrent queries share one pool
+  /// instead of each spawning their own (no thread oversubscription).
+  /// Unset, a segmented join at `threads` > 1 makes its own pool of
+  /// `threads - 1` workers for the call. The caller keeps ownership and
+  /// must keep the pool alive for the duration of the run.
+  ThreadPool* shared_pool = nullptr;
 
   /// Flush dirty pool pages after the run so their writes are charged
   /// to it — the measurement protocol of the benchmarks. The serve
@@ -124,7 +125,8 @@ StatusOr<RunResult> RunAuto(BufferManager* bm, const ElementSet& a,
 /// pairs run as pool tasks and merge through the ParallelPartitions
 /// order-preserving fan-in, so the emitted sequence equals the serial
 /// segment-order concatenation. Every segment task gets the full
-/// `work_pages`, so page I/O equals the serial loop's.
+/// `work_pages`, so page I/O equals the serial loop's (the budget rule
+/// of exec/partition_exec.h).
 ///
 /// Both sets must come from the same SegmentStore (matching level and
 /// per-segment pools). Ancestor replicas stay in the A input (the lemma
@@ -134,13 +136,6 @@ StatusOr<RunResult> RunAuto(BufferManager* bm, const ElementSet& a,
 /// delegated to RunJoin unchanged — byte-identical results and page-I/O
 /// to the unsegmented layout.
 StatusOr<RunResult> RunSegmentedJoin(Algorithm alg, BufferManager* spill_bm,
-                                     const SegmentedSet& a,
-                                     const SegmentedSet& d, ResultSink* sink,
-                                     const RunOptions& options);
-
-/// Table-1 selection over a segmented pair, exactly as RunAuto, then
-/// RunSegmentedJoin.
-StatusOr<RunResult> RunSegmentedAuto(BufferManager* spill_bm,
                                      const SegmentedSet& a,
                                      const SegmentedSet& d, ResultSink* sink,
                                      const RunOptions& options);

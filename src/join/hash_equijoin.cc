@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -22,10 +23,6 @@ uint64_t HashKey(uint64_t key, int salt) {
   return z ^ (z >> 31);
 }
 
-/// Rolled join key of an element for target height `h`. For an element
-/// already at height h this is its own code (F(n, height(n)) = n).
-uint64_t RolledKey(Code code, int h) { return AncestorAtHeight(code, h); }
-
 /// Emits one rolled-key match into the join's staging buffer if the
 /// exact Lemma-1 predicate holds; otherwise counts a false hit.
 Status EmitMatch(JoinContext* ctx, Code a, Code d, PairBuffer* out) {
@@ -34,93 +31,66 @@ Status EmitMatch(JoinContext* ctx, Code a, Code d, PairBuffer* out) {
   return Status::OK();
 }
 
-/// In-memory build/probe join of one (sub-)partition pair. `build_a`
-/// says which side the hash table is built on; emission is always
-/// (a, d) with the Lemma-1 residual check.
-Status InMemoryJoin(JoinContext* ctx, const HeapFile& a_file,
-                    const HeapFile& d_file, int h, bool build_a,
-                    ResultSink* sink) {
+/// Build/probe join of one (sub-)partition pair: hash tables of at most
+/// `chunk` build-side records each, every table probed by one scan of
+/// the other side. `build_a` says which side the tables are built on;
+/// emission is always (a, d) with the Lemma-1 residual check. One chunk
+/// is the in-memory join (I/O = ||A|| + ||D||); more chunks are the
+/// block nested-loop fallback for partitions whose rolled keys are too
+/// skewed to split (I/O = ||build|| + ||probe|| * chunks).
+Status BuildProbeJoin(JoinContext* ctx, const HeapFile& a_file,
+                      const HeapFile& d_file, int h, bool build_a,
+                      uint64_t chunk, ResultSink* sink) {
   const HeapFile& build = build_a ? a_file : d_file;
   const HeapFile& probe = build_a ? d_file : a_file;
 
-  std::unordered_multimap<uint64_t, Code> table;
-  table.reserve(build.num_records());
-  // Rolled keys for the whole zero-copy batch, computed by the batch
-  // kernel.
+  // The build scan stays open across chunks; `next` is the first record
+  // of `batch` not yet in a table. Rolled keys for each zero-copy batch
+  // are computed by the batch kernel.
+  HeapFile::Scanner build_scan(ctx->bm, build);
+  std::span<const ElementRecord> batch = build_scan.NextElementBatch();
+  std::vector<uint64_t> build_keys;
+  size_t next = 0;
+  uint64_t remaining = build.num_records();
   std::vector<uint64_t> keys;
-  {
-    obs::ObsSpan build_span(obs::Phase::kBuild);
-    HeapFile::Scanner scan(ctx->bm, build);
-    for (auto batch = scan.NextElementBatch(); !batch.empty();
-         batch = scan.NextElementBatch()) {
-      keys.resize(batch.size());
-      simd::RolledKeys(reinterpret_cast<const uint64_t*>(batch.data()), 2,
-                       batch.size(), h, keys.data());
-      for (size_t i = 0; i < batch.size(); ++i) {
-        table.emplace(keys[i], batch[i].code);
-      }
-    }
-    PBITREE_RETURN_IF_ERROR(scan.status());
-  }
-
-  obs::ObsSpan probe_span(obs::Phase::kProbe);
   PairBuffer out(sink, &ctx->stats.output_pairs);
-  HeapFile::Scanner scan(ctx->bm, probe);
-  for (auto batch = scan.NextElementBatch(); !batch.empty();
-       batch = scan.NextElementBatch()) {
-    keys.resize(batch.size());
-    simd::RolledKeys(reinterpret_cast<const uint64_t*>(batch.data()), 2,
-                     batch.size(), h, keys.data());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const ElementRecord& rec = batch[i];
-      auto [lo, hi] = table.equal_range(keys[i]);
-      for (auto it = lo; it != hi; ++it) {
-        Code a = build_a ? it->second : rec.code;
-        Code d = build_a ? rec.code : it->second;
-        PBITREE_RETURN_IF_ERROR(EmitMatch(ctx, a, d, &out));
-      }
-    }
-  }
-  PBITREE_RETURN_IF_ERROR(scan.status());
-  return out.Flush();
-}
-
-/// Block nested-loop fallback for pathologically skewed partitions where
-/// one rolled key holds more records than memory: join in chunks of the
-/// build side. I/O = ||probe|| * ceil(||build|| / budget).
-Status BlockNestedLoopJoin(JoinContext* ctx, const HeapFile& a_file,
-                           const HeapFile& d_file, int h, ResultSink* sink) {
-  const bool build_a = a_file.num_pages() <= d_file.num_pages();
-  const HeapFile& build = build_a ? a_file : d_file;
-  const HeapFile& probe = build_a ? d_file : a_file;
-  const uint64_t chunk = std::max<uint64_t>(ctx->WorkRecordBudget(), 1);
-
-  HeapFile::BatchCursor build_cur(ctx->bm, build);
-  PairBuffer out(sink, &ctx->stats.output_pairs);
-  bool more = true;
-  while (more) {
+  while (!batch.empty()) {
     std::unordered_multimap<uint64_t, Code> table;
-    uint64_t n = 0;
-    for (; build_cur.live() && n < chunk; build_cur.Advance()) {
-      const Code c = build_cur.rec().code;
-      table.emplace(RolledKey(c, h), c);
-      ++n;
+    table.reserve(std::min(chunk, remaining));
+    {
+      obs::ObsSpan build_span(obs::Phase::kBuild);
+      for (uint64_t n = 0; !batch.empty() && n < chunk;) {
+        if (next == 0) {
+          build_keys.resize(batch.size());
+          simd::RolledKeys(reinterpret_cast<const uint64_t*>(batch.data()), 2,
+                           batch.size(), h, build_keys.data());
+        }
+        const size_t end =
+            next + std::min<uint64_t>(batch.size() - next, chunk - n);
+        for (size_t i = next; i < end; ++i) {
+          table.emplace(build_keys[i], batch[i].code);
+        }
+        n += end - next;
+        remaining -= end - next;
+        next = end;
+        if (next == batch.size()) {
+          batch = build_scan.NextElementBatch();
+          next = 0;
+        }
+      }
+      PBITREE_RETURN_IF_ERROR(build_scan.status());
     }
-    if (!build_cur.live()) {
-      PBITREE_RETURN_IF_ERROR(build_cur.status());
-      more = false;
-    }
-    if (table.empty()) break;
+
+    obs::ObsSpan probe_span(obs::Phase::kProbe);
     HeapFile::Scanner probe_scan(ctx->bm, probe);
-    std::vector<uint64_t> keys;
-    for (auto batch = probe_scan.NextElementBatch(); !batch.empty();
-         batch = probe_scan.NextElementBatch()) {
-      keys.resize(batch.size());
-      simd::RolledKeys(reinterpret_cast<const uint64_t*>(batch.data()), 2,
-                       batch.size(), h, keys.data());
-      for (size_t i = 0; i < batch.size(); ++i) {
-        const ElementRecord& rec = batch[i];
-          auto [lo, hi] = table.equal_range(keys[i]);
+    for (auto pb = probe_scan.NextElementBatch(); !pb.empty();
+         pb = probe_scan.NextElementBatch()) {
+      keys.resize(pb.size());
+      simd::RolledKeys(reinterpret_cast<const uint64_t*>(pb.data()), 2,
+                       pb.size(), h, keys.data());
+      for (size_t i = 0; i < pb.size(); ++i) {
+        const ElementRecord& rec = pb[i];
+        auto [lo, hi] = table.equal_range(keys[i]);
         for (auto it = lo; it != hi; ++it) {
           Code a = build_a ? it->second : rec.code;
           Code d = build_a ? rec.code : it->second;
@@ -130,6 +100,7 @@ Status BlockNestedLoopJoin(JoinContext* ctx, const HeapFile& a_file,
     }
     PBITREE_RETURN_IF_ERROR(probe_scan.status());
   }
+  PBITREE_RETURN_IF_ERROR(build_scan.status());  // a failed first fetch
   return out.Flush();
 }
 
@@ -176,13 +147,19 @@ Status HashJoinRecursive(JoinContext* ctx, const HeapFile& a_file,
   const uint64_t smaller =
       std::min(a_file.num_records(), d_file.num_records());
   if (smaller <= budget) {
-    bool build_a = a_file.num_records() <= d_file.num_records();
-    return InMemoryJoin(ctx, a_file, d_file, h, build_a, sink);
+    // In memory: the side with fewer records, in one chunk.
+    const bool build_a = a_file.num_records() <= d_file.num_records();
+    const HeapFile& build = build_a ? a_file : d_file;
+    return BuildProbeJoin(ctx, a_file, d_file, h, build_a,
+                          build.num_records(), sink);
   }
   if (depth >= 3) {
     // Re-partitioning stopped helping (duplicate-heavy rolled keys);
-    // degrade gracefully instead of recursing forever.
-    return BlockNestedLoopJoin(ctx, a_file, d_file, h, sink);
+    // degrade gracefully instead of recursing forever: the side with
+    // fewer pages, in budget-sized chunks.
+    return BuildProbeJoin(ctx, a_file, d_file, h,
+                          a_file.num_pages() <= d_file.num_pages(),
+                          std::max<uint64_t>(budget, 1), sink);
   }
 
   // Partition count: enough that the smaller side of each pair fits in

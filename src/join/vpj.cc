@@ -26,6 +26,10 @@ int FloorLog2(uint64_t n) {
   return 63 - std::countl_zero(n);
 }
 
+/// Safety bound on recursive partitioning: past this depth a partition
+/// pair joins in memory whatever its size.
+constexpr int kMaxRecursion = 32;
+
 /// One vertical partition: the subtree of one level-l node.
 struct Partition {
   uint64_t alpha = 0;
@@ -105,7 +109,7 @@ struct VpjRunner {
 
     const uint64_t budget = ctx->WorkRecordBudget();
     if (std::min(a_file.num_records(), d_file.num_records()) <= budget ||
-        depth >= opts.max_recursion) {
+        depth >= kMaxRecursion) {
       return MemoryContainmentJoin(ctx, a_file, d_file, a_mask, sink);
     }
 

@@ -13,7 +13,6 @@ namespace pbitree {
 struct VpjOptions {
   bool enable_purging = true;  // drop partitions with one side empty
   bool enable_merging = true;  // coalesce adjacent small partitions
-  int max_recursion = 32;      // safety bound on recursive partitioning
 };
 
 /// \brief Vertical-Partitioning Join (Algorithms 5 and 6 of the paper).

@@ -135,6 +135,15 @@ inline uint64_t EndOf(Code code) {
   return code + ((Code{1} << HeightOf(code)) - 1);
 }
 
+/// Document order: Start ascending, then height descending, so an
+/// ancestor sorts before every descendant that shares its Start. This
+/// is the order STACKTREE and MPMGJN scan and re-binarization rebuilds.
+inline bool DocLess(Code a, Code b) {
+  const uint64_t sa = StartOf(a), sb = StartOf(b);
+  if (sa != sb) return sa < sb;
+  return HeightOf(a) > HeightOf(b);
+}
+
 /// \brief Prefix code derived from a PBiTree code (Lemma 4):
 /// the bit string `code >> h` of length H - h bits (kept fixed-length —
 /// leading zeros are significant). Its first H - h - 1 bits are the

@@ -28,7 +28,7 @@ class TwigParser {
     TwigQuery q;
     while (pos_ < text_.size() && text_[pos_] == '/') {
       if (pos_ + 1 >= text_.size() || text_[pos_ + 1] != '/') {
-        return Status::NotSupported(
+        return Status::Unimplemented(
             "only the descendant axis '//' is supported");
       }
       pos_ += 2;
@@ -37,7 +37,7 @@ class TwigParser {
       while (pos_ < text_.size() && text_[pos_] != '/' &&
              text_[pos_] != '[' && text_[pos_] != ']') {
         if (text_[pos_] == '@') {
-          return Status::NotSupported("attribute tests are not supported");
+          return Status::Unimplemented("attribute tests are not supported");
         }
         ++pos_;
       }

@@ -118,6 +118,7 @@ Status DecodeError(std::string_view payload) {
     return Status::Internal("malformed error frame: '" + std::string(payload) +
                             "'");
   }
+  // kUnimplemented is the enum's last code.
   if (code <= 0 || code > static_cast<int>(StatusCode::kUnimplemented)) {
     return Status::Internal("error frame with unknown status code " +
                             std::string(code_part) + ": " + message);

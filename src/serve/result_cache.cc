@@ -8,8 +8,6 @@ namespace serve {
 
 ResultCacheConfig ResultCacheConfig::FromEnv() {
   ResultCacheConfig cfg;
-  cfg.enabled =
-      EnvInt64Checked("PBITREE_RESULT_CACHE", cfg.enabled ? 1 : 0, 0, 1) != 0;
   cfg.max_bytes = static_cast<size_t>(
       EnvInt64Checked("PBITREE_RESULT_CACHE_BYTES",
                       static_cast<int64_t>(cfg.max_bytes), 0,
@@ -18,7 +16,7 @@ ResultCacheConfig ResultCacheConfig::FromEnv() {
 }
 
 std::shared_ptr<const ResultCache::Entry> ResultCache::Lookup(const Key& key) {
-  if (!enabled()) return nullptr;
+  if (cfg_.max_bytes == 0) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(key);
   if (it == map_.end()) {
@@ -31,7 +29,7 @@ std::shared_ptr<const ResultCache::Entry> ResultCache::Lookup(const Key& key) {
 }
 
 void ResultCache::Insert(const Key& key, std::shared_ptr<const Entry> entry) {
-  if (!enabled() || entry == nullptr) return;
+  if (entry == nullptr) return;
   const size_t entry_bytes = EntryBytes(entry->pairs.size());
   if (entry_bytes > cfg_.max_bytes) return;  // can never fit
   std::lock_guard<std::mutex> lock(mu_);

@@ -16,14 +16,13 @@
 namespace pbitree {
 namespace serve {
 
-/// \brief Result-cache knobs, read once at daemon start.
+/// \brief Result-cache knob, read once at daemon start.
 ///
-/// `PBITREE_RESULT_CACHE` (0|1) turns the cache off or on;
-/// `PBITREE_RESULT_CACHE_BYTES` bounds its resident bytes. Both go
-/// through the checked env readers: a set-but-invalid value aborts
-/// instead of silently meaning something else.
+/// `PBITREE_RESULT_CACHE_BYTES` bounds the cache's resident bytes; 0
+/// turns the cache off. It goes through the checked env reader: a
+/// set-but-invalid value aborts instead of silently meaning something
+/// else.
 struct ResultCacheConfig {
-  bool enabled = true;
   size_t max_bytes = size_t{64} << 20;  // 64 MiB
 
   static ResultCacheConfig FromEnv();
@@ -85,17 +84,17 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  bool enabled() const { return cfg_.enabled && cfg_.max_bytes > 0; }
   size_t max_bytes() const { return cfg_.max_bytes; }
 
   /// The cached result for `key`, or null. Counts a hit or a miss and
-  /// refreshes the entry's LRU position. Always a miss (uncounted) when
-  /// the cache is disabled.
+  /// refreshes the entry's LRU position. Always a miss (uncounted) at
+  /// a zero byte budget, where the cache is off.
   std::shared_ptr<const Entry> Lookup(const Key& key);
 
   /// Caches `entry` under `key`, evicting least-recently-used entries
   /// until the budget holds. An entry over the whole budget is dropped
-  /// (never cached); a duplicate key is replaced. No-op when disabled.
+  /// (never cached), as is every entry at a zero budget; a duplicate
+  /// key is replaced.
   void Insert(const Key& key, std::shared_ptr<const Entry> entry);
 
   /// Drops every entry whose epoch is older than `live_epoch` — the
@@ -137,33 +136,29 @@ class ResultCache {
 
 /// \brief Tee sink: forwards every pair to the client-facing sink
 /// unchanged while accumulating a copy for cache insertion. If the
-/// result grows past the cache's whole budget the copy is abandoned
-/// (freed immediately, forwarding continues) — the query still streams,
-/// it just is not cacheable.
+/// result would grow past the cache's whole budget the copy is
+/// abandoned (freed immediately, forwarding continues) — the query
+/// still streams, it just is not cacheable. At a zero budget no pair is
+/// ever copied.
 class CachingSink : public ResultSink {
  public:
   CachingSink(ResultSink* inner, size_t budget_bytes)
       : inner_(inner), budget_bytes_(budget_bytes) {}
 
   Status OnPair(Code a, Code d) override {
-    ++count_;
-    if (!abandoned_) {
-      pairs_.push_back(ResultPair{a, d});
-      CheckBudget();
-    }
+    const ResultPair pair{a, d};
+    Keep(std::span<const ResultPair>(&pair, 1));
     return inner_->OnPair(a, d);
   }
 
   Status OnBatch(std::span<const ResultPair> pairs) override {
-    count_ += pairs.size();
-    if (!abandoned_) {
-      pairs_.insert(pairs_.end(), pairs.begin(), pairs.end());
-      CheckBudget();
-    }
+    Keep(pairs);
     return inner_->OnBatch(pairs);
   }
 
-  /// True when the copy survived (result fits the cache budget).
+  /// True when the copy survived (result fits the cache budget). A
+  /// sink that saw no pair is cacheable; ResultCache::Insert still
+  /// drops the entry at a zero budget.
   bool cacheable() const { return !abandoned_; }
 
   /// Pairs forwarded so far (kept even after the copy is abandoned).
@@ -173,12 +168,17 @@ class CachingSink : public ResultSink {
   std::vector<ResultPair> TakePairs() { return std::move(pairs_); }
 
  private:
-  void CheckBudget() {
-    if (ResultCache::EntryBytes(pairs_.size()) > budget_bytes_) {
+  void Keep(std::span<const ResultPair> pairs) {
+    count_ += pairs.size();
+    if (abandoned_) return;
+    if (ResultCache::EntryBytes(pairs_.size() + pairs.size()) >
+        budget_bytes_) {
       abandoned_ = true;
       pairs_.clear();
       pairs_.shrink_to_fit();
+      return;
     }
+    pairs_.insert(pairs_.end(), pairs.begin(), pairs.end());
   }
 
   ResultSink* inner_;

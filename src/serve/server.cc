@@ -83,27 +83,30 @@ size_t Server::PerQueryWorkPages() const {
 Status Server::Start() {
   if (started_.load()) return Status::InvalidArgument("server already started");
 
-  // Warm up: attach every catalogued set once. After this the daemon
-  // never touches the catalog again — repeated queries hit these
-  // handles and whatever pages the pool has retained. Master entries
-  // of a segmented store warm as SegmentedSet handles instead.
-  const Catalog& catalog = *store_->main_catalog();
-  for (const std::string& name : catalog.Names()) {
-    if (catalog.IsSegmented(name)) {
+  // One way to serve each level: level 0 through the attached element
+  // store, whose live handles see committed mutations; level > 0
+  // through warm SegmentedSet handles, immutable by construction.
+  const int level = store_->level();
+  if (level == 0 && estore_ == nullptr) {
+    return Status::InvalidArgument(
+        "a level-0 store is served through its element store; call "
+        "AttachElementStore before Start");
+  }
+  if (level > 0 && estore_ != nullptr) {
+    return Status::InvalidArgument(
+        "a segmented store (level " + std::to_string(level) +
+        ") is served read-only; attach no element store");
+  }
+  // Warm up once: after this the daemon never touches the catalog
+  // again — repeated queries hit these handles and whatever pages the
+  // pools have retained.
+  if (level > 0) {
+    for (const std::string& name : store_->Names()) {
       PBITREE_ASSIGN_OR_RETURN(SegmentedSet set, store_->Load(name));
       seg_sets_.emplace(name, std::move(set));
-      continue;
     }
-    // An attached element store already warmed live handles for every
-    // unsegmented set; joins read those (under a ReadPin) so they see
-    // committed mutations — a second warm copy here would go stale.
-    if (estore_ != nullptr) continue;
-    PBITREE_ASSIGN_OR_RETURN(ElementSet set,
-                             catalog.Get(store_->main_bm(), name));
-    sets_.emplace(name, set);
   }
-
-  exec_ = std::make_unique<ExecContext>(cfg_.threads);
+  if (cfg_.threads > 1) pool_ = std::make_unique<ThreadPool>(cfg_.threads - 1);
 
   if (::pipe(wake_pipe_) != 0) {
     return Status::IOError(std::string("pipe: ") + std::strerror(errno));
@@ -293,12 +296,6 @@ Status Server::HandleRequest(int fd, const Request& req) {
         out += '\n';
       }
     }
-    for (const auto& [name, set] : sets_) {
-      out += name;
-      out += ' ';
-      out += std::to_string(set.num_records());
-      out += '\n';
-    }
     for (const auto& [name, set] : seg_sets_) {
       out += name;
       out += ' ';
@@ -329,34 +326,36 @@ Status Server::HandleJoin(int fd, const Request& req) {
                       EncodeError(Status::InvalidArgument(
                           "join requires a=<tag> and d=<tag>")));
   }
-  // With a mutable store attached the query pins a snapshot: the shared
-  // lock keeps mutation batches out for the query's whole execution and
-  // the pinned epoch keys the result cache.
+  // At level 0 the query pins a snapshot of the element store: the
+  // shared lock keeps mutation batches out for the query's whole
+  // execution and the pinned epoch keys the result cache. A segmented
+  // store never changes, so its queries run at epoch 0.
   std::optional<ElementSetStore::ReadPin> pin;
   if (estore_ != nullptr) pin.emplace(estore_->PinForRead());
   const uint64_t epoch = pin ? pin->epoch() : 0;
 
-  auto find_set = [&](const std::string& tag) -> const ElementSet* {
-    auto it = sets_.find(tag);
-    if (it != sets_.end()) return &it->second;
-    if (estore_ != nullptr) {
+  const ElementSet* a = nullptr;
+  const ElementSet* d = nullptr;
+  const SegmentedSet* seg_a = nullptr;
+  const SegmentedSet* seg_d = nullptr;
+  if (estore_ != nullptr) {
+    auto find = [&](const std::string& tag) -> const ElementSet* {
       StatusOr<const ElementSet*> live = estore_->GetSet(tag);
-      if (live.ok()) return *live;
-    }
-    return nullptr;
-  };
-  auto find_seg = [&](const std::string& tag) -> const SegmentedSet* {
-    auto it = seg_sets_.find(tag);
-    return it == seg_sets_.end() ? nullptr : &it->second;
-  };
-  const ElementSet* a = find_set(a_it->second);
-  const ElementSet* d = find_set(d_it->second);
-  const SegmentedSet* seg_a = find_seg(a_it->second);
-  const SegmentedSet* seg_d = find_seg(d_it->second);
-  const bool segmented = seg_a != nullptr && seg_d != nullptr;
-  if (!segmented && (a == nullptr || d == nullptr)) {
-    const std::string& missing =
-        (a == nullptr && seg_a == nullptr) ? a_it->second : d_it->second;
+      return live.ok() ? *live : nullptr;
+    };
+    a = find(a_it->second);
+    d = find(d_it->second);
+  } else {
+    auto find = [&](const std::string& tag) -> const SegmentedSet* {
+      auto it = seg_sets_.find(tag);
+      return it == seg_sets_.end() ? nullptr : &it->second;
+    };
+    seg_a = find(a_it->second);
+    seg_d = find(d_it->second);
+  }
+  const bool has_a = a != nullptr || seg_a != nullptr;
+  if (!has_a || (d == nullptr && seg_d == nullptr)) {
+    const std::string& missing = has_a ? d_it->second : a_it->second;
     return WriteFrame(fd, FrameType::kError,
                       EncodeError(Status::NotFound("no element set named '" +
                                                    missing + "'")));
@@ -367,8 +366,15 @@ Status Server::HandleJoin(int fd, const Request& req) {
     alg_name = it->second;
   }
   Algorithm alg{};
-  const bool is_auto = alg_name == "auto";
-  if (!is_auto) {
+  if (alg_name == "auto") {
+    // Table 1 over the inputs' sortedness and height profile.
+    alg = a != nullptr
+              ? ChooseAlgorithm({a->sorted_by_start}, {d->sorted_by_start},
+                                a->SingleHeight())
+              : ChooseAlgorithm({seg_a->sorted_by_start},
+                                {seg_d->sorted_by_start},
+                                seg_a->SingleHeight());
+  } else {
     // Registry lookup: the error names every valid algorithm.
     StatusOr<Algorithm> parsed = AlgorithmFromName(alg_name);
     if (!parsed.ok()) {
@@ -393,45 +399,36 @@ Status Server::HandleJoin(int fd, const Request& req) {
   // Result cache: a hit replays the stored pairs through a fresh
   // SocketSink, whose chunking depends only on the pair sequence — the
   // pair stream is byte-identical to the uncached one at the same
-  // epoch.
+  // epoch. A zero byte budget (PBITREE_RESULT_CACHE_BYTES=0) never hits
+  // and never keeps a copy.
   ResultCache::Key cache_key{a_it->second, d_it->second, alg_name, epoch};
-  const bool use_cache = cache_.enabled();
-  if (use_cache) {
-    if (std::shared_ptr<const ResultCache::Entry> hit =
-            cache_.Lookup(cache_key)) {
-      SocketSink sink(fd);
-      PBITREE_RETURN_IF_ERROR(sink.OnBatch(hit->pairs));
-      PBITREE_RETURN_IF_ERROR(sink.Flush());
-      query_timer.Finish();
-      queries_served_.fetch_add(1, std::memory_order_relaxed);
-      // A replay did no join work: keep the pair count and algorithm
-      // but zero the producing run's timing/IO so clients never
-      // attribute its cost to this reply.
-      JoinSummary summary = hit->summary;
-      summary.wall_seconds = 0.0;
-      summary.page_reads = 0;
-      summary.page_writes = 0;
-      return WriteFrame(fd, FrameType::kDone, EncodeDone(summary));
-    }
+  if (std::shared_ptr<const ResultCache::Entry> hit =
+          cache_.Lookup(cache_key)) {
+    SocketSink sink(fd);
+    PBITREE_RETURN_IF_ERROR(sink.OnBatch(hit->pairs));
+    PBITREE_RETURN_IF_ERROR(sink.Flush());
+    query_timer.Finish();
+    queries_served_.fetch_add(1, std::memory_order_relaxed);
+    // A replay did no join work: keep the pair count and algorithm
+    // but zero the producing run's timing/IO so clients never
+    // attribute its cost to this reply.
+    JoinSummary summary = hit->summary;
+    summary.wall_seconds = 0.0;
+    summary.page_reads = 0;
+    summary.page_writes = 0;
+    return WriteFrame(fd, FrameType::kDone, EncodeDone(summary));
   }
 
   RunOptions options;
   options.work_pages = PerQueryWorkPages();
-  options.shared_exec = exec_.get();
+  options.shared_pool = pool_.get();
   options.flush_pool = false;  // phase op; see RunOptions::flush_pool
   BufferManager* bm = store_->main_bm();
   SocketSink socket_sink(fd);
-  CachingSink caching_sink(&socket_sink,
-                           use_cache ? cache_.max_bytes() : 0);
-  ResultSink* sink = use_cache ? static_cast<ResultSink*>(&caching_sink)
-                               : &socket_sink;
+  CachingSink sink(&socket_sink, cache_.max_bytes());
   StatusOr<RunResult> run =
-      segmented
-          ? (is_auto ? RunSegmentedAuto(bm, *seg_a, *seg_d, sink, options)
-                     : RunSegmentedJoin(alg, bm, *seg_a, *seg_d, sink,
-                                        options))
-          : (is_auto ? RunAuto(bm, *a, *d, sink, options)
-                     : RunJoin(alg, bm, *a, *d, sink, options));
+      a != nullptr ? RunJoin(alg, bm, *a, *d, &sink, options)
+                   : RunSegmentedJoin(alg, bm, *seg_a, *seg_d, &sink, options);
   if (!run.ok()) {
     // If the sink died the socket is gone — fail the connection; any
     // other failure is reported to the (still healthy) client.
@@ -448,9 +445,9 @@ Status Server::HandleJoin(int fd, const Request& req) {
   summary.page_writes = run->page_writes;
   summary.wall_seconds = run->wall_seconds;
   summary.algorithm = AlgorithmName(run->algorithm);
-  if (use_cache && caching_sink.cacheable()) {
+  if (sink.cacheable()) {
     auto entry = std::make_shared<ResultCache::Entry>();
-    entry->pairs = caching_sink.TakePairs();
+    entry->pairs = sink.TakePairs();
     entry->summary = summary;
     cache_.Insert(cache_key, std::move(entry));
   }
@@ -465,12 +462,8 @@ Status Server::HandleUpdate(int fd, const Request& req) {
     // Typed refusal, never a silently corrupted database: a segmented
     // server has no mutable store to attach (see segment_store.h).
     return reply_error(Status::Unimplemented(
-        store_->level() > 0
-            ? "live updates of a segmented database are not supported; "
-              "mutate an unsegmented database (or rebuild the segments "
-              "offline)"
-            : "this server is read-only (no mutable element store "
-              "attached)"));
+        "live updates of a segmented database are not supported; mutate "
+        "an unsegmented database (or rebuild the segments offline)"));
   }
   auto set_it = req.params.find("set");
   auto action_it = req.params.find("action");

@@ -12,8 +12,7 @@
 #include <thread>
 
 #include "common/status.h"
-#include "exec/exec_context.h"
-#include "join/element_set.h"
+#include "exec/thread_pool.h"
 #include "join/segmented_set.h"
 #include "obs/metrics.h"
 #include "serve/admission.h"
@@ -47,11 +46,12 @@ struct ServeConfig {
   size_t queue_depth = 16;
   /// Total buffer-page budget shared by the concurrent queries.
   size_t work_pages = 512;
-  /// Width of the shared worker pool (exec/) that fans out the segment
-  /// pairs of queries over a segmented store (level >= 1). 1 = each
-  /// query joins its segments serially; queries over unsegmented sets
-  /// are always serial. Queries themselves still run concurrently on
-  /// their connection threads.
+  /// Width of the segment fan-out of queries over a segmented store
+  /// (level >= 1): the server owns one pool of `threads - 1` workers
+  /// shared by every query, and the query's own thread is the last of
+  /// the `threads` executors. 1 = no pool; each query joins its
+  /// segments serially. Level-0 queries are always serial. Queries
+  /// themselves still run concurrently on their connection threads.
   size_t threads = 1;
   /// Epoch-keyed query-result cache (see serve/result_cache.h).
   ResultCacheConfig cache;
@@ -69,44 +69,51 @@ struct ServeConfig {
 /// serve/protocol.h wire format, streaming results through a
 /// SocketSink with no server-side materialisation.
 ///
-/// Lifecycle: construct over an open SegmentStore, Start() (binds,
-/// preloads every catalogued element set, spawns the accept loop),
-/// serve until BeginShutdown()/Shutdown(). Shutdown drains: the
-/// listener closes first, in-flight queries run to completion and
-/// flush their sinks, queued admissions are cancelled, and every pool
-/// of the store gets a final flush + Sync barrier.
+/// Each store level is served one way:
+///  - level 0 through the attached ElementSetStore only: every query
+///    pins a snapshot epoch (the result-cache key) and the `update`
+///    op commits live mutations;
+///  - level > 0 through warm SegmentedSet handles only, joined by the
+///    scatter-gather path at epoch 0; `update` answers Unimplemented.
+/// Start() refuses the other two combinations with InvalidArgument.
+///
+/// Lifecycle: construct over an open SegmentStore, attach the element
+/// store at level 0, Start() (warms the segmented handles, binds,
+/// spawns the accept loop), serve until BeginShutdown()/Shutdown().
+/// Shutdown drains: the listener closes first, in-flight queries run
+/// to completion and flush their sinks, queued admissions are
+/// cancelled, and every pool of the store gets a final flush + Sync
+/// barrier.
 ///
 /// Concurrency model: one thread per connection (bounded by
 /// max_clients), queries gated by the AdmissionController, segment
-/// fan-out on one shared ExecContext pool (RunOptions::shared_exec) so
+/// fan-out on the server's one worker pool (RunOptions::shared_pool) so
 /// the thread budget is global, and per-query page budgets sliced from
-/// `work_pages` (each segment task of a query gets the whole slice). Every handler thread bills into the server's
-/// MetricRegistry — `metrics` requests return its JSON snapshot, and
-/// the serve_query latency histogram is the p50/p99 source.
+/// `work_pages` (each segment task of a query gets the whole slice).
+/// Every handler thread bills into the server's MetricRegistry —
+/// `metrics` requests return its JSON snapshot, and the serve_query
+/// latency histogram is the p50/p99 source.
 class Server {
  public:
-  /// Serves `store` at any level: master-entry sets are warmed as
-  /// SegmentedSet handles and joined through the scatter-gather path;
-  /// ordinary entries (every set at level 0) run a plain join on the
-  /// main pool. The server reads the store's main catalog in place.
-  /// The caller keeps ownership and must keep the store alive for the
-  /// server's lifetime; Shutdown's durability barrier covers every
-  /// segment file.
+  /// Serves `store` at any level (see the class comment). The caller
+  /// keeps ownership and must keep the store alive for the server's
+  /// lifetime; Shutdown's durability barrier covers every segment file.
   Server(SegmentStore* store, ServeConfig cfg);
   ~Server();
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Serves a mutable database: joins read their element sets through
-  /// `store` under a ReadPin (so every query is attributable to one
-  /// snapshot epoch, the result-cache key), and the `update` / `epoch`
-  /// wire ops come alive. Call before Start(); the caller keeps
-  /// ownership and must outlive the server. Without an attached store
-  /// the database is static and every query runs at epoch 0.
+  /// The element store a level-0 database is served through: joins
+  /// read their sets from it under a ReadPin (so every query is
+  /// attributable to one snapshot epoch, the result-cache key), and
+  /// `update` commits through it. Required at level 0, refused at
+  /// level > 0. Call before Start(); the caller keeps ownership and
+  /// must outlive the server.
   void AttachElementStore(ElementSetStore* store) { estore_ = store; }
 
-  /// Preloads the catalogued sets, binds and starts accepting.
+  /// Checks the store level against the attached element store, warms
+  /// the segmented sets (level > 0), binds and starts accepting.
   Status Start();
 
   /// The bound port (after Start; useful with cfg.port == 0).
@@ -158,20 +165,19 @@ class Server {
   /// Pass `all` to block until every connection is done first.
   void Reap(bool all);
 
-  /// Borrowed store: its main pool and catalog serve plain sets, its
-  /// per-segment pools the segmented joins.
+  /// Borrowed store: its main pool serves level-0 joins and spill
+  /// files, its per-segment pools the segmented joins.
   SegmentStore* store_;
   ServeConfig cfg_;
-  /// Borrowed mutable element store (null for a static database).
+  /// Borrowed element store, attached exactly when the level is 0.
   ElementSetStore* estore_ = nullptr;
   ResultCache cache_;
 
   obs::MetricRegistry registry_;
   AdmissionController admission_;
-  std::unique_ptr<ExecContext> exec_;
-  /// Warm handles to every catalogued set, loaded once in Start().
-  std::map<std::string, ElementSet> sets_;
-  /// Warm handles to the segmented (master-entry) sets.
+  /// Segment fan-out workers: threads - 1 of them, null at threads 1.
+  std::unique_ptr<ThreadPool> pool_;
+  /// Warm handles to every set of a level > 0 store, loaded in Start().
   std::map<std::string, SegmentedSet> seg_sets_;
 
   int listen_fd_ = -1;

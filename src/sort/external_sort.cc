@@ -15,11 +15,7 @@ namespace pbitree {
 bool ElementLess(const ElementRecord& a, const ElementRecord& b,
                  SortOrder order) {
   if (order == SortOrder::kCodeOrder) return a.code < b.code;
-  uint64_t sa = StartOf(a.code);
-  uint64_t sb = StartOf(b.code);
-  if (sa != sb) return sa < sb;
-  // Equal Start: the higher node is the ancestor and must come first.
-  return HeightOf(a.code) > HeightOf(b.code);
+  return DocLess(a.code, b.code);
 }
 
 namespace {

@@ -36,22 +36,6 @@ T ReadPod(const char* p) {
   return v;
 }
 
-/// Document order of two codes: (Start ascending, height descending),
-/// i.e. an ancestor sorts before its descendants. This is the pre-order
-/// of the forest re-binarization rebuilds.
-bool DocBefore(Code a, Code b) {
-  uint64_t sa = StartOf(a), sb = StartOf(b);
-  if (sa != sb) return sa < sb;
-  return HeightOf(a) > HeightOf(b);
-}
-
-/// True when appending `next` after `prev` keeps document order.
-bool DocOrdered(Code prev, Code next) {
-  uint64_t sp = StartOf(prev), sn = StartOf(next);
-  if (sp != sn) return sp < sn;
-  return HeightOf(prev) >= HeightOf(next);
-}
-
 }  // namespace
 
 Status ElementSetStore::Recover(DiskManager* disk) {
@@ -245,7 +229,7 @@ Status ElementSetStore::ScanMeta(SetState* s) {
       mask |= uint64_t{1} << h;
       min_start = std::min(min_start, StartOf(r.code));
       max_end = std::max(max_end, EndOf(r.code));
-      if (any && !DocOrdered(m.last_rec.code, r.code)) sorted = false;
+      if (any && DocLess(r.code, m.last_rec.code)) sorted = false;
       m.last_rec = r;
       any = true;
     }
@@ -311,7 +295,7 @@ Status ElementSetStore::AppendToSet(const std::string& name, SetState* s,
   const int h = HeightOf(rec.code);
   if (s->set.file.num_records() == 1) {
     s->set.sorted_by_start = true;
-  } else if (!DocOrdered(s->meta.last_rec.code, rec.code)) {
+  } else if (DocLess(rec.code, s->meta.last_rec.code)) {
     s->set.sorted_by_start = false;
   }
   ++s->meta.height_counts[h];
@@ -435,8 +419,7 @@ StatusOr<Code> ElementSetStore::InsertChild(const std::string& name,
   std::vector<Code> codes;
   codes.reserve(inside.size());
   for (const RecordLoc& loc : inside) codes.push_back(loc.rec.code);
-  std::sort(codes.begin(), codes.end(),
-            [](Code a, Code b) { return DocBefore(a, b); });
+  std::sort(codes.begin(), codes.end(), DocLess);
   codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
   std::vector<Code> maximal;
   uint64_t covered_end = 0;
@@ -477,8 +460,7 @@ StatusOr<Code> ElementSetStore::Rebinarize(const std::string& name,
   std::vector<Code> order;
   order.reserve(inside.size());
   for (const RecordLoc& loc : inside) order.push_back(loc.rec.code);
-  std::sort(order.begin(), order.end(),
-            [](Code a, Code b) { return DocBefore(a, b); });
+  std::sort(order.begin(), order.end(), DocLess);
   order.erase(std::unique(order.begin(), order.end()), order.end());
 
   struct Node {

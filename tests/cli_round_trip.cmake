@@ -14,6 +14,9 @@
 # 3. On the plain database an insert under the root (code 32768 in the
 #    fixture's height-16 PBiTree) adds one //doc//b match, and deleting
 #    the printed code takes it away again.
+# 4. A document with 43 distinct tags overfills the 42-entry catalog:
+#    encode stores 42 sets and exits 1, and encoding it again into the
+#    full catalog replaces the same 42 sets (and exits 1 again).
 
 foreach(var CLI FIXTURE WORK_DIR)
   if(NOT DEFINED ${var})
@@ -116,4 +119,36 @@ run_cli(0 out update "${plain}" delete b "${code}")
 query_count("${plain}" "//doc//b" n_deleted)
 if(NOT n_deleted EQUAL n_before)
   message(FATAL_ERROR "//doc//b after delete: ${n_deleted}, want ${n_before}")
+endif()
+
+# 4. More tags than catalog entries.
+set(wide "${WORK_DIR}/wide.xml")
+set(wide_db "${WORK_DIR}/wide.db")
+set(xml "<r>")
+foreach(i RANGE 1 42)
+  string(APPEND xml "<t${i}/>")
+endforeach()
+file(WRITE "${wide}" "${xml}</r>\n")
+set(listings "")
+foreach(pass 1 2)
+  run_cli(1 out encode "${wide}" "${wide_db}")
+  if(NOT out MATCHES "stored 42 element sets" OR
+     NOT out MATCHES "catalog full; skipping 1 less frequent tags")
+    message(FATAL_ERROR "encode ${pass} of 43 tags: want 42 stored, "
+                        "1 skipped\n${out}")
+  endif()
+  run_cli(0 out list "${wide_db}")
+  string(REGEX MATCHALL "\n(r|t[0-9]+) +1 " rows "${out}")
+  list(LENGTH rows n_rows)
+  if(NOT n_rows EQUAL 42)
+    message(FATAL_ERROR "encode ${pass} of 43 tags lists ${n_rows} sets, "
+                        "want 42:\n${out}")
+  endif()
+  list(APPEND listings "${out}")
+endforeach()
+list(GET listings 0 first)
+list(GET listings 1 second)
+if(NOT first STREQUAL second)
+  message(FATAL_ERROR "re-encode changed the stored sets:\n${first}\n"
+                      "--- then ---\n${second}")
 endif()

@@ -35,7 +35,7 @@ TEST(StatusTest, FactoriesCarryCodeAndMessage) {
   EXPECT_EQ(Status::ResourceExhausted("x").code(),
             StatusCode::kResourceExhausted);
   EXPECT_EQ(Status::OutOfRange("x").code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(Status::NotSupported("x").code(), StatusCode::kNotSupported);
+  EXPECT_EQ(Status::Unimplemented("x").code(), StatusCode::kUnimplemented);
   EXPECT_EQ(Status::Internal("x").code(), StatusCode::kInternal);
 }
 

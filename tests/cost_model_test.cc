@@ -118,10 +118,13 @@ TEST_F(CostVsMeasuredTest, EstimatesTrackMeasuredIO) {
     ASSERT_TRUE(run.ok()) << AlgorithmName(alg);
     uint64_t est = EstimateJoinIO(alg, in);
     uint64_t meas = run->TotalIO();
-    EXPECT_LT(est, meas * 3) << AlgorithmName(alg) << " est " << est
-                             << " meas " << meas;
-    EXPECT_LT(meas, est * 3) << AlgorithmName(alg) << " est " << est
-                             << " meas " << meas;
+    // STACKTREE's sorts are priced at raw density like the runs they
+    // write, which keeps it within 1.5x on both codecs.
+    const double bound = alg == Algorithm::kStackTree ? 1.5 : 3.0;
+    EXPECT_LT(est, meas * bound) << AlgorithmName(alg) << " est " << est
+                                 << " meas " << meas;
+    EXPECT_LT(meas, est * bound) << AlgorithmName(alg) << " est " << est
+                                 << " meas " << meas;
   }
 }
 

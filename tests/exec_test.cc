@@ -1,5 +1,5 @@
 // Tests for the execution subsystem: ThreadPool semantics (exception
-// propagation, help-on-wait nesting), ExecContext, the
+// propagation, help-on-wait nesting), the
 // ParallelPartitions fan-out/fan-in driver, and a multi-threaded stress
 // test of the latched BufferManager.
 
@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "exec/exec_context.h"
 #include "exec/partition_exec.h"
 #include "exec/thread_pool.h"
 #include "join/join_context.h"
@@ -60,19 +59,6 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   EXPECT_EQ(inner_runs.load(), 64);
 }
 
-TEST(ExecContextTest, SerialContextOwnsNoPool) {
-  ExecContext serial(1);
-  EXPECT_EQ(serial.threads(), 1u);
-  EXPECT_EQ(serial.pool(), nullptr);
-
-  ExecContext parallel(4);
-  EXPECT_EQ(parallel.threads(), 4u);
-  ASSERT_NE(parallel.pool(), nullptr);
-  // threads - 1 pool workers: the help-on-wait caller is the fourth
-  // executor, so at most threads() tasks ever run concurrently.
-  EXPECT_EQ(parallel.pool()->num_threads(), 3u);
-}
-
 class PartitionExecTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -85,24 +71,23 @@ class PartitionExecTest : public ::testing::Test {
 };
 
 TEST_F(PartitionExecTest, ShouldParallelizeRequiresPoolAndWork) {
-  EXPECT_FALSE(ShouldParallelize(nullptr, 8));  // no exec attached
+  // A fan-out one wide has no pool.
+  EXPECT_FALSE(ShouldParallelize(nullptr, 8));
 
-  ExecContext one(1);
-  EXPECT_FALSE(ShouldParallelize(&one, 8));  // threads == 1
-
-  ExecContext four(4);
+  // threads = 4: three workers, the caller is the fourth executor.
+  ThreadPool four(3);
   EXPECT_TRUE(ShouldParallelize(&four, 8));
   EXPECT_FALSE(ShouldParallelize(&four, 1));  // single task
 }
 
 TEST_F(PartitionExecTest, ReplaysPairsInPartitionOrderAndMergesStats) {
-  ExecContext exec(4);
+  ThreadPool pool(3);
   JoinContext ctx(bm_.get(), 32);
   constexpr size_t kParts = 16;
 
   VectorSink sink;
   Status st = ParallelPartitions(
-      &exec, &ctx, &sink, kParts,
+      &pool, &ctx, &sink, kParts,
       [&](size_t i, JoinContext* worker, ResultSink* local_sink) {
         // Every worker gets the parent's pool and its full budget: a
         // task's budget does not depend on how many run at once.
@@ -185,7 +170,7 @@ TEST_F(PartitionExecTest, BufferingSinkSpillsAreCountedInMetrics) {
 TEST_F(PartitionExecTest, FailingPartitionWithSpillsLeaksNoTempPages) {
   // The error path abandons every worker's BufferingSink after some of
   // them spilled to disk; their temp files must be dropped, not leaked.
-  ExecContext exec(4);
+  ThreadPool pool(3);
   // 8 pages: each local sink buffers 8 * kRecordsPerPage pairs, then
   // spills.
   JoinContext ctx(bm_.get(), 8);
@@ -195,7 +180,7 @@ TEST_F(PartitionExecTest, FailingPartitionWithSpillsLeaksNoTempPages) {
   obs::MetricScope scope(&reg);
   VectorSink sink;
   Status st = ParallelPartitions(
-      &exec, &ctx, &sink, 8,
+      &pool, &ctx, &sink, 8,
       [&](size_t i, JoinContext*, ResultSink* local_sink) {
         for (uint64_t k = 0; k < 5000; ++k) {  // enough pairs to spill
           PBITREE_RETURN_IF_ERROR(local_sink->OnPair(k + 1, k + 2));
@@ -211,7 +196,7 @@ TEST_F(PartitionExecTest, FailingPartitionWithSpillsLeaksNoTempPages) {
 }
 
 TEST_F(PartitionExecTest, FirstFailingPartitionWinsAndNothingIsEmitted) {
-  ExecContext exec(4);
+  ThreadPool pool(3);
   JoinContext ctx(bm_.get(), 32);
 
   // Tasks 4..7 fail only after task 3 has: a task not yet started when
@@ -221,7 +206,7 @@ TEST_F(PartitionExecTest, FirstFailingPartitionWinsAndNothingIsEmitted) {
   std::atomic<bool> third_done{false};
   VectorSink sink;
   Status st = ParallelPartitions(
-      &exec, &ctx, &sink, 8,
+      &pool, &ctx, &sink, 8,
       [&](size_t i, JoinContext*, ResultSink* local_sink) {
         if (i == 3) {
           third_done.store(true);

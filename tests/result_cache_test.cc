@@ -4,8 +4,10 @@
 // knobs (invalid values abort), and the serving layer end to end — a
 // repeated join must be a cache hit with a byte-identical reply (at the
 // opening epoch and after a commit), a committed update must bump the
-// epoch and invalidate, and a server without a mutable store must
-// answer updates with the typed Unimplemented condition.
+// epoch and invalidate, Start must serve a level-0 store only through
+// an attached element store and a segmented one only without, and a
+// segmented server must answer updates with the typed Unimplemented
+// condition.
 
 #include <gtest/gtest.h>
 
@@ -64,7 +66,6 @@ TEST(ResultCacheTest, LruEvictionUnderByteBudgetWithCounters) {
   // Room for exactly two 10-pair entries.
   cfg.max_bytes = 2 * ResultCache::EntryBytes(10) + 32;
   ResultCache cache(cfg);
-  ASSERT_TRUE(cache.enabled());
 
   cache.Insert(K("A", 0), MakeEntry(10));
   cache.Insert(K("B", 0), MakeEntry(10));
@@ -127,18 +128,20 @@ TEST(ResultCacheTest, EvictStaleEpochsDropsOnlyOlderEpochs) {
 }
 
 TEST(ResultCacheTest, DisabledCacheNeverStoresOrHits) {
+  // A zero byte budget is the cache switched off: nothing is stored,
+  // not even an empty result, and lookups count no miss.
+  obs::MetricRegistry reg;
+  obs::MetricScope scope(&reg);
   ResultCacheConfig off;
-  off.enabled = false;
+  off.max_bytes = 0;
   ResultCache cache(off);
-  EXPECT_FALSE(cache.enabled());
   cache.Insert(K("A", 0), MakeEntry(1));
+  cache.Insert(K("B", 0), MakeEntry(0));
   EXPECT_EQ(cache.entries(), 0u);
+  EXPECT_EQ(cache.bytes(), 0u);
   EXPECT_EQ(cache.Lookup(K("A", 0)), nullptr);
-
-  ResultCacheConfig zero;
-  zero.max_bytes = 0;
-  ResultCache empty(zero);
-  EXPECT_FALSE(empty.enabled());
+  EXPECT_EQ(cache.Lookup(K("B", 0)), nullptr);
+  EXPECT_EQ(reg.Snapshot().counter(obs::Counter::kServeCacheMisses), 0u);
 }
 
 TEST(ResultCacheTest, ClearDropsEverything) {
@@ -191,25 +194,20 @@ TEST(CachingSinkTest, ZeroBudgetAbandonsImmediately) {
 // Env knobs: defaults, application, and checked-abort on nonsense.
 
 TEST(ResultCacheConfigTest, DefaultsAndEnvApplication) {
-  ::unsetenv("PBITREE_RESULT_CACHE");
   ::unsetenv("PBITREE_RESULT_CACHE_BYTES");
   ResultCacheConfig def = ResultCacheConfig::FromEnv();
-  EXPECT_TRUE(def.enabled);
   EXPECT_EQ(def.max_bytes, size_t{64} << 20);
 
-  ::setenv("PBITREE_RESULT_CACHE", "0", 1);
   ::setenv("PBITREE_RESULT_CACHE_BYTES", "1048576", 1);
-  ResultCacheConfig cfg = ResultCacheConfig::FromEnv();
-  EXPECT_FALSE(cfg.enabled);
-  EXPECT_EQ(cfg.max_bytes, size_t{1} << 20);
-  ::unsetenv("PBITREE_RESULT_CACHE");
+  EXPECT_EQ(ResultCacheConfig::FromEnv().max_bytes, size_t{1} << 20);
+  ::setenv("PBITREE_RESULT_CACHE_BYTES", "0", 1);  // the cache off
+  EXPECT_EQ(ResultCacheConfig::FromEnv().max_bytes, 0u);
   ::unsetenv("PBITREE_RESULT_CACHE_BYTES");
 }
 
 TEST(ResultCacheConfigDeathTest, InvalidKnobValuesAbortWithTheName) {
-  ::setenv("PBITREE_RESULT_CACHE", "2", 1);
-  EXPECT_DEATH(ResultCacheConfig::FromEnv(), "PBITREE_RESULT_CACHE");
-  ::unsetenv("PBITREE_RESULT_CACHE");
+  ::setenv("PBITREE_RESULT_CACHE_BYTES", "-1", 1);
+  EXPECT_DEATH(ResultCacheConfig::FromEnv(), "PBITREE_RESULT_CACHE_BYTES");
   ::setenv("PBITREE_RESULT_CACHE_BYTES", "lots", 1);
   EXPECT_DEATH(ResultCacheConfig::FromEnv(), "PBITREE_RESULT_CACHE_BYTES");
   ::unsetenv("PBITREE_RESULT_CACHE_BYTES");
@@ -275,15 +273,19 @@ class CachedServeTest : public ::testing::Test {
     ASSERT_TRUE(store_->main_catalog()->Put(name, *built).ok());
   }
 
-  void StartServer(bool attach_store = true) {
+  static ServeConfig TestConfig() {
     ServeConfig cfg;
     cfg.port = 0;
     cfg.max_clients = 8;
     cfg.max_concurrent = 2;
     cfg.queue_depth = 4;
     cfg.work_pages = 64;
+    return cfg;
+  }
+
+  void StartServer(ServeConfig cfg = TestConfig()) {
     server_ = std::make_unique<Server>(store_.get(), cfg);
-    if (attach_store) server_->AttachElementStore(estore_.get());
+    server_->AttachElementStore(estore_.get());
     ASSERT_TRUE(server_->Start().ok());
   }
 
@@ -436,19 +438,42 @@ TEST_F(CachedServeTest, RepeatedJoinAfterCommitHitsTheCacheByteIdentically) {
   EXPECT_EQ(hit.pairs(), BruteForce(anc_codes_, desc_now));
 }
 
-TEST_F(CachedServeTest, ServerWithoutMutableStoreRefusesUpdatesTyped) {
-  StartServer(/*attach_store=*/false);
+TEST_F(CachedServeTest, StartServesEachLevelOneWay) {
+  // Level 0 is served only through an attached element store.
+  Server bare(store_.get(), TestConfig());
+  Status st = bare.Start();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+
+  // Level > 0 is served only through its segmented handles.
+  SegmentStore::Options opts;
+  opts.backend = "mem";
+  opts.pool_pages = 256;
+  opts.create_level = 1;
+  auto seg_store = SegmentStore::Open(opts);
+  ASSERT_TRUE(seg_store.ok()) << seg_store.status().ToString();
+  auto anc = estore_->GetSet("anc");
+  ASSERT_TRUE(anc.ok()) << anc.status().ToString();
+  ASSERT_TRUE((*seg_store)->StoreSet("anc", **anc, bm_).ok());
+  {
+    Server attached(seg_store->get(), TestConfig());
+    attached.AttachElementStore(estore_.get());
+    st = attached.Start();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  }
+
+  // Without one it serves joins at epoch 0 and refuses updates typed.
+  server_ = std::make_unique<Server>(seg_store->get(), TestConfig());
+  ASSERT_TRUE(server_->Start().ok());
   Client c = Connect();
-  Status st = c.InsertChild("desc", anc_codes_[0], 0, 1).status();
+  st = c.InsertChild("anc", anc_codes_[0], 0, 1).status();
   EXPECT_TRUE(st.IsUnimplemented()) << st.ToString();
   auto epoch = c.Epoch();
   ASSERT_TRUE(epoch.ok());
   EXPECT_EQ(*epoch, 0u);
-  // The static catalog still serves (and caches) joins.
   VectorSink sink;
-  ASSERT_TRUE(c.Join("anc", "desc", "MHCJ", &sink).ok());
-  ASSERT_TRUE(c.Join("anc", "desc", "MHCJ", &sink).ok());
-  EXPECT_EQ(Counter(obs::Counter::kServeCacheHits), 1u);
+  ASSERT_TRUE(c.Join("anc", "anc", "MHCJ", &sink).ok());
+  EXPECT_TRUE(server_->Shutdown().ok());
+  server_.reset();  // before the store it serves
 }
 
 TEST_F(CachedServeTest, UpdateRejectsTagAndDocThatOverflow32Bits) {
@@ -487,16 +512,9 @@ TEST_F(CachedServeTest, UpdateRejectsTagAndDocThatOverflow32Bits) {
 }
 
 TEST_F(CachedServeTest, CacheDisabledByConfigServesEveryQueryFresh) {
-  ServeConfig cfg;
-  cfg.port = 0;
-  cfg.max_clients = 8;
-  cfg.max_concurrent = 2;
-  cfg.queue_depth = 4;
-  cfg.work_pages = 64;
-  cfg.cache.enabled = false;
-  server_ = std::make_unique<Server>(store_.get(), cfg);
-  server_->AttachElementStore(estore_.get());
-  ASSERT_TRUE(server_->Start().ok());
+  ServeConfig cfg = TestConfig();
+  cfg.cache.max_bytes = 0;  // PBITREE_RESULT_CACHE_BYTES=0
+  StartServer(cfg);
 
   Client c = Connect();
   VectorSink a, b;

@@ -38,6 +38,7 @@
 #include "storage/buffer_manager.h"
 #include "storage/catalog.h"
 #include "storage/disk_manager.h"
+#include "storage/element_store.h"
 #include "storage/segment_store.h"
 
 namespace pbitree {
@@ -119,17 +120,22 @@ TEST(ServeProtocolTest, DoneRejectsMalformedPayload) {
 }
 
 TEST(ServeProtocolTest, ErrorRoundTripPreservesCodeAndMessage) {
-  for (Status st : {Status::NotFound("no such set"),
-                    Status::ResourceExhausted("queue full"),
-                    Status::Cancelled("shutting down"),
-                    Status::InvalidArgument("bad alg")}) {
+  // Every error code survives the wire, each with its message.
+  for (int c = 1; c <= static_cast<int>(StatusCode::kUnimplemented); ++c) {
+    const Status st(static_cast<StatusCode>(c), "code " + std::to_string(c));
     Status back = serve::DecodeError(serve::EncodeError(st));
-    EXPECT_EQ(back.code(), st.code());
+    EXPECT_EQ(back.code(), st.code()) << st.ToString();
     EXPECT_EQ(back.message(), st.message());
   }
   EXPECT_EQ(serve::DecodeError("not-a-code oops").code(),
             StatusCode::kInternal);
   EXPECT_EQ(serve::DecodeError("99 beyond the enum").code(),
+            StatusCode::kInternal);
+  EXPECT_EQ(serve::DecodeError(
+                std::to_string(static_cast<int>(StatusCode::kUnimplemented) +
+                               1) +
+                " one past the last code")
+                .code(),
             StatusCode::kInternal);
   EXPECT_EQ(serve::DecodeError("0 ok is not an error").code(),
             StatusCode::kInternal);
@@ -304,15 +310,24 @@ class ServeTest : public ::testing::Test {
     if (server_ != nullptr) {
       EXPECT_TRUE(server_->Shutdown().ok());
     }
+    server_.reset();
+    estore_.reset();
     EXPECT_EQ(bm_->PinnedFrames(), 0u);
     EXPECT_TRUE(a_.file.Drop(bm_).ok());
     EXPECT_TRUE(d_.file.Drop(bm_).ok());
   }
 
   /// Starts the fixture server (ephemeral port) with `cfg` defaults
-  /// tuned for tests; returns a connected client.
+  /// tuned for tests, serving the catalogued sets through an element
+  /// store the way every level-0 server does.
   void StartServer(ServeConfig cfg = TestConfig()) {
+    // The element store loads the sets from the saved catalog.
+    ASSERT_TRUE(catalog_->Save(bm_).ok());
+    auto estore = ElementSetStore::Open(bm_);
+    ASSERT_TRUE(estore.ok()) << estore.status().ToString();
+    estore_ = std::move(*estore);
     server_ = std::make_unique<Server>(store_.get(), cfg);
+    server_->AttachElementStore(estore_.get());
     ASSERT_TRUE(server_->Start().ok());
     ASSERT_GT(server_->port(), 0);
     baseline_live_pages_ = disk_->num_live_pages();
@@ -390,6 +405,7 @@ class ServeTest : public ::testing::Test {
   BufferManager* bm_ = nullptr;
   DiskManager* disk_ = nullptr;
   Catalog* catalog_ = nullptr;
+  std::unique_ptr<ElementSetStore> estore_;
   std::unique_ptr<Server> server_;
   std::vector<Code> a_codes_, d_codes_;
   ElementSet a_, d_;

@@ -45,7 +45,7 @@ TEST(ParsePathQueryTest, SingleStep) {
 
 TEST(ParsePathQueryTest, RejectsBadInput) {
   EXPECT_EQ(ParseTwigQuery("").status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(ParseTwigQuery("/a/b").status().code(), StatusCode::kNotSupported);
+  EXPECT_EQ(ParseTwigQuery("/a/b").status().code(), StatusCode::kUnimplemented);
   EXPECT_EQ(ParseTwigQuery("a//b").status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(ParseTwigQuery("//a//").status().code(),
@@ -93,8 +93,8 @@ TEST(ParseTwigQueryTest, RejectsMalformedPatterns) {
     return ParseTwigQuery(text).status().code();
   };
   EXPECT_EQ(code(""), StatusCode::kInvalidArgument);
-  EXPECT_EQ(code("/a"), StatusCode::kNotSupported);
-  EXPECT_EQ(code("/a/b"), StatusCode::kNotSupported);
+  EXPECT_EQ(code("/a"), StatusCode::kUnimplemented);
+  EXPECT_EQ(code("/a/b"), StatusCode::kUnimplemented);
   EXPECT_EQ(code("a//b"), StatusCode::kInvalidArgument);
   EXPECT_EQ(code("//a//"), StatusCode::kInvalidArgument);
   EXPECT_EQ(code("//a["), StatusCode::kInvalidArgument);
@@ -104,7 +104,7 @@ TEST(ParseTwigQueryTest, RejectsMalformedPatterns) {
   EXPECT_EQ(code("//a[1]"), StatusCode::kInvalidArgument);
   EXPECT_EQ(code("//a//[//b]"), StatusCode::kInvalidArgument);
   EXPECT_EQ(code("//a[@id]"), StatusCode::kInvalidArgument);
-  EXPECT_EQ(code("//a@id"), StatusCode::kNotSupported);
+  EXPECT_EQ(code("//a@id"), StatusCode::kUnimplemented);
 }
 
 class TwigQueryTest : public ::testing::Test {

@@ -100,7 +100,9 @@ SegmentStore::Options StoreOptions(const GlobalOptions& g,
 }
 
 /// Stores one element set per tag, most frequent first (the catalog
-/// holds 42 entries, so the frequent tags win the slots). Each set is
+/// holds 42 entries, so the frequent tags win the slots; a tag already
+/// in the catalog is replaced and takes no new slot). Exits 1 when any
+/// tag was skipped, for a full catalog or a failed store. Each set is
 /// extracted into a scratch in-memory database first; StoreSet then
 /// copies it into the main file (level 0) or shards it over the 2^l
 /// segment files by code space, with ancestor replication at the cut
@@ -128,12 +130,13 @@ int CmdEncode(const GlobalOptions& g, const std::vector<std::string>& args) {
     tags.emplace_back(tree.NodesWithTag(t).size(), t);
   }
   std::sort(tags.rbegin(), tags.rend());
-  size_t stored = 0;
+  size_t stored = 0, skipped = 0, full = 0;
   for (const auto& [count, tag] : tags) {
-    if ((*store)->main_catalog()->size() >= Catalog::kMaxEntries) {
-      std::printf("catalog full; skipping %zu less frequent tags\n",
-                  tags.size() - stored);
-      break;
+    const Catalog* catalog = (*store)->main_catalog();
+    if (!catalog->Contains(tree.tag_name(tag)) &&
+        catalog->size() >= Catalog::kMaxEntries) {
+      ++full;
+      continue;
     }
     // The scratch copy is StoreSet's input only — keep it raw; StoreSet
     // writes the persistent set with the requested codec.
@@ -147,9 +150,14 @@ int CmdEncode(const GlobalOptions& g, const std::vector<std::string>& args) {
     if (!st.ok()) {
       std::fprintf(stderr, "skipping '%s': %s\n", tree.tag_name(tag).c_str(),
                    st.ToString().c_str());
+      ++skipped;
       continue;
     }
     ++stored;
+  }
+  if (full > 0) {
+    std::fprintf(stderr, "catalog full; skipping %zu less frequent tags\n",
+                 full);
   }
   if (Status st = (*store)->SaveCatalogs(); !st.ok()) return Fail(st);
   std::printf("stored %zu element sets in %s", stored, db_path.c_str());
@@ -157,7 +165,7 @@ int CmdEncode(const GlobalOptions& g, const std::vector<std::string>& args) {
     std::printf(" (%zu segment files)", (*store)->num_segments());
   }
   std::printf("\n");
-  return 0;
+  return skipped + full > 0 ? 1 : 0;
 }
 
 /// Connects to a running pbitree_serverd (--server host:port).

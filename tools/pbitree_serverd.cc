@@ -17,10 +17,11 @@
 //   PBITREE_SERVE_QUEUE_DEPTH     admission queue length    (default 16)
 //   PBITREE_SERVE_WORK_PAGES     page budget shared by the concurrent
 //                                 queries                   (default 512)
-//   PBITREE_SERVE_THREADS        shared worker-pool width  (default 1)
+//   PBITREE_SERVE_THREADS        segment fan-out width; the server owns
+//                                 THREADS - 1 pool workers  (default 1)
 //   PBITREE_SERVE_POOL_PAGES     buffer-pool frames        (default 1024)
-//   PBITREE_RESULT_CACHE         query-result cache on/off (default 1)
-//   PBITREE_RESULT_CACHE_BYTES   result-cache byte budget  (default 64 MiB)
+//   PBITREE_RESULT_CACHE_BYTES   result-cache byte budget, 0 turns the
+//                                 cache off                 (default 64 MiB)
 //
 // SIGINT/SIGTERM drain gracefully: stop accepting, cancel queued
 // admissions, finish in-flight queries and flush their sinks, then
@@ -111,11 +112,12 @@ int main(int argc, char** argv) {
 
   serve::Server server(store->get(), cfg);
 
-  // An unsegmented database is served *mutable*: joins pin snapshot
+  // Level 0 is served through an element store: joins pin snapshot
   // epochs, `update` requests commit durably and the result cache keys
-  // on the epoch. Segmented stores stay read-only (updates answer with
-  // the typed Unimplemented condition). SegmentStore::Open already
-  // replayed any pending commit log before the pool warmed.
+  // on the epoch. Segmented stores are served without one, read-only
+  // (updates answer with the typed Unimplemented condition); Start()
+  // refuses any other pairing. SegmentStore::Open already replayed any
+  // pending commit log before the pool warmed.
   std::unique_ptr<ElementSetStore> estore;
   if ((*store)->level() == 0) {
     auto opened = ElementSetStore::Open((*store)->main_bm());
