@@ -176,7 +176,7 @@ std::vector<ElementRecord> ReadSortedRecords(BufferManager* bm,
   }
   std::sort(recs.begin(), recs.end(),
             [](const ElementRecord& a, const ElementRecord& b) {
-              return ElementLess(a, b, SortOrder::kStartOrder);
+              return DocLess(a.code, b.code);
             });
   return recs;
 }

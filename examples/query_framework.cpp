@@ -72,13 +72,13 @@ int main() {
   }
 
   // --- Row 2: both sorted.
-  auto sorted_a_file = ExternalSort(&bm, a.file, 64, SortOrder::kStartOrder);
-  auto sorted_d_file = ExternalSort(&bm, d.file, 64, SortOrder::kStartOrder);
+  auto sorted_a_file = SortToFile(&bm, a.file, 64, SortOrder::kStartOrder);
+  auto sorted_d_file = SortToFile(&bm, d.file, 64, SortOrder::kStartOrder);
   if (!sorted_a_file.ok() || !sorted_d_file.ok()) return 1;
   ElementSet sa = a, sd = d;
-  sa.file = *sorted_a_file;
+  sa.file = **sorted_a_file;
   sa.sorted_by_start = true;
-  sd.file = *sorted_d_file;
+  sd.file = **sorted_d_file;
   sd.sorted_by_start = true;
   {
     CountingSink sink;
@@ -97,7 +97,5 @@ int main() {
     if (!run.ok()) return 1;
     report("  (prerequisites built on the fly)", *run);
   }
-  sa.file.Drop(&bm);
-  sd.file.Drop(&bm);
   return 0;
 }

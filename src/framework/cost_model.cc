@@ -34,12 +34,21 @@ uint64_t RawPages(uint64_t records) {
   return CeilDiv(records, HeapFile::kRecordsPerPage);
 }
 
-/// On-the-fly sort of an input whose `records` take `pages` pages: the
-/// input is read at its own density, the runs, merge passes and sorted
-/// copy are written raw (see SortCostPages).
+/// On-the-fly sort of an input whose `records` take `pages` pages, into
+/// the stream its consumer reads: the input is read at its own density,
+/// the runs and merge passes are raw (see SortCostPages).
 uint64_t InputSortCost(uint64_t pages, uint64_t records, uint64_t b) {
   const uint64_t raw = RawPages(records);
   return pages + SortCostPages(raw, b) - raw;
+}
+
+/// On-the-fly sort of an input into a sorted file that its consumer
+/// then scans (SortToFile, MPMGJN's rescanned side): raw runs merged
+/// down to one, which is the file.
+uint64_t InputSortToFileCost(uint64_t pages, uint64_t records, uint64_t b) {
+  const uint64_t raw = RawPages(records);
+  const uint64_t passes = CeilLogBase(std::max<uint64_t>(CeilDiv(raw, b), 1), b - 1);
+  return pages + raw * (1 + 2 * passes) + raw;
 }
 
 /// Hash-equijoin cost shared by SHCJ, MHCJ+Rollup and VPJ: one read of
@@ -71,11 +80,20 @@ CostInputs CostInputs::FromSets(const ElementSet& a, const ElementSet& d,
 }
 
 uint64_t SortCostPages(uint64_t pages, uint64_t work_pages) {
-  uint64_t b = std::max<uint64_t>(work_pages, 3);
-  if (pages <= b) return 2 * pages;  // one in-memory run: read + write
+  const uint64_t b = std::max<uint64_t>(work_pages, 3);
+  // ExternalSort's stream holds at most this many pages; 3 stay with
+  // the consumer.
+  const uint64_t hold = b >= 5 ? b - 3 : 2;
+  if (pages <= hold) return pages;  // sorted in memory: read once
   uint64_t runs = CeilDiv(pages, b);
-  uint64_t merge_passes = CeilLogBase(runs, b - 1);
-  return 2 * pages * (1 + merge_passes);
+  uint64_t merge_passes = 0;
+  while (runs > hold) {
+    runs = CeilDiv(runs, b - 1);
+    ++merge_passes;
+  }
+  // Read, runs written and read once by the streamed final merge, and a
+  // write and a read per merge pass.
+  return pages + 2 * pages * (1 + merge_passes);
 }
 
 uint64_t EstimateJoinIO(Algorithm alg, const CostInputs& in) {
@@ -106,38 +124,36 @@ uint64_t EstimateJoinIO(Algorithm alg, const CostInputs& in) {
     case Algorithm::kMpmgjn: {
       // The merge itself (MPMGJN rescans are mostly buffer hits on real
       // data): a sorted input is scanned in place, an unsorted one is
-      // sorted and its raw sorted copy scanned.
-      auto side = [&](uint64_t pages, uint64_t records, bool sorted) {
-        return sorted ? pages
-                      : InputSortCost(pages, records, b) + RawPages(records);
-      };
-      return side(in.a_pages, in.a_records, in.a_sorted) +
-             side(in.d_pages, in.d_records, in.d_sorted);
+      // sorted into the stream the merge reads. MPMGJN rescans D, so an
+      // unsorted D is sorted into a file that it scans.
+      const uint64_t a_cost = in.a_sorted ? in.a_pages
+                                          : InputSortCost(in.a_pages,
+                                                          in.a_records, b);
+      if (in.d_sorted) return a_cost + in.d_pages;
+      return a_cost + (alg == Algorithm::kStackTree
+                           ? InputSortCost(in.d_pages, in.d_records, b)
+                           : InputSortToFileCost(in.d_pages, in.d_records, b));
     }
 
     case Algorithm::kInljn: {
       // Outer scan + one index probe per outer record, after building
-      // the inner index (sort, then read the sorted copy to load it).
+      // the inner index (sorted straight into its bulk load).
       uint64_t probe_d = in.a_pages +
                          in.a_records * BTreeProbeCost(in.d_records) +
-                         InputSortCost(in.d_pages, in.d_records, b) +
-                         RawPages(in.d_records);
+                         InputSortCost(in.d_pages, in.d_records, b);
       uint64_t probe_a = in.d_pages +
                          in.d_records * BTreeProbeCost(in.a_records) +
-                         InputSortCost(in.a_pages, in.a_records, b) +
-                         RawPages(in.a_records);
+                         InputSortCost(in.a_pages, in.a_records, b);
       return std::min(probe_d, probe_a);
     }
 
     case Algorithm::kAdb: {
       // Leaf-chain scans of both indexes (skips can only reduce this),
-      // after building both (sort, then read the sorted copy to load).
+      // after building both (each sorted straight into its bulk load).
       return CeilDiv(in.a_records, BPTree::kLeafCapacity) +
              CeilDiv(in.d_records, BPTree::kLeafCapacity) +
              InputSortCost(in.a_pages, in.a_records, b) +
-             RawPages(in.a_records) +
-             InputSortCost(in.d_pages, in.d_records, b) +
-             RawPages(in.d_records);
+             InputSortCost(in.d_pages, in.d_records, b);
     }
   }
   return UINT64_MAX;

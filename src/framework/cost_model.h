@@ -29,8 +29,11 @@ struct CostInputs {
                              uint64_t work_pages);
 };
 
-/// External-sort cost of a file of raw pages: 2 * pages * (1 + merge
-/// passes).
+/// Cost of sorting a file of raw pages into the stream its consumer
+/// reads (ExternalSort): one read when the pages fit the stream's share
+/// of `work_pages`, else pages + 2 * pages * (1 + merge passes) — the
+/// runs are written raw and read once by the streamed final merge, and
+/// no sorted copy is written or read.
 uint64_t SortCostPages(uint64_t pages, uint64_t work_pages);
 
 /// Estimated page I/O of running `alg` on the given inputs. Estimates
@@ -48,7 +51,7 @@ uint64_t SortCostPages(uint64_t pages, uint64_t work_pages);
 /// Partitions, sort runs and sorted copies are written raw whatever the
 /// inputs' page codec packs. So everything but the first read of each
 /// input (the partition write and re-read, the in-memory test, the runs,
-/// merge passes and the sorted copy's scan) is priced at raw density
+/// merge passes and MPMGJN's sorted copy) is priced at raw density
 /// (HeapFile::kRecordsPerPage records per page).
 uint64_t EstimateJoinIO(Algorithm alg, const CostInputs& in);
 

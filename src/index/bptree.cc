@@ -110,7 +110,7 @@ size_t LeafLowerBound(const Page* p, uint64_t lo) {
 }  // namespace
 
 StatusOr<BPTree> BPTree::BulkLoad(BufferManager* bm,
-                                  const HeapFile& sorted_input, KeyKind kind) {
+                                  SortedStream* sorted_input, KeyKind kind) {
   BPTree t;
   t.kind_ = kind;
   // Every page allocated so far, and the leaf being filled (pinned):
@@ -133,12 +133,10 @@ StatusOr<BPTree> BPTree::BulkLoad(BufferManager* bm,
     std::vector<LevelEntry> level;  // (first key, page) of each leaf
 
     // ---- Leaf level, packed full.
-    HeapFile::Scanner scan(bm, sorted_input);
-    ElementRecord rec;
-    Status scan_st;
     uint64_t prev_key = 0;
     bool have_prev = false;
-    while (scan.NextElement(&rec, &scan_st)) {
+    for (; sorted_input->live(); sorted_input->Advance()) {
+      const ElementRecord& rec = sorted_input->rec();
       uint64_t key = KeyOf(rec, kind);
       if (have_prev && key < prev_key) {
         return Status::InvalidArgument("BulkLoad: input not sorted by key");
@@ -161,7 +159,7 @@ StatusOr<BPTree> BPTree::BulkLoad(BufferManager* bm,
       SetNodeCount(leaf, n + 1);
       ++t.num_entries_;
     }
-    PBITREE_RETURN_IF_ERROR(scan_st);
+    PBITREE_RETURN_IF_ERROR(sorted_input->status());
     if (leaf == nullptr) {
       // Empty input: the tree is one empty leaf.
       PBITREE_ASSIGN_OR_RETURN(leaf, new_node(/*is_leaf=*/true));

@@ -7,6 +7,7 @@
 #include "common/status.h"
 #include "pbitree/code.h"
 #include "storage/buffer_manager.h"
+#include "sort/external_sort.h"
 #include "storage/heap_file.h"
 
 namespace pbitree {
@@ -47,12 +48,12 @@ class BPTree {
 
   BPTree() = default;
 
-  /// Bulk loads from input already sorted by the key (ascending),
+  /// Bulk loads from a stream already sorted by the key (ascending),
   /// packing every node full; empty input gives one empty leaf. On
   /// failure every page the load allocated is freed and none is left
   /// pinned.
   static StatusOr<BPTree> BulkLoad(BufferManager* bm,
-                                   const HeapFile& sorted_input, KeyKind kind);
+                                   SortedStream* sorted_input, KeyKind kind);
 
   bool valid() const { return root_ != kInvalidPageId; }
   KeyKind key_kind() const { return kind_; }

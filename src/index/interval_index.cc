@@ -49,7 +49,7 @@ void WriteInterior(Page* p, size_t i, const InteriorEntry& e) {
 }  // namespace
 
 StatusOr<IntervalIndex> IntervalIndex::BulkLoad(
-    BufferManager* bm, const HeapFile& sorted_by_start) {
+    BufferManager* bm, SortedStream* sorted_by_start) {
   IntervalIndex idx;
   // Every page allocated so far, and the leaf being filled (pinned):
   // a failed load unpins the leaf and frees the partial index.
@@ -71,9 +71,6 @@ StatusOr<IntervalIndex> IntervalIndex::BulkLoad(
     std::vector<LevelEntry> level;
 
     // ---- Leaf level.
-    HeapFile::Scanner scan(bm, sorted_by_start);
-    ElementRecord rec;
-    Status scan_st;
     uint64_t leaf_min = 0, leaf_max = 0;
     uint64_t prev_start = 0;
     bool have_prev = false;
@@ -84,7 +81,8 @@ StatusOr<IntervalIndex> IntervalIndex::BulkLoad(
       leaf = nullptr;
       return s;
     };
-    while (scan.NextElement(&rec, &scan_st)) {
+    for (; sorted_by_start->live(); sorted_by_start->Advance()) {
+      const ElementRecord& rec = sorted_by_start->rec();
       uint64_t start = StartOf(rec.code);
       uint64_t end = EndOf(rec.code);
       if (have_prev && start < prev_start) {
@@ -107,7 +105,7 @@ StatusOr<IntervalIndex> IntervalIndex::BulkLoad(
       leaf_max = std::max(leaf_max, end);
       ++idx.num_entries_;
     }
-    PBITREE_RETURN_IF_ERROR(scan_st);
+    PBITREE_RETURN_IF_ERROR(sorted_by_start->status());
     if (leaf == nullptr) {
       // Empty index: a single empty leaf.
       PBITREE_ASSIGN_OR_RETURN(leaf, new_node(/*is_leaf=*/true));

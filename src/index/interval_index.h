@@ -8,6 +8,7 @@
 #include "common/status.h"
 #include "pbitree/code.h"
 #include "storage/buffer_manager.h"
+#include "sort/external_sort.h"
 #include "storage/heap_file.h"
 
 namespace pbitree {
@@ -37,10 +38,10 @@ class IntervalIndex {
 
   IntervalIndex() = default;
 
-  /// Bulk loads from input sorted by Start order (ties by height
+  /// Bulk loads from a stream sorted by Start order (ties by height
   /// descending are fine; only Start monotonicity is checked).
   static StatusOr<IntervalIndex> BulkLoad(BufferManager* bm,
-                                          const HeapFile& sorted_by_start);
+                                          SortedStream* sorted_by_start);
 
   bool valid() const { return root_ != kInvalidPageId; }
   uint64_t num_entries() const { return num_entries_; }

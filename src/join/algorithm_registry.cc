@@ -1,6 +1,8 @@
 #include "join/algorithm_registry.h"
 
 #include <cctype>
+#include <initializer_list>
+#include <vector>
 
 #include "common/timer.h"
 #include "index/bptree.h"
@@ -12,6 +14,7 @@
 #include "join/mpmgjn.h"
 #include "join/shcj.h"
 #include "join/stack_tree.h"
+#include "join/validate.h"
 #include "join/vpj.h"
 #include "sort/external_sort.h"
 #include "storage/scratch.h"
@@ -20,21 +23,20 @@ namespace pbitree {
 
 namespace {
 
-/// Builds an index over `in` on the fly: sorts a temporary copy by
-/// `order` (bulk load needs key order), loads the index with `load`, and
-/// drops the copy. Charged to stats->index_build_seconds.
+/// Builds an index over `in` on the fly: sorts `in` by `order` (bulk
+/// load needs key order) straight into the index's bulk load `load`.
+/// Charged to stats->index_build_seconds.
 template <typename Index, typename Load>
 StatusOr<Scratch<Index>> BuildIndexOnTheFly(BufferManager* bm,
                                             const ElementSet& in,
                                             SortOrder order, size_t work_pages,
                                             JoinStats* stats, Load load) {
   Timer t;
-  PBITREE_ASSIGN_OR_RETURN(
-      ScratchFile sorted,
-      ScratchFile::Adopt(bm, ExternalSort(bm, in.file, work_pages, order)));
+  PBITREE_ASSIGN_OR_RETURN(SortedStream sorted,
+                           ExternalSort(bm, in.file, work_pages, order));
   PBITREE_ASSIGN_OR_RETURN(Scratch<Index> index,
-                           Scratch<Index>::Adopt(bm, load(*sorted)));
-  PBITREE_RETURN_IF_ERROR(sorted.Drop());
+                           Scratch<Index>::Adopt(bm, load(&sorted)));
+  PBITREE_RETURN_IF_ERROR(sorted.Close());
   stats->index_build_seconds += t.ElapsedSeconds();
   return index;
 }
@@ -47,7 +49,35 @@ StatusOr<Scratch<BPTree>> BuildBPTreeOnTheFly(BufferManager* bm,
       kind == KeyKind::kCode ? SortOrder::kCodeOrder : SortOrder::kStartOrder;
   return BuildIndexOnTheFly<BPTree>(
       bm, in, order, work_pages, stats,
-      [&](const HeapFile& sorted) { return BPTree::BulkLoad(bm, sorted, kind); });
+      [&](SortedStream* sorted) { return BPTree::BulkLoad(bm, sorted, kind); });
+}
+
+/// Document-order streams over `sets`, for a join that reads them side
+/// by side: a scan of each set stored in that order, and one
+/// ExternalSort within the join's budget for the rest, charged to
+/// stats.sort_seconds.
+StatusOr<std::vector<SortedStream>> DocOrderStreams(
+    JoinContext* ctx, std::initializer_list<const ElementSet*> sets) {
+  std::vector<const HeapFile*> unsorted;
+  for (const ElementSet* set : sets) {
+    if (!set->sorted_by_start) unsorted.push_back(&set->file);
+  }
+  std::vector<SortedStream> sorted;
+  if (!unsorted.empty()) {
+    Timer t;
+    PBITREE_ASSIGN_OR_RETURN(sorted, ExternalSort(ctx->bm, unsorted,
+                                                  ctx->work_pages,
+                                                  SortOrder::kStartOrder));
+    ctx->stats.sort_seconds += t.ElapsedSeconds();
+  }
+  std::vector<SortedStream> streams;
+  size_t next = 0;
+  for (const ElementSet* set : sets) {
+    streams.push_back(set->sorted_by_start
+                          ? SortedStream::Scan(ctx->bm, set->file)
+                          : std::move(sorted[next++]));
+  }
+  return streams;
 }
 
 Status RunShcj(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
@@ -73,45 +103,42 @@ Status RunVpj(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
   return Vpj(ctx, a, d, sink, options.vpj);
 }
 
-/// Shared body of the two sorted-input merge algorithms: sorts a copy
-/// of whichever input isn't already Start-sorted, runs, drops the
-/// copies.
-Status RunSortedMerge(Algorithm alg, JoinContext* ctx, const ElementSet& a,
-                      const ElementSet& d, ResultSink* sink) {
-  BufferManager* bm = ctx->bm;
-  ScratchFile copy_a, copy_d;
-  auto sorted = [&](const ElementSet& in,
-                    ScratchFile* copy) -> StatusOr<ElementSet> {
-    if (in.sorted_by_start) return in;
-    Timer t;
-    PBITREE_ASSIGN_OR_RETURN(
-        *copy, ScratchFile::Adopt(bm, ExternalSort(bm, in.file, ctx->work_pages,
-                                                   SortOrder::kStartOrder)));
-    ctx->stats.sort_seconds += t.ElapsedSeconds();
-    ElementSet out = in;
-    out.file = **copy;
-    out.sorted_by_start = true;
-    return out;
-  };
-  PBITREE_ASSIGN_OR_RETURN(ElementSet sa, sorted(a, &copy_a));
-  PBITREE_ASSIGN_OR_RETURN(ElementSet sd, sorted(d, &copy_d));
-  PBITREE_RETURN_IF_ERROR(alg == Algorithm::kStackTree
-                              ? StackTreeJoin(ctx, sa, sd, sink)
-                              : Mpmgjn(ctx, sa, sd, sink));
-  PBITREE_RETURN_IF_ERROR(copy_a.Drop());
-  return copy_d.Drop();
-}
-
 Status RunStackTree(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
                     ResultSink* sink, const RunOptions& options) {
   (void)options;
-  return RunSortedMerge(Algorithm::kStackTree, ctx, a, d, sink);
+  bool empty = false;
+  PBITREE_RETURN_IF_ERROR(ValidateJoinInputs("StackTree", a, d,
+                                             /*require_sorted=*/false, &empty));
+  if (empty) return Status::OK();
+  PBITREE_ASSIGN_OR_RETURN(std::vector<SortedStream> in,
+                           DocOrderStreams(ctx, {&a, &d}));
+  PBITREE_RETURN_IF_ERROR(StackTreeJoin(ctx, &in[0], &in[1], sink));
+  PBITREE_RETURN_IF_ERROR(in[0].Close());
+  return in[1].Close();
 }
 
 Status RunMpmgjn(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
                  ResultSink* sink, const RunOptions& options) {
   (void)options;
-  return RunSortedMerge(Algorithm::kMpmgjn, ctx, a, d, sink);
+  bool empty = false;
+  PBITREE_RETURN_IF_ERROR(ValidateJoinInputs("MPMGJN", a, d,
+                                             /*require_sorted=*/false, &empty));
+  if (empty) return Status::OK();
+  // D is rescanned, so an unsorted D is sorted into a file first, with
+  // the whole budget; A then streams.
+  ScratchFile d_copy;
+  if (!d.sorted_by_start) {
+    Timer t;
+    PBITREE_ASSIGN_OR_RETURN(d_copy, SortToFile(ctx->bm, d.file, ctx->work_pages,
+                                                SortOrder::kStartOrder));
+    ctx->stats.sort_seconds += t.ElapsedSeconds();
+  }
+  PBITREE_ASSIGN_OR_RETURN(std::vector<SortedStream> in,
+                           DocOrderStreams(ctx, {&a}));
+  PBITREE_RETURN_IF_ERROR(Mpmgjn(ctx, &in[0],
+                                 d.sorted_by_start ? d.file : *d_copy, sink));
+  PBITREE_RETURN_IF_ERROR(in[0].Close());
+  return d_copy.Drop();
 }
 
 Status RunInljn(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
@@ -136,7 +163,7 @@ Status RunInljn(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
       Scratch<IntervalIndex> a_index,
       BuildIndexOnTheFly<IntervalIndex>(
           bm, a, SortOrder::kStartOrder, ctx->work_pages, &ctx->stats,
-          [&](const HeapFile& sorted) {
+          [&](SortedStream* sorted) {
             return IntervalIndex::BulkLoad(bm, sorted);
           }));
   idx.a_interval_index = a_index.get();

@@ -4,7 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "join/validate.h"
 #include "obs/metrics.h"
 #include "pbitree/simd.h"
 #include "sort/external_sort.h"
@@ -86,23 +85,17 @@ class RewindableScan {
 
 }  // namespace
 
-Status Mpmgjn(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
+Status Mpmgjn(JoinContext* ctx, SortedStream* a, const HeapFile& d,
               ResultSink* sink) {
-  bool empty = false;
-  PBITREE_RETURN_IF_ERROR(
-      ValidateJoinInputs("MPMGJN", a, d, /*require_sorted=*/true, &empty));
-  if (empty) return Status::OK();
-
   obs::ObsSpan merge_span(obs::Phase::kMerge);
-  HeapFile::BatchCursor a_cur(ctx->bm, a.file);
-  RewindableScan d_scan(ctx->bm, d.file);
+  RewindableScan d_scan(ctx->bm, d);
   PairBuffer out(sink, &ctx->stats.output_pairs);
 
   uint64_t mark = 0;  // index in D where the current merge segment starts
   std::vector<Code> scratch;  // qualifying descendants per (a, span) step
 
-  for (; a_cur.live(); a_cur.Advance()) {
-    const Code a_code = a_cur.rec().code;
+  for (; a->live(); a->Advance()) {
+    const Code a_code = a->rec().code;
     const uint64_t a_start = StartOf(a_code);
     const uint64_t a_end = EndOf(a_code);
     Status pst;
@@ -143,7 +136,7 @@ Status Mpmgjn(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
     }
     PBITREE_RETURN_IF_ERROR(pst);
   }
-  PBITREE_RETURN_IF_ERROR(a_cur.status());
+  PBITREE_RETURN_IF_ERROR(a->status());
   return out.Flush();
 }
 

@@ -3,24 +3,14 @@
 #include <span>
 #include <vector>
 
-#include "join/validate.h"
 #include "obs/metrics.h"
 #include "pbitree/simd.h"
 #include "sort/external_sort.h"
 
 namespace pbitree {
 
-Status StackTreeJoin(JoinContext* ctx, const ElementSet& a,
-                     const ElementSet& d, ResultSink* sink) {
-  bool empty = false;
-  PBITREE_RETURN_IF_ERROR(
-      ValidateJoinInputs("StackTree", a, d, /*require_sorted=*/true, &empty));
-  if (empty) return Status::OK();
-
-  HeapFile::BatchCursor a_cur(ctx->bm, a.file);
-  HeapFile::BatchCursor d_cur(ctx->bm, d.file);
-  PBITREE_RETURN_IF_ERROR(a_cur.status());
-  PBITREE_RETURN_IF_ERROR(d_cur.status());
+Status StackTreeJoin(JoinContext* ctx, SortedStream* a, SortedStream* d,
+                     ResultSink* sink) {
   PairBuffer out(sink, &ctx->stats.output_pairs);
 
   // The stack holds the chain of currently open ancestors (each entry
@@ -31,21 +21,24 @@ Status StackTreeJoin(JoinContext* ctx, const ElementSet& a,
   std::vector<Code> stack;
   std::vector<Code> scratch;  // surviving stack entries per descendant
 
-  while (d_cur.live() && (a_cur.live() || !stack.empty())) {
-    if (a_cur.live() && ElementLess(a_cur.rec(), d_cur.rec(), SortOrder::kStartOrder)) {
+  // Document order is one integer per record: DocKey of the heads.
+  uint64_t a_key = a->live() ? DocKey(a->rec().code) : 0;
+  uint64_t d_key = d->live() ? DocKey(d->rec().code) : 0;
+  while (d->live() && (a->live() || !stack.empty())) {
+    if (a->live() && a_key < d_key) {
       // Next event is an ancestor-set element: close finished
       // ancestors, open this one.
-      const Code a_code = a_cur.rec().code;
+      const Code a_code = a->rec().code;
       while (!stack.empty() && EndOf(stack.back()) < StartOf(a_code)) {
         stack.pop_back();
       }
       stack.push_back(a_code);
-      a_cur.Advance();
-      if (!a_cur.live()) PBITREE_RETURN_IF_ERROR(a_cur.status());
+      a->Advance();
+      if (a->live()) a_key = DocKey(a->rec().code);
     } else {
       // Next event is a descendant-set element: close finished
       // ancestors, then every remaining stack entry contains it.
-      const Code d_code = d_cur.rec().code;
+      const Code d_code = d->rec().code;
       while (!stack.empty() && EndOf(stack.back()) < StartOf(d_code)) {
         stack.pop_back();
       }
@@ -58,10 +51,13 @@ Status StackTreeJoin(JoinContext* ctx, const ElementSet& a,
                                              d_code, scratch.data());
       PBITREE_RETURN_IF_ERROR(
           out.EmitAncestors(std::span<const Code>(scratch.data(), m), d_code));
-      d_cur.Advance();
-      if (!d_cur.live()) PBITREE_RETURN_IF_ERROR(d_cur.status());
+      d->Advance();
+      if (d->live()) d_key = DocKey(d->rec().code);
     }
   }
+  // A stream that ended early on an I/O error ends the loop too.
+  PBITREE_RETURN_IF_ERROR(a->status());
+  PBITREE_RETURN_IF_ERROR(d->status());
   return out.Flush();
 }
 

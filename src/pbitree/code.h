@@ -135,14 +135,21 @@ inline uint64_t EndOf(Code code) {
   return code + ((Code{1} << HeightOf(code)) - 1);
 }
 
+/// Document-order key: the node's pre-order rank in its perfect binary
+/// tree plus 128 − H, computed from the code alone (Start − 1 is
+/// code & (code − 1), Lemma 3). One integer, so a comparison, a radix
+/// digit or a heap entry needs no comparator. Exact for every height up
+/// to kMaxTreeHeight: code & (code − 1) < 2^63 and ctz + popcount <= 64,
+/// so the sum neither wraps nor drops below 64. Precondition: code != 0.
+inline uint64_t DocKey(Code code) {
+  return (code & (code - 1)) + 128 - static_cast<uint64_t>(std::countr_zero(code)) -
+         static_cast<uint64_t>(std::popcount(code));
+}
+
 /// Document order: Start ascending, then height descending, so an
 /// ancestor sorts before every descendant that shares its Start. This
 /// is the order STACKTREE and MPMGJN scan and re-binarization rebuilds.
-inline bool DocLess(Code a, Code b) {
-  const uint64_t sa = StartOf(a), sb = StartOf(b);
-  if (sa != sb) return sa < sb;
-  return HeightOf(a) > HeightOf(b);
-}
+inline bool DocLess(Code a, Code b) { return DocKey(a) < DocKey(b); }
 
 /// \brief Prefix code derived from a PBiTree code (Lemma 4):
 /// the bit string `code >> h` of length H - h bits (kept fixed-length —

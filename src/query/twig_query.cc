@@ -112,28 +112,21 @@ StatusOr<Operand> DistinctColumn(BufferManager* bm, const HeapFile& pair_file,
     PBITREE_RETURN_IF_ERROR(app.Finish());
   }
   PBITREE_ASSIGN_OR_RETURN(
-      ScratchFile sorted,
-      ScratchFile::Adopt(bm, ExternalSort(bm, *column, work_pages,
-                                          SortOrder::kCodeOrder)));
+      SortedStream sorted,
+      ExternalSort(bm, *column, work_pages, SortOrder::kCodeOrder));
   PBITREE_RETURN_IF_ERROR(column.Drop());
 
   PBITREE_ASSIGN_OR_RETURN(ElementSetBuilder builder,
                            ElementSetBuilder::Create(bm, spec));
-  {
-    HeapFile::Scanner scan(bm, *sorted);
-    Code last = kInvalidCode;
-    for (auto batch = scan.NextElementBatch(); !batch.empty();
-         batch = scan.NextElementBatch()) {
-      for (const ElementRecord& rec : batch) {
-        if (rec.code != last) {
-          PBITREE_RETURN_IF_ERROR(builder.Add(rec));
-          last = rec.code;
-        }
-      }
+  Code last = kInvalidCode;
+  for (; sorted.live(); sorted.Advance()) {
+    if (sorted.rec().code != last) {
+      PBITREE_RETURN_IF_ERROR(builder.Add(sorted.rec()));
+      last = sorted.rec().code;
     }
-    PBITREE_RETURN_IF_ERROR(scan.status());
   }
-  PBITREE_RETURN_IF_ERROR(sorted.Drop());
+  PBITREE_RETURN_IF_ERROR(sorted.status());
+  PBITREE_RETURN_IF_ERROR(sorted.Close());
   PBITREE_ASSIGN_OR_RETURN(ElementSet distinct, builder.Build());
   return Owned(bm, distinct);
 }

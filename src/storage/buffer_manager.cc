@@ -235,6 +235,14 @@ Status BufferManager::UnpinPage(PageId page_id, bool dirty) {
   return Status::OK();
 }
 
+void BufferManager::Unreference(const std::vector<PageId>& pages) {
+  std::lock_guard<std::mutex> lk(latch_);
+  for (PageId page_id : pages) {
+    auto it = page_table_.find(page_id);
+    if (it != page_table_.end()) frames_[it->second]->referenced_ = false;
+  }
+}
+
 Status BufferManager::FlushPage(PageId page_id) {
   std::unique_lock<std::mutex> lk(latch_);
   auto it = page_table_.find(page_id);

@@ -62,6 +62,11 @@ class BufferManager {
   /// Releases one pin; `dirty` marks the frame modified.
   Status UnpinPage(PageId page_id, bool dirty);
 
+  /// Clears the clock reference bit of each of `pages` that is cached:
+  /// a scan that reads pages once (a sort's input) leaves them first in
+  /// line for eviction, ahead of pages that will be read again.
+  void Unreference(const std::vector<PageId>& pages);
+
   /// Writes the page back if dirty (it stays cached).
   Status FlushPage(PageId page_id);
 

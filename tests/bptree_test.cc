@@ -36,6 +36,12 @@ class BPTreeTest : public ::testing::TestWithParam<int> {
     return *file;
   }
 
+  /// Bulk loads from `file`, which is already in key order.
+  StatusOr<BPTree> BulkLoad(const HeapFile& file, KeyKind kind) {
+    SortedStream sorted = SortedStream::Scan(bm_.get(), file);
+    return BPTree::BulkLoad(bm_.get(), &sorted, kind);
+  }
+
   std::vector<uint64_t> RangeViaScanner(const BPTree& tree, uint64_t lo,
                                         uint64_t hi) {
     std::vector<uint64_t> out;
@@ -56,7 +62,7 @@ TEST_P(BPTreeTest, BulkLoadThenFullScanReturnsAllKeysSorted) {
   std::vector<uint64_t> codes;
   for (int i = 0; i < n; ++i) codes.push_back(2 * i + 1);
   HeapFile file = MakeFile(codes);
-  auto tree = BPTree::BulkLoad(bm_.get(), file, KeyKind::kCode);
+  auto tree = BulkLoad(file, KeyKind::kCode);
   ASSERT_TRUE(tree.ok()) << tree.status().ToString();
   EXPECT_EQ(tree->num_entries(), static_cast<uint64_t>(n));
 
@@ -72,7 +78,7 @@ TEST_P(BPTreeTest, RangeScanMatchesReference) {
   for (int i = 0; i < n; ++i) codes.push_back(rng.UniformRange(1, 1 << 20));
   std::sort(codes.begin(), codes.end());
   HeapFile file = MakeFile(codes);
-  auto tree = BPTree::BulkLoad(bm_.get(), file, KeyKind::kCode);
+  auto tree = BulkLoad(file, KeyKind::kCode);
   ASSERT_TRUE(tree.ok());
 
   for (int q = 0; q < 50; ++q) {
@@ -93,7 +99,7 @@ using BPTreeSingleTest = BPTreeTest;
 
 TEST_F(BPTreeSingleTest, BulkLoadRejectsUnsortedInput) {
   HeapFile file = MakeFile({5, 3, 9});
-  auto tree = BPTree::BulkLoad(bm_.get(), file, KeyKind::kCode);
+  auto tree = BulkLoad(file, KeyKind::kCode);
   EXPECT_FALSE(tree.ok());
   EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument);
 }
@@ -101,7 +107,7 @@ TEST_F(BPTreeSingleTest, BulkLoadRejectsUnsortedInput) {
 TEST_F(BPTreeSingleTest, SeekCeilFindsFirstKeyAtOrAfter) {
   std::vector<uint64_t> codes = {10, 20, 30, 40, 50};
   HeapFile file = MakeFile(codes);
-  auto tree = BPTree::BulkLoad(bm_.get(), file, KeyKind::kCode);
+  auto tree = BulkLoad(file, KeyKind::kCode);
   ASSERT_TRUE(tree.ok());
   ElementRecord rec;
   auto r = tree->SeekCeil(bm_.get(), 25, &rec);
@@ -133,7 +139,7 @@ TEST_F(BPTreeSingleTest, StartKeyedTreeOrdersByRegionStart) {
     ASSERT_TRUE(app.AppendElements(recs).ok());
     ASSERT_TRUE(app.Finish().ok());
   }
-  auto tree = BPTree::BulkLoad(bm_.get(), *file, KeyKind::kStart);
+  auto tree = BulkLoad(*file, KeyKind::kStart);
   ASSERT_TRUE(tree.ok());
   std::vector<uint64_t> got = RangeViaScanner(*tree, 0, UINT64_MAX);
   EXPECT_EQ(got.front(), 12u);  // Start 9 first
@@ -144,7 +150,7 @@ TEST_F(BPTreeSingleTest, DropFreesEveryPage) {
   for (int i = 0; i < 50000; ++i) codes.push_back(i + 1);
   HeapFile file = MakeFile(codes);
   uint64_t live_before = disk_->num_live_pages();
-  auto tree = BPTree::BulkLoad(bm_.get(), file, KeyKind::kCode);
+  auto tree = BulkLoad(file, KeyKind::kCode);
   ASSERT_TRUE(tree.ok());
   EXPECT_GT(disk_->num_live_pages(), live_before);
   ASSERT_TRUE(tree->Drop(bm_.get()).ok());
@@ -165,7 +171,7 @@ TEST_F(BPTreeSingleTest, DuplicateRunSpanningLeavesScansFromItsFirstLeaf) {
     ASSERT_TRUE(app.AppendElement(ElementRecord{99, 0, 0}).ok());
     ASSERT_TRUE(app.Finish().ok());
   }
-  auto tree = BPTree::BulkLoad(bm_.get(), *file, KeyKind::kCode);
+  auto tree = BulkLoad(*file, KeyKind::kCode);
   ASSERT_TRUE(tree.ok());
   EXPECT_GT(tree->tree_height(), 1);
   BPTree::RangeScanner scan(bm_.get(), *tree, 42, 42);

@@ -18,18 +18,21 @@ namespace pbitree {
 namespace {
 
 TEST(SortCostTest, InMemoryAndMultiPass) {
-  EXPECT_EQ(SortCostPages(10, 16), 20u);      // fits: read + write
-  EXPECT_EQ(SortCostPages(100, 16), 400u);    // 7 runs, 1 merge pass
-  // 10000 pages, b=16: 625 runs, merge fan-in 15: 15^2 < 625 <= 15^3,
-  // so 3 merge passes -> 4 total passes.
-  EXPECT_EQ(SortCostPages(10000, 16), 2u * 10000 * 4);
+  EXPECT_EQ(SortCostPages(10, 16), 10u);  // fits: read once
+  // 7 runs, streamed by the final merge: read, write runs, read runs.
+  EXPECT_EQ(SortCostPages(100, 16), 300u);
+  // 10000 pages, b=16: 625 runs; the final merge holds at most 13, so
+  // fan-in-15 passes take 625 -> 42 -> 3 runs: 2 merge passes.
+  EXPECT_EQ(SortCostPages(10000, 16), 10000u + 2u * 10000 * 3);
 }
 
 TEST(CostModelTest, PartitioningBeatsNaiveSortWhenMemoryIsTight) {
+  // Tight for a streamed sort: more runs (80 per input) than its final
+  // merge can hold (47), so each sort needs a merge pass.
   CostInputs in;
   in.a_pages = in.d_pages = 4000;
   in.a_records = in.d_records = 4000 * 255;
-  in.work_pages = 500;
+  in.work_pages = 50;
   uint64_t partitioned = EstimateJoinIO(Algorithm::kVpj, in);
   uint64_t naive_sorted = EstimateJoinIO(Algorithm::kStackTree, in);
   EXPECT_LT(partitioned, naive_sorted);
@@ -55,8 +58,11 @@ TEST(CostModelTest, NoAccessPathsPrefersPartitioning) {
   const uint64_t partitioned = EstimateJoinIO(Algorithm::kVpj, in);
   EXPECT_EQ(EstimateJoinIO(Algorithm::kMhcjRollup, in), partitioned);
   EXPECT_EQ(EstimateJoinIO(Algorithm::kShcj, in), partitioned);
-  for (Algorithm alg : {Algorithm::kStackTree, Algorithm::kMpmgjn,
-                        Algorithm::kInljn, Algorithm::kAdb}) {
+  // A sort whose final merge streams into STACKTREE costs what a Grace
+  // partitioning pass does: 3(||A|| + ||D||).
+  EXPECT_EQ(EstimateJoinIO(Algorithm::kStackTree, in), partitioned);
+  for (Algorithm alg :
+       {Algorithm::kMpmgjn, Algorithm::kInljn, Algorithm::kAdb}) {
     EXPECT_LT(partitioned, EstimateJoinIO(alg, in)) << AlgorithmName(alg);
   }
 }

@@ -101,13 +101,13 @@ TEST_F(RunnerTest, NaiveStackTreeChargesTheSort) {
 }
 
 TEST_F(RunnerTest, PresortedStackTreeSkipsTheSort) {
-  auto sorted_a = ExternalSort(bm_.get(), a_.file, 16, SortOrder::kStartOrder);
-  auto sorted_d = ExternalSort(bm_.get(), d_.file, 16, SortOrder::kStartOrder);
+  auto sorted_a = SortToFile(bm_.get(), a_.file, 16, SortOrder::kStartOrder);
+  auto sorted_d = SortToFile(bm_.get(), d_.file, 16, SortOrder::kStartOrder);
   ASSERT_TRUE(sorted_a.ok() && sorted_d.ok());
   ElementSet sa = a_, sd = d_;
-  sa.file = *sorted_a;
+  sa.file = **sorted_a;
   sa.sorted_by_start = true;
-  sd.file = *sorted_d;
+  sd.file = **sorted_d;
   sd.sorted_by_start = true;
 
   CountingSink sink;

@@ -52,6 +52,12 @@ class IntervalIndexTest : public ::testing::TestWithParam<int> {
     return *file;
   }
 
+  /// Bulk loads from `file`, which is already in Start order.
+  StatusOr<IntervalIndex> BulkLoad(const HeapFile& file) {
+    SortedStream sorted = SortedStream::Scan(bm_.get(), file);
+    return IntervalIndex::BulkLoad(bm_.get(), &sorted);
+  }
+
   std::unique_ptr<DiskManager> disk_;
   std::unique_ptr<BufferManager> bm_;
 };
@@ -60,7 +66,7 @@ TEST_P(IntervalIndexTest, StabMatchesBruteForce) {
   const int n = GetParam();
   std::vector<Code> codes = MakeCodes(n, 17);
   HeapFile file = MakeFile(codes);
-  auto index = IntervalIndex::BulkLoad(bm_.get(), file);
+  auto index = BulkLoad(file);
   ASSERT_TRUE(index.ok()) << index.status().ToString();
   EXPECT_EQ(index->num_entries(), static_cast<uint64_t>(n));
 
@@ -103,7 +109,7 @@ TEST_F(IntervalIndexSingleTest, RejectsUnsortedInput) {
     ASSERT_TRUE(app.AppendElement(r2).ok());
     ASSERT_TRUE(app.Finish().ok());
   }
-  auto index = IntervalIndex::BulkLoad(bm_.get(), *file);
+  auto index = BulkLoad(*file);
   EXPECT_FALSE(index.ok());
   EXPECT_EQ(index.status().code(), StatusCode::kInvalidArgument);
 }
@@ -118,7 +124,7 @@ TEST_F(IntervalIndexSingleTest, NestedChainAllStabbed) {
   std::sort(chain.begin(), chain.end(),
             [](Code a, Code b) { return StartOf(a) < StartOf(b); });
   HeapFile file = MakeFile(chain);
-  auto index = IntervalIndex::BulkLoad(bm_.get(), file);
+  auto index = BulkLoad(file);
   ASSERT_TRUE(index.ok());
   size_t hits = 0;
   ASSERT_TRUE(
@@ -130,7 +136,7 @@ TEST_F(IntervalIndexSingleTest, DropFreesEveryPage) {
   std::vector<Code> codes = MakeCodes(30000, 3);
   HeapFile file = MakeFile(codes);
   uint64_t live_before = disk_->num_live_pages();
-  auto index = IntervalIndex::BulkLoad(bm_.get(), file);
+  auto index = BulkLoad(file);
   ASSERT_TRUE(index.ok());
   ASSERT_TRUE(index->Drop(bm_.get()).ok());
   EXPECT_EQ(disk_->num_live_pages(), live_before);

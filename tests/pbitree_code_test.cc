@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <vector>
@@ -268,6 +269,100 @@ TEST(RandomPropertyTest, FAgreesWithRegionContainment) {
     bool region_contains =
         x != y && rx.start <= ToRegion(y).start && ToRegion(y).end <= rx.end;
     EXPECT_EQ(region_contains, IsAncestor(x, y)) << "x=" << x << " y=" << y;
+  }
+}
+
+// ---- Document-order key.
+
+/// Reference document order: Start ascending, height descending.
+bool ReferenceDocLess(Code a, Code b) {
+  if (StartOf(a) != StartOf(b)) return StartOf(a) < StartOf(b);
+  return HeightOf(a) > HeightOf(b);
+}
+
+/// Appends the subtree of `c` in pre-order.
+void PreOrder(Code c, std::vector<Code>* out) {
+  out->push_back(c);
+  const int h = HeightOf(c);
+  if (h == 0) return;
+  PreOrder(c - (Code{1} << (h - 1)), out);
+  PreOrder(c + (Code{1} << (h - 1)), out);
+}
+
+TEST(DocKeyTest, IsThePreOrderRankExhaustively) {
+  for (int height = 1; height <= 12; ++height) {
+    PBiTreeSpec spec{height};
+    std::vector<Code> pre;
+    PreOrder(spec.RootCode(), &pre);
+    ASSERT_EQ(pre.size(), spec.MaxCode());
+    for (size_t i = 0; i < pre.size(); ++i) {
+      ASSERT_EQ(DocKey(pre[i]), i + 128 - height) << "H=" << height;
+    }
+  }
+}
+
+TEST(DocKeyTest, OrdersLikeStartThenHeightExhaustively) {
+  for (int height = 1; height <= 12; ++height) {
+    std::vector<Code> codes;
+    for (Code c = 1; c <= PBiTreeSpec{height}.MaxCode(); ++c) codes.push_back(c);
+    std::sort(codes.begin(), codes.end(), ReferenceDocLess);
+    for (size_t i = 1; i < codes.size(); ++i) {
+      ASSERT_LT(DocKey(codes[i - 1]), DocKey(codes[i]))
+          << "H=" << height << " codes " << codes[i - 1] << ", " << codes[i];
+      ASSERT_TRUE(DocLess(codes[i - 1], codes[i]));
+      ASSERT_FALSE(DocLess(codes[i], codes[i - 1]));
+    }
+  }
+}
+
+TEST(DocKeyTest, OrdersLikeStartThenHeightUpToHeight63) {
+  Random rng(2024);
+  auto check = [](Code a, Code b) {
+    ASSERT_EQ(DocLess(a, b), ReferenceDocLess(a, b)) << a << " vs " << b;
+    ASSERT_EQ(DocLess(b, a), ReferenceDocLess(b, a)) << b << " vs " << a;
+  };
+  for (int i = 0; i < 160000; ++i) {
+    const int height = 13 + static_cast<int>(rng.Uniform(kMaxTreeHeight - 12));
+    const Code max = PBiTreeSpec{height}.MaxCode();
+    Code a = rng.UniformRange(1, max);
+    Code b;
+    switch (i % 4) {
+      case 0:  // anywhere in the tree
+        b = rng.UniformRange(1, max);
+        break;
+      case 1: {  // a chain sharing a's Start: its leftmost descendants
+        const int h = HeightOf(a);
+        if (h == 0) {
+          b = a;
+          break;
+        }
+        const int down = 1 + static_cast<int>(rng.Uniform(h));
+        b = StartOf(a) - 1 + (Code{1} << (h - down));
+        EXPECT_EQ(StartOf(b), StartOf(a));
+        break;
+      }
+      case 2:  // a nearby code
+        b = std::clamp<Code>(a + rng.UniformRange(0, 64) - 32, 1, max);
+        break;
+      default: {  // around the root of the tallest tree, 2^62
+        const Code root = Code{1} << 62;
+        a = root - 64 + rng.UniformRange(0, 128);
+        b = rng.Uniform(2) ? PBiTreeSpec{kMaxTreeHeight}.MaxCode() - rng.Uniform(64)
+                           : root + rng.UniformRange(0, 1 << 20) - (1 << 19);
+        break;
+      }
+    }
+    check(a, b);
+    if (HasFatalFailure()) return;
+  }
+  // The extremes of the 63-level space.
+  const Code max = PBiTreeSpec{kMaxTreeHeight}.MaxCode();
+  for (Code a : {Code{1}, Code{2}, Code{1} << 61, Code{1} << 62,
+                 (Code{1} << 62) + 1, max - 1, max}) {
+    for (Code b : {Code{1}, Code{3}, (Code{1} << 62) - 1, Code{1} << 62,
+                   (Code{3} << 61), max}) {
+      check(a, b);
+    }
   }
 }
 
