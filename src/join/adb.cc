@@ -55,7 +55,7 @@ Status AdbJoin(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
                ResultSink* sink) {
   bool empty = false;
   PBITREE_RETURN_IF_ERROR(
-      ValidateJoinInputs("ADB+", a, d, /*require_sorted=*/false, &empty));
+      ValidateJoinInputs("ADB+", a, d, &empty));
   if (empty) return Status::OK();
   if (a_start_index.key_kind() != KeyKind::kStart ||
       d_start_index.key_kind() != KeyKind::kStart) {

@@ -107,8 +107,7 @@ Status RunStackTree(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
                     ResultSink* sink, const RunOptions& options) {
   (void)options;
   bool empty = false;
-  PBITREE_RETURN_IF_ERROR(ValidateJoinInputs("StackTree", a, d,
-                                             /*require_sorted=*/false, &empty));
+  PBITREE_RETURN_IF_ERROR(ValidateJoinInputs("StackTree", a, d, &empty));
   if (empty) return Status::OK();
   PBITREE_ASSIGN_OR_RETURN(std::vector<SortedStream> in,
                            DocOrderStreams(ctx, {&a, &d}));
@@ -121,8 +120,7 @@ Status RunMpmgjn(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
                  ResultSink* sink, const RunOptions& options) {
   (void)options;
   bool empty = false;
-  PBITREE_RETURN_IF_ERROR(ValidateJoinInputs("MPMGJN", a, d,
-                                             /*require_sorted=*/false, &empty));
+  PBITREE_RETURN_IF_ERROR(ValidateJoinInputs("MPMGJN", a, d, &empty));
   if (empty) return Status::OK();
   // D is rescanned, so an unsorted D is sorted into a file first, with
   // the whole budget; A then streams.

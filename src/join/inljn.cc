@@ -61,7 +61,7 @@ Status Inljn(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
              const InljnIndexes& indexes, ResultSink* sink) {
   bool empty = false;
   PBITREE_RETURN_IF_ERROR(
-      ValidateJoinInputs("INLJN", a, d, /*require_sorted=*/false, &empty));
+      ValidateJoinInputs("INLJN", a, d, &empty));
   if (empty) return Status::OK();
   const bool can_probe_d = indexes.d_code_index != nullptr;
   const bool can_probe_a = indexes.a_interval_index != nullptr;

@@ -14,7 +14,7 @@ Status Mhcj(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
             ResultSink* sink) {
   bool empty = false;
   PBITREE_RETURN_IF_ERROR(
-      ValidateJoinInputs("MHCJ", a, d, /*require_sorted=*/false, &empty));
+      ValidateJoinInputs("MHCJ", a, d, &empty));
   if (empty) return Status::OK();
   if (a.SingleHeight()) {
     // Route to SHCJ directly (line 1-3 of Algorithm 3) — no

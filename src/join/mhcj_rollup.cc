@@ -13,7 +13,7 @@ Status MhcjRollup(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
                   ResultSink* sink, RollupHeightPolicy policy) {
   bool empty = false;
   PBITREE_RETURN_IF_ERROR(
-      ValidateJoinInputs("MHCJ+Rollup", a, d, /*require_sorted=*/false, &empty));
+      ValidateJoinInputs("MHCJ+Rollup", a, d, &empty));
   if (empty) return Status::OK();
 
   if (policy == RollupHeightPolicy::kMax || a.SingleHeight()) {

@@ -9,7 +9,7 @@ Status Shcj(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
             ResultSink* sink) {
   bool empty = false;
   PBITREE_RETURN_IF_ERROR(
-      ValidateJoinInputs("SHCJ", a, d, /*require_sorted=*/false, &empty));
+      ValidateJoinInputs("SHCJ", a, d, &empty));
   if (empty) return Status::OK();
   if (!a.SingleHeight()) {
     return Status::InvalidArgument(

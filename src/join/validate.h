@@ -13,21 +13,15 @@ namespace pbitree {
 /// Checks run in the order every algorithm historically applied them:
 /// the empty-input short-circuit first (*empty = true, OK — the caller
 /// returns an empty result without further validation), then the
-/// same-PBiTree check, then, when `require_sorted`, document-order
-/// sortedness of both inputs. Error text is uniform across algorithms;
-/// `name` prefixes it.
+/// same-PBiTree check. Error text is uniform across algorithms; `name`
+/// prefixes it.
 inline Status ValidateJoinInputs(const char* name, const ElementSet& a,
-                                 const ElementSet& d, bool require_sorted,
-                                 bool* empty) {
+                                 const ElementSet& d, bool* empty) {
   *empty = a.num_records() == 0 || d.num_records() == 0;
   if (*empty) return Status::OK();
   if (a.spec != d.spec) {
     return Status::InvalidArgument(std::string(name) +
                                    ": inputs from different PBiTrees");
-  }
-  if (require_sorted && (!a.sorted_by_start || !d.sorted_by_start)) {
-    return Status::InvalidArgument(
-        std::string(name) + ": requires both inputs sorted in document order");
   }
   return Status::OK();
 }

@@ -347,7 +347,7 @@ Status Vpj(JoinContext* ctx, const ElementSet& a, const ElementSet& d,
            ResultSink* sink, const VpjOptions& options) {
   bool empty = false;
   PBITREE_RETURN_IF_ERROR(
-      ValidateJoinInputs("VPJ", a, d, /*require_sorted=*/false, &empty));
+      ValidateJoinInputs("VPJ", a, d, &empty));
   if (empty) return Status::OK();
   VpjRunner runner{ctx, a.spec, options, sink};
   // The ancestor set's range bounds every possible result pair; it

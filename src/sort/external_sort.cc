@@ -224,7 +224,6 @@ class StreamBuilder {
     SortedStream s;
     s.mode_ = SortedStream::Mode::kMemory;
     s.order_ = order;
-    s.num_records_ = recs.size();
     s.records_ = std::move(recs);
     s.batch_ = s.records_;
     s.sort_output_ = true;
@@ -241,7 +240,6 @@ class StreamBuilder {
     SortedStream s;
     s.order_ = order;
     s.runs_ = std::move(runs);
-    for (const ScratchFile& run : s.runs_) s.num_records_ += run->num_records();
     if (s.runs_.size() == 1) {
       s.mode_ = SortedStream::Mode::kScan;
       s.scan_ = std::make_unique<HeapFile::Scanner>(bm, *s.runs_[0]);
@@ -280,7 +278,6 @@ SortedStream& SortedStream::operator=(SortedStream&& o) noexcept {
   (void)Close();
   mode_ = std::exchange(o.mode_, Mode::kDone);
   order_ = o.order_;
-  num_records_ = std::exchange(o.num_records_, 0);
   // Moving a vector keeps its buffer, so the batch view stays valid.
   batch_ = std::exchange(o.batch_, {});
   pos_ = std::exchange(o.pos_, 0);
@@ -297,15 +294,15 @@ SortedStream& SortedStream::operator=(SortedStream&& o) noexcept {
 SortedStream SortedStream::Scan(BufferManager* bm, const HeapFile& file) {
   SortedStream s;
   s.mode_ = Mode::kScan;
-  s.num_records_ = file.num_records();
   s.scan_ = std::make_unique<HeapFile::Scanner>(bm, file);
   s.Refill();
   return s;
 }
 
 size_t SortedStream::held_pages() const {
-  if (mode_ == Mode::kMemory) return static_cast<size_t>(PagesOf(records_.size()));
-  return runs_.size();
+  // A merge's records_ is its output batch, not a run.
+  return runs_.empty() ? static_cast<size_t>(PagesOf(records_.size()))
+                       : runs_.size();
 }
 
 void SortedStream::SiftDown() {
@@ -544,25 +541,6 @@ StatusOr<ScratchFile> SortToFile(BufferManager* bm, const HeapFile& input,
     PBITREE_RETURN_IF_ERROR(MergePass(bm, work_pages - 1, order, &runs));
   }
   return std::move(runs[0]);
-}
-
-StatusOr<bool> IsSorted(BufferManager* bm, const HeapFile& file,
-                        SortOrder order) {
-  HeapFile::Scanner scan(bm, file);
-  ElementRecord prev;
-  bool first = true;
-  for (auto batch = scan.NextElementBatch(); !batch.empty();
-       batch = scan.NextElementBatch()) {
-    for (const ElementRecord& cur : batch) {
-      if (!first && SortKey(cur.code, order) < SortKey(prev.code, order)) {
-        return false;
-      }
-      prev = cur;
-      first = false;
-    }
-  }
-  PBITREE_RETURN_IF_ERROR(scan.status());
-  return true;
 }
 
 }  // namespace pbitree

@@ -66,7 +66,6 @@ class SortedStream {
   }
   const Status& status() const { return status_; }
 
-  uint64_t num_records() const { return num_records_; }
   /// Work pages the stream holds until it closes: the pages of an
   /// in-memory run, or one pinned page per run it merges.
   size_t held_pages() const;
@@ -88,7 +87,6 @@ class SortedStream {
   enum class Mode { kDone, kMemory, kScan, kMerge };
   Mode mode_ = Mode::kDone;
   SortOrder order_ = SortOrder::kStartOrder;
-  uint64_t num_records_ = 0;
   std::span<const ElementRecord> batch_;
   size_t pos_ = 0;
   Status status_;
@@ -143,10 +141,6 @@ StatusOr<std::vector<SortedStream>> ExternalSort(
 /// to one, which is the result. The caller owns the file.
 StatusOr<ScratchFile> SortToFile(BufferManager* bm, const HeapFile& input,
                                  size_t work_pages, SortOrder order);
-
-/// Verifies that `file` is sorted according to `order` (test helper).
-StatusOr<bool> IsSorted(BufferManager* bm, const HeapFile& file,
-                        SortOrder order);
 
 }  // namespace pbitree
 

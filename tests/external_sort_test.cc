@@ -85,7 +85,6 @@ TEST_P(ExternalSortTest, SortsByCodeAcrossBudgets) {
   auto sorted = ExternalSort(bm_.get(), input, param.work_pages,
                              SortOrder::kCodeOrder);
   ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
-  EXPECT_EQ(sorted->num_records(), codes.size());
 
   std::vector<Code> expect = codes;
   std::sort(expect.begin(), expect.end());

@@ -667,5 +667,49 @@ TEST_P(FaultInjectionJoinTest, PermanentFaultSweepLeavesNoPinsOrPages) {
 INSTANTIATE_TEST_SUITE_P(Algorithms, FaultInjectionJoinTest,
                          ::testing::ValuesIn(FaultMatrix()), FaultCaseName);
 
+// The sorts of STACKTREE and ADB+ at this budget write several runs per
+// input and stream their final merges into the join or the index bulk
+// load, so the runs live until the consumer is done. A sticky write
+// fault at every single write position must still leave no frame
+// pinned and no page allocated.
+using MultiRunSortFaultTest = FaultInjectionJoinTest;
+
+TEST_P(MultiRunSortFaultTest, StickyFaultAtEveryWriteLeavesNoPinsOrPages) {
+  ASSERT_TRUE(PurgeAll().ok());
+  const uint64_t before = DeviceWrites()[0];
+  CountingSink clean_sink;
+  auto clean = Run(&clean_sink);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  ASSERT_EQ(clean_sink.count(), expect_.size());
+  // More runs than inputs: the sorts are multi-run.
+  ASSERT_GT(clean->metrics.counter(obs::Counter::kSortRuns), 2u);
+  const uint64_t writes = DeviceWrites()[0] - before;
+  ASSERT_GT(writes, 0u);
+  for (uint64_t at = 1; at <= writes; ++at) {
+    ASSERT_TRUE(PurgeAll().ok());
+    Arm("write_every=" + std::to_string(at) + ",transient=0");
+    CountingSink sink;
+    auto run = Run(&sink);
+    Disarm();
+    ASSERT_FALSE(run.ok()) << "write " << at;
+    EXPECT_EQ(run.status().code(), StatusCode::kRetryExhausted)
+        << "write " << at << ": " << run.status().ToString();
+    ASSERT_TRUE(NoLeaks()) << "write " << at;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sorts, MultiRunSortFaultTest,
+    ::testing::Values(
+        FaultJoinCase{Algorithm::kStackTree, RollupHeightPolicy::kMax, 0,
+                      PageCodecKind::kRaw, 1},
+        FaultJoinCase{Algorithm::kStackTree, RollupHeightPolicy::kMax, 0,
+                      PageCodecKind::kFoRDelta, 1},
+        FaultJoinCase{Algorithm::kAdb, RollupHeightPolicy::kMax, 0,
+                      PageCodecKind::kRaw, 1},
+        FaultJoinCase{Algorithm::kAdb, RollupHeightPolicy::kMax, 0,
+                      PageCodecKind::kFoRDelta, 1}),
+    FaultCaseName);
+
 }  // namespace
 }  // namespace pbitree
