@@ -108,7 +108,8 @@ class SortedStream {
 /// region algorithms run on PBiTree-coded data — returning a stream.
 ///
 /// Records are ordered by SortKey, then (doc, tag). Each run is sorted
-/// in place by an MSD radix sort on that key, so run generation needs
+/// in place by an MSD radix sort (for document order its digits come
+/// from Start − 1, and ties finish on the key), so run generation needs
 /// no buffer beyond the run itself. The sort uses at most `work_pages`
 /// pages of working memory (>= 3) and leaves at least 3 of them to the
 /// consumer (2 below 5 pages):
